@@ -24,6 +24,7 @@ from .complexes import (
 )
 from .construction import (
     ConstructionReport,
+    TooManyColorsError,
     VerificationResult,
     cone_extension,
     verify_cone_extension,
@@ -86,6 +87,7 @@ __all__ = [
     "MAX_COLORS",
     "SearchBudget",
     "SearchOutcome",
+    "TooManyColorsError",
     "UniquenessResult",
     "VerificationResult",
     "Vertex",

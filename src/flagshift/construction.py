@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ColoredComplex, Face, Vertex, cone, select_colors, union
-from .flags import FlagVector, colors_of_mask, flag_f, subset_masks
+from .complexes import ColoredComplex, Face, Vertex, cone, select_colors
+# unused here, but perfbench's tracer and its tests look the binding up
+from .complexes import union  # noqa: F401
+from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, subset_masks
 from .shifting import find_shift_violation, is_color_shifted, principal_downset, shift_maximal_faces
 
 
@@ -38,6 +40,10 @@ class ConstructionReport:
     predicted_flag: FlagVector                     # full flag f-vector of the output
 
 
+class TooManyColorsError(ValueError):
+    """The cone extension would need more colors than flag vectors support."""
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -49,8 +55,15 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     """Extend a non-empty color-shifted complex as described above.
 
     Returns the extended complex together with its construction report.
-    Raises ValueError if delta is empty or not color-shifted, and if the
-    extension would need more colors than flag vectors support.
+    Raises ValueError if delta is empty or not color-shifted, and
+    TooManyColorsError, before building anything, if the extension would
+    need more than MAX_COLORS colors.
+
+    The face set is assembled in one pass without re-validation.  It is
+    a valid complex: delta and each cone over a principal down-set are
+    closed under taking subsets, and so is their union; it holds the
+    empty face; every apex color n+p has only the vertex 1; and the
+    vertices of the base colors are delta's own.
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
@@ -63,16 +76,22 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     n = delta.num_colors
     maximal = shift_maximal_faces(delta)
     k = len(maximal)
-    extended = delta
+    if n + k > MAX_COLORS:
+        raise TooManyColorsError(
+            f"the extension of a complex with n={n} colors and k={k} shift-maximal "
+            f"faces needs n+k={n + k} colors; flag vectors support at most {MAX_COLORS}"
+        )
+    faces = set(delta.faces)
     apexes = []
     predicted_edges = []
     for p, face in enumerate(maximal, start=1):
         apex = Vertex(n + p, 1)
         apexes.append(apex)
-        extended = union(extended, cone(principal_downset(delta, face), apex))
+        faces |= cone(principal_downset(delta, face), apex).faces
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
+    extended = ColoredComplex._raw(n + k, frozenset(faces))
     report = ConstructionReport(
         base_colors=n,
         apex_count=k,

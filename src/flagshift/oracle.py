@@ -11,10 +11,19 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels package
 enumerates those (compiled when available).
 
+Forced layers skip the kernel.  The allowed set is down-closed: if v is
+allowed and u <= v, each one-color-drop projection of u is dominated by
+the matching projection of v, which lies in a lower layer chosen as an
+order ideal, so u is allowed too.  An ideal of size |allowed| inside
+`allowed` can therefore only be `allowed` itself, and when the layer
+target equals |allowed| that single candidate is returned at the cost
+of one node, on either kernel backend.
+
 Searches are budgeted: one node is one partial-assignment extension,
-either a kernel step or a layer assignment.  Outcomes distinguish an
-exhausted search space from a budget stop and from a witness-cap stop,
-so "no witness" and "ran out of budget" are never conflated.
+either a kernel step, a forced layer or a layer assignment.  Outcomes
+distinguish an exhausted search space from a budget stop and from a
+witness-cap stop, so "no witness" and "ran out of budget" are never
+conflated.
 """
 
 from __future__ import annotations
@@ -224,8 +233,12 @@ def enumerate_color_shifted_with_flag(
         nonlocal nodes
         layer = active[j]
         allowed = _allowed_mask(layer, chosen)
-        if allowed.bit_count() < layer.target:
+        size = allowed.bit_count()
+        if size < layer.target:
             return []
+        if size == layer.target:
+            nodes += 1
+            return None if nodes > budget.max_nodes else [allowed]
         masks, used, completed = _kernels.ideals_of_size(
             layer.preds, allowed, layer.target, budget.max_nodes - nodes
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from flagshift import ColoredComplex, EMPTY_FACE, Face, FlagVector
+from flagshift import ColoredComplex, EMPTY_FACE, Face, FlagVector, shift_closure
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -28,6 +28,11 @@ def two_color_complex(t1: int, t2: int, edges) -> ColoredComplex:
     faces.update(Face([(2, i)]) for i in range(1, t2 + 1))
     faces.update(edge2(a, b) for a, b in edges)
     return ColoredComplex(2, faces)
+
+
+def staircase(k: int) -> ColoredComplex:
+    """Shift closure of the edges (i, k+1-i): k shift-maximal faces."""
+    return shift_closure(2, [edge2(i, k + 1 - i) for i in range(1, k + 1)])
 
 
 # ===================================================================

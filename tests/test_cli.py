@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from flagshift import emit_complex
 from flagshift.cli import main
+
+from helpers import staircase
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,6 +160,16 @@ def test_construct_out_file_with_report(capsys, tmp_path):
 def test_construct_rejects_unshifted(capsys):
     code, _, err = run(capsys, "construct", data("nonshifted.json"))
     assert code == 2 and "color-shifted" in err
+
+
+def test_color_limit_exits_negative(capsys, tmp_path):
+    # 15 shift-maximal edges over 2 colors: the extension needs 17 colors
+    path = tmp_path / "wide.json"
+    path.write_text(emit_complex(staircase(15)))
+    for command in ("construct", "verify-unique"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert "n=2" in err and "k=15" in err and "at most 16" in err
 
 
 def test_verify_unique_positive(capsys):

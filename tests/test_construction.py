@@ -8,6 +8,8 @@ from flagshift import (
     ColoredComplex,
     EMPTY_FACE,
     FlagVector,
+    MAX_COLORS,
+    TooManyColorsError,
     Vertex,
     cone_extension,
     flag_f,
@@ -19,7 +21,7 @@ from flagshift import (
     verify_cone_extension,
 )
 
-from helpers import edge2, face
+from helpers import edge2, face, staircase
 
 
 # ===================================================================
@@ -127,6 +129,23 @@ def test_extension_rejects_unshifted_input():
     )
     with pytest.raises(ValueError, match="color-shifted"):
         cone_extension(c)
+
+
+def test_extension_fills_the_color_limit():
+    extended, report = cone_extension(staircase(MAX_COLORS - 2))
+    assert report.total_colors == extended.num_colors == MAX_COLORS
+
+
+def test_extension_fails_fast_past_the_color_limit(monkeypatch):
+    import flagshift.construction as construction
+
+    def no_cone(*_args):
+        raise AssertionError("the extension was built before the limit check")
+
+    monkeypatch.setattr(construction, "cone", no_cone)
+    with pytest.raises(TooManyColorsError, match=r"n=2 .*k=15 .*n\+k=17 .*at most 16$"):
+        cone_extension(staircase(15))
+    assert issubclass(TooManyColorsError, ValueError)
 
 
 # ===================================================================

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from flagshift import (
     BudgetExhausted,
+    ColoredComplex,
     FlagVector,
     SearchBudget,
     count_two_color_shifted_by_edges,
@@ -19,7 +22,7 @@ from flagshift import (
     verify_uniqueness,
 )
 
-from helpers import brute_all_color_shifted, brute_partitions
+from helpers import brute_all_color_shifted, brute_partitions, staircase
 
 
 # ===================================================================
@@ -126,6 +129,61 @@ def test_search_budget_inconclusive():
     assert not out.exhausted and not out.truncated
 
 
+def _brute_by_flag(num_colors: int, bounds) -> dict[tuple[int, ...], set]:
+    """Brute-force color-shifted face sets within bounds, grouped by flag."""
+    by_flag: dict[tuple[int, ...], set] = {}
+    for faces in brute_all_color_shifted(num_colors, bounds):
+        dense = flag_f(ColoredComplex(num_colors, faces)).dense()
+        by_flag.setdefault(dense, set()).add(faces)
+    return by_flag
+
+
+def _assert_search_matches_brute(targets, by_flag) -> None:
+    for dense in targets:
+        outcome = enumerate_color_shifted_with_flag(
+            FlagVector(len(dense).bit_length() - 1, dense, kind="f"),
+            SearchBudget(max_witnesses=10_000),
+        )
+        assert outcome.exhausted and not outcome.truncated, dense
+        assert {w.faces for w in outcome.witnesses} == by_flag.get(dense, set()), dense
+
+
+def test_search_matches_brute_force_two_colors():
+    """Every target (1, a, b, e) with a <= 3, b <= 2, e <= 8, including
+    the unrealizable ones (e > ab), against all complexes within [3, 2]."""
+    by_flag = _brute_by_flag(2, [3, 2])
+    targets = [(1, a, b, e) for a, b, e in product(range(4), range(3), range(9))]
+    assert sum(dense in by_flag for dense in targets) < len(targets)
+    _assert_search_matches_brute(targets, by_flag)
+
+
+def test_search_matches_brute_force_three_colors():
+    """Every 3-color target whose counts fit the grids within [2, 1, 1]."""
+    by_flag = _brute_by_flag(3, [2, 1, 1])
+    targets = [
+        (1, t1, t2, f12, t3, f13, f23, f123)
+        for t1, t2, t3 in product(range(3), range(2), range(2))
+        for f12, f13, f23, f123 in product(
+            range(t1 * t2 + 1), range(t1 * t3 + 1), range(t2 * t3 + 1),
+            range(t1 * t2 * t3 + 1),
+        )
+    ]
+    assert sum(dense in by_flag for dense in targets) < len(targets)
+    _assert_search_matches_brute(targets, by_flag)
+
+
+def test_forced_layer_budget_boundary():
+    # 4 edges on a 2x2 grid: the edge layer is forced, one node to open
+    # it and one to assign it
+    fv = FlagVector(2, (1, 2, 2, 4), kind="f")
+    short = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=1))
+    assert not short.witnesses
+    assert not short.exhausted and not short.truncated
+    enough = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=2))
+    assert enough.exhausted and enough.nodes_visited == 2
+    assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
+
+
 def test_find_matches_flag_of_any_source(corpus):
     for c in corpus:
         if len(c) == 0 or c.num_colors > 4:
@@ -176,6 +234,13 @@ def test_uniqueness_conclusive_over_tiny_complexes():
     for delta in enumerate_color_shifted_complexes(2, [1, 1]):
         result = verify_uniqueness(delta)
         assert result.unique is True, delta
+
+
+def test_uniqueness_of_staircases():
+    eight = verify_uniqueness(staircase(8))
+    assert eight.unique is True
+    assert eight.outcome.nodes_visited <= 250_000
+    assert verify_uniqueness(staircase(9)).unique is True
 
 
 def test_uniqueness_budget_runs_out(sample_b):
