@@ -1,62 +1,11 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Down-set enumeration kernels over bitmask posets (see ideals_py).
 
-The compiled kernels handle posets of at most 64 points (uint64 masks);
-larger layers always run on the pure-Python kernels, whose integer masks
-are unbounded.  Set the environment variable FLAGSHIFT_PURE=1 before
-import, or call set_backend("pure"), to force the fallback; results are
-identical either way.
+Callers look these names up on the package at call time, so a wrapper
+bound here is seen by every caller.
 """
 
 from __future__ import annotations
 
-import os
+from .ideals_py import all_ideals, count_ideals_of_size, ideals_of_size
 
-from . import ideals_py as _py
-
-try:
-    from . import _ideals_cy as _cy
-except ImportError:  # extension not built
-    _cy = None
-
-_COMPILED_LIMIT = 64
-_use_compiled = _cy is not None and not os.environ.get("FLAGSHIFT_PURE")
-
-
-def compiled_available() -> bool:
-    return _cy is not None
-
-
-def backend() -> str:
-    """Name of the currently preferred backend: "compiled" or "pure"."""
-    return "compiled" if _use_compiled else "pure"
-
-
-def set_backend(name: str) -> None:
-    """Select "compiled" or "pure" for subsequent kernel calls."""
-    global _use_compiled
-    if name == "compiled":
-        if _cy is None:
-            raise RuntimeError("compiled kernel is not available")
-        _use_compiled = True
-    elif name == "pure":
-        _use_compiled = False
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-
-
-def ideals_of_size(preds, allowed, size, max_nodes):
-    if _use_compiled and len(preds) <= _COMPILED_LIMIT:
-        return _cy.ideals_of_size(preds, allowed, size, max_nodes)
-    return _py.ideals_of_size(preds, allowed, size, max_nodes)
-
-
-def count_ideals_of_size(preds, allowed, size, max_nodes):
-    if _use_compiled and len(preds) <= _COMPILED_LIMIT:
-        return _cy.count_ideals_of_size(preds, allowed, size, max_nodes)
-    return _py.count_ideals_of_size(preds, allowed, size, max_nodes)
-
-
-def all_ideals(preds, allowed, max_nodes):
-    if _use_compiled and len(preds) <= _COMPILED_LIMIT:
-        return _cy.all_ideals(preds, allowed, max_nodes)
-    return _py.all_ideals(preds, allowed, max_nodes)
+__all__ = ["all_ideals", "count_ideals_of_size", "ideals_of_size"]

@@ -29,6 +29,7 @@ from .formats import (
     _dumps,
 )
 from .oracle import (
+    BudgetExhausted,
     SearchBudget,
     count_two_color_shifted_by_edges,
     find_color_shifted_with_flag,
@@ -36,7 +37,6 @@ from .oracle import (
     verify_uniqueness,
 )
 from .shifting import find_shift_violation, shift_maximal_faces
-from . import _kernels
 
 EX_USAGE = 64
 EX_NOINPUT = 66
@@ -212,7 +212,11 @@ def _cmd_find_shifted(args) -> int:
 def _cmd_count_shifted(args) -> int:
     if args.edges < 0:
         raise _CliFailure(EX_USAGE, "--edges must be >= 0")
-    count = count_two_color_shifted_by_edges(args.edges)
+    try:
+        count = count_two_color_shifted_by_edges(args.edges)
+    except BudgetExhausted as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EX_INCONCLUSIVE
     expected = partition_number(args.edges)
     verdict = "OK" if count == expected else "MISMATCH"
     print(f"{count} {expected} {verdict}")
@@ -230,11 +234,6 @@ def _cmd_realizable2(args) -> int:
         return 0
     print("not realizable")
     return EX_NEGATIVE
-
-
-def _cmd_backend(args) -> int:
-    print(_kernels.backend())
-    return 0
 
 
 # ===================================================================
@@ -282,7 +281,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges", type=int, required=True)
     p = add("realizable2", _cmd_realizable2, "two-color flag vector realizability")
     p.add_argument("file")
-    add("backend", _cmd_backend, "print the active kernel backend")
     return parser
 
 

@@ -9,36 +9,48 @@ prod over c in S of {1..t_c}, restricted to faces whose one-color-drop
 projections were all chosen in lower layers.  That restriction set is
 itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels package
-enumerates those (compiled when available).
+enumerates those.
 
-Forced layers skip the kernel.  The allowed set is down-closed: if v is
-allowed and u <= v, each one-color-drop projection of u is dominated by
-the matching projection of v, which lies in a lower layer chosen as an
-order ideal, so u is allowed too.  An ideal of size |allowed| inside
-`allowed` can therefore only be `allowed` itself, and when the layer
-target equals |allowed| that single candidate is returned at the cost
-of one node, on either kernel backend.
+The allowed set is computed bitwise.  For each dropped color the
+layer's geometry holds one fiber mask per sub-grid point: the layer
+points that project onto it.  A point is allowed when, for every
+dropped color, its projection was chosen, so the allowed set is the AND
+over dropped colors of the OR of the fibers of the chosen sub-points.
+A fully chosen sub-layer constrains nothing and is skipped; when the
+dropped color has one vertex, projection keeps the rank, so the fiber
+union is the chosen sub-mask itself.
+
+Some layers have a single candidate and skip the kernel.  The allowed
+set is down-closed: if v is allowed and u <= v, each one-color-drop
+projection of u is dominated by the matching projection of v, which
+lies in a lower layer chosen as an order ideal, so u is allowed too.
+  - When the layer target equals |allowed|, an ideal of that size
+    inside `allowed` can only be `allowed` itself.
+  - When at most one color of the layer has more than one vertex (as
+    for a base color against the one-vertex apex colors of a cone
+    extension), the grid is a chain in rank order.  A down-closed set
+    in a chain is a prefix, so with |allowed| >= target the only ideal
+    of size target is the prefix (1 << target) - 1.
+Either way the single candidate costs one node.
 
 Searches are budgeted: one node is one partial-assignment extension,
-either a kernel step, a forced layer or a layer assignment.  Outcomes
-distinguish an exhausted search space from a budget stop and from a
-witness-cap stop, so "no witness" and "ran out of budget" are never
-conflated.
+either a kernel step, a single-candidate layer or a layer assignment.
+Outcomes distinguish an exhausted search space from a budget stop and
+from a witness-cap stop, so "no witness" and "ran out of budget" are
+never conflated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
 from .complexes import EMPTY_FACE, ColoredComplex, Face
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, colors_of_mask, flag_f, subset_masks
-
-_UNBOUNDED = 1 << 62
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -81,76 +93,143 @@ class UniquenessResult:
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised by streaming enumerators when the node budget runs out."""
+    """Raised by the enumerations and the diagram count, which return no
+    SearchOutcome, when the node budget runs out."""
 
 
 # ===================================================================
 # layer machinery
 # ===================================================================
 
-@dataclass
-class _Layer:
-    colors: tuple[int, ...]
-    mask: int
-    target: int
-    faces: list[Face]
-    preds: list[int]
-    projections: list[list[tuple[int, int]]]  # per point: (sub color mask, sub rank)
+class _Geometry(NamedTuple):
+    """The target-independent shape of one layer grid, in rank order.
+
+    Shared through the _layer_geometry cache, so every field is a tuple.
+    """
+
+    mask: int  # color-set bitmask
+    faces: tuple[Face, ...]
+    preds: tuple[int, ...]
+    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers),
+    # fibers[sub_rank] being the points projecting onto sub_rank, or
+    # None when the dropped color has one vertex and ranks coincide.
+    drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
+    chain: bool  # at most one color has more than one vertex
 
 
-def _strides(radices: list[int]) -> list[int]:
+def _strides(radices) -> list[int]:
     s = [1] * len(radices)
     for j in range(len(radices) - 2, -1, -1):
         s[j] = s[j + 1] * radices[j + 1]
     return s
 
 
-def _build_layer(colors: tuple[int, ...], t: dict[int, int], target: int) -> _Layer:
-    radices = [t[c] for c in colors]
-    points = list(product(*(range(1, r + 1) for r in radices)))
+def _grid_preds(radices) -> list[int]:
+    """Immediate-predecessor masks of the index grid, row-major ranks."""
     strides = _strides(radices)
+    preds = []
+    for rank, v in enumerate(product(*(range(r) for r in radices))):
+        m = 0
+        for j, s in enumerate(strides):
+            if v[j]:
+                m |= 1 << (rank - s)
+        preds.append(m)
+    return preds
+
+
+@lru_cache(maxsize=256)
+def _layer_geometry(colors: tuple[int, ...], radices: tuple[int, ...]) -> _Geometry:
+    """Faces, preds and fibers of the grid with radices[i] vertices of
+    colors[i]; cached, since searches reopen the same few shapes."""
     mask = 0
     for c in colors:
         mask |= 1 << (c - 1)
-    faces = [Face(zip(colors, v)) for v in points]
-    preds = []
-    for rank, v in enumerate(points):
-        m = 0
-        for j in range(len(colors)):
-            if v[j] > 1:
-                m |= 1 << (rank - strides[j])
-        preds.append(m)
-    sub_strides = [_strides(radices[:j] + radices[j + 1:]) for j in range(len(colors))]
-    projections = []
-    for v in points:
-        plist = []
-        for j, c in enumerate(colors):
-            sub_v = v[:j] + v[j + 1:]
-            ss = sub_strides[j]
-            sub_rank = sum((sub_v[l] - 1) * ss[l] for l in range(len(sub_v)))
-            plist.append((mask ^ (1 << (c - 1)), sub_rank))
-        projections.append(plist)
-    return _Layer(tuple(colors), mask, target, faces, preds, projections)
+    npoints = 1
+    for r in radices:
+        npoints *= r
+    faces = tuple(
+        Face(zip(colors, v)) for v in product(*(range(1, r + 1) for r in radices))
+    )
+    drops = []
+    for c, r, s in zip(colors, radices, _strides(radices)):
+        sub_points = npoints // r
+        fibers = None
+        if r > 1:
+            # rank = hi * r * s + v_j * s + lo  projects to  hi * s + lo
+            fiber_list = [0] * sub_points
+            for rank in range(npoints):
+                fiber_list[rank // (r * s) * s + rank % s] |= 1 << rank
+            fibers = tuple(fiber_list)
+        drops.append((mask ^ (1 << (c - 1)), (1 << sub_points) - 1, fibers))
+    return _Geometry(
+        mask,
+        faces,
+        tuple(_grid_preds(radices)),
+        tuple(drops),
+        sum(r > 1 for r in radices) <= 1,
+    )
 
 
-def _allowed_mask(layer: _Layer, chosen: dict[int, int]) -> int:
+def _geometry(mask: int, t) -> _Geometry:
+    """Geometry of color set `mask` with t[i] vertices of color i + 1."""
+    colors = colors_of_mask(mask)
+    return _layer_geometry(colors, tuple(t[c - 1] for c in colors))
+
+
+def _layers_within(num_colors: int, t) -> list[_Geometry]:
+    """Geometries of every color set of size >= 2 whose colors all have
+    vertices, in canonical order."""
+    return [
+        _geometry(mask, t)
+        for mask in subset_masks(num_colors)
+        if mask.bit_count() >= 2
+        and all(t[i] > 0 for i in range(num_colors) if mask >> i & 1)
+    ]
+
+
+def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     """Points whose every one-color-drop projection was chosen below."""
-    m = 0
-    for idx, plist in enumerate(layer.projections):
-        for sub_mask, sub_rank in plist:
-            if not (chosen[sub_mask] >> sub_rank) & 1:
-                break
-        else:
-            m |= 1 << idx
-    return m
+    allowed = (1 << len(geo.preds)) - 1
+    for sub_mask, full, fibers in geo.drops:
+        sub = chosen[sub_mask]
+        if sub == full:
+            continue
+        if fibers is None:
+            allowed &= sub
+            continue
+        union = 0
+        while sub:
+            low = sub & -sub
+            union |= fibers[low.bit_length() - 1]
+            sub ^= low
+        allowed &= union
+    return allowed
 
 
-def _fixed_faces(t: list[int]) -> set[Face]:
+def _assemble(
+    num_colors: int, fixed: frozenset[Face], layers, chosen: dict[int, int]
+) -> ColoredComplex:
+    """The complex made of the fixed faces and each layer's chosen points."""
+    faces = set(fixed)
+    for geo in layers:
+        faces_of = geo.faces
+        m = chosen[geo.mask]
+        while m:
+            low = m & -m
+            faces.add(faces_of[low.bit_length() - 1])
+            m ^= low
+    return ColoredComplex._raw(num_colors, frozenset(faces))
+
+
+def _start(t) -> tuple[dict[int, int], frozenset[Face]]:
+    """Chosen masks of the empty and vertex layers, and their faces."""
+    chosen = {0: 1}
     faces = {EMPTY_FACE}
     for c, count in enumerate(t, start=1):
+        chosen[1 << (c - 1)] = (1 << count) - 1
         for i in range(1, count + 1):
             faces.add(Face(((c, i),)))
-    return faces
+    return chosen, frozenset(faces)
 
 
 # ===================================================================
@@ -173,7 +252,6 @@ def enumerate_color_shifted_with_flag(
         raise ValueError("search target must count the empty face exactly once")
     n = target.num_colors
     t = [target.count_at_mask(1 << i) for i in range(n)]
-    t_by_color = {c: t[c - 1] for c in range(1, n + 1)}
 
     # A color set with faces needs every one-color-drop subset to have
     # faces too, and no layer can exceed its grid.
@@ -194,15 +272,13 @@ def enumerate_color_shifted_with_flag(
         if not sub_ok or count > grid:
             return SearchOutcome([], exhausted=True, nodes_visited=0)
 
-    active = [
-        _build_layer(colors_of_mask(mask), t_by_color, target.count_at_mask(mask))
-        for mask in subset_masks(n)
-        if mask.bit_count() >= 2 and target.count_at_mask(mask) > 0
-    ]
-    chosen: dict[int, int] = {0: 1}
-    for i in range(n):
-        chosen[1 << i] = (1 << t[i]) - 1
-    fixed = frozenset(_fixed_faces(t))
+    layers = []
+    targets = []
+    for mask in subset_masks(n):
+        if mask.bit_count() >= 2 and target.count_at_mask(mask) > 0:
+            layers.append(_geometry(mask, t))
+            targets.append(target.count_at_mask(mask))
+    chosen, fixed = _start(t)
 
     witnesses: list[ColoredComplex] = []
     nodes = 0
@@ -210,18 +286,9 @@ def enumerate_color_shifted_with_flag(
     truncated = False
 
     def emit() -> None:
-        faces = set(fixed)
-        for layer in active:
-            m = chosen[layer.mask]
-            idx = 0
-            while m:
-                if m & 1:
-                    faces.add(layer.faces[idx])
-                m >>= 1
-                idx += 1
-        witnesses.append(ColoredComplex._raw(n, frozenset(faces)))
+        witnesses.append(_assemble(n, fixed, layers, chosen))
 
-    if not active:
+    if not layers:
         nodes += 1
         if nodes <= budget.max_nodes:
             emit()
@@ -231,16 +298,20 @@ def enumerate_color_shifted_with_flag(
     def open_layer(j: int) -> list[int] | None:
         """Candidate masks for layer j, or None if the budget ran out."""
         nonlocal nodes
-        layer = active[j]
-        allowed = _allowed_mask(layer, chosen)
+        geo = layers[j]
+        want = targets[j]
+        allowed = _allowed_mask(geo, chosen)
         size = allowed.bit_count()
-        if size < layer.target:
+        if size < want:
             return []
-        if size == layer.target:
+        if size == want or geo.chain:
+            # the single candidate (module docstring)
             nodes += 1
-            return None if nodes > budget.max_nodes else [allowed]
+            if nodes > budget.max_nodes:
+                return None
+            return [(1 << want) - 1 if geo.chain else allowed]
         masks, used, completed = _kernels.ideals_of_size(
-            layer.preds, allowed, layer.target, budget.max_nodes - nodes
+            geo.preds, allowed, want, budget.max_nodes - nodes
         )
         nodes += used
         if not completed:
@@ -259,15 +330,15 @@ def enumerate_color_shifted_with_flag(
         j, candidates, pos = frame
         if pos >= len(candidates):
             stack.pop()
-            chosen.pop(active[j].mask, None)
+            chosen.pop(layers[j].mask, None)
             continue
         frame[2] += 1
         nodes += 1
         if nodes > budget.max_nodes:
             budget_hit = True
             break
-        chosen[active[j].mask] = candidates[pos]
-        if j + 1 == len(active):
+        chosen[layers[j].mask] = candidates[pos]
+        if j + 1 == len(layers):
             emit()
             if len(witnesses) >= budget.max_witnesses:
                 truncated = True
@@ -323,54 +394,43 @@ def verify_uniqueness(
 # ===================================================================
 
 def enumerate_color_shifted_complexes(
-    num_colors: int, vertex_bounds: Iterable[int]
+    num_colors: int,
+    vertex_bounds: Iterable[int],
+    budget: SearchBudget | None = None,
 ) -> Iterator[ColoredComplex]:
     """Every color-shifted complex with at most the given vertices per color.
 
     Complexes are yielded in a deterministic order: vertex counts in
     lexicographic order, then layer ideals bottom up.  The empty complex
-    is not produced (the trivial complex {empty face} is).
+    is not produced (the trivial complex {empty face} is).  Raises
+    BudgetExhausted once the kernels have spent the node budget.
     """
+    if budget is None:
+        budget = SearchBudget()
     bounds = [int(b) for b in vertex_bounds]
     if len(bounds) != num_colors or any(b < 0 for b in bounds):
         raise ValueError("vertex_bounds must list one bound >= 0 per color")
+    nodes = 0
     for t in product(*(range(b + 1) for b in bounds)):
-        t_by_color = {c: t[c - 1] for c in range(1, num_colors + 1)}
-        layers = [
-            _build_layer(colors_of_mask(mask), t_by_color, 0)
-            for mask in subset_masks(num_colors)
-            if mask.bit_count() >= 2
-            and all(t[i] > 0 for i in range(num_colors) if mask >> i & 1)
-        ]
-        chosen: dict[int, int] = {0: 1}
-        for i in range(num_colors):
-            chosen[1 << i] = (1 << t[i]) - 1
-        fixed = frozenset(_fixed_faces(list(t)))
+        layers = _layers_within(num_colors, t)
+        chosen, fixed = _start(t)
 
         def rec(j: int) -> Iterator[ColoredComplex]:
+            nonlocal nodes
             if j == len(layers):
-                faces = set(fixed)
-                for layer in layers:
-                    m = chosen[layer.mask]
-                    idx = 0
-                    while m:
-                        if m & 1:
-                            faces.add(layer.faces[idx])
-                        m >>= 1
-                        idx += 1
-                yield ColoredComplex._raw(num_colors, frozenset(faces))
+                yield _assemble(num_colors, fixed, layers, chosen)
                 return
-            layer = layers[j]
-            allowed = _allowed_mask(layer, chosen)
-            masks, _used, completed = _kernels.all_ideals(
-                layer.preds, allowed, _UNBOUNDED
+            geo = layers[j]
+            masks, used, completed = _kernels.all_ideals(
+                geo.preds, _allowed_mask(geo, chosen), budget.max_nodes - nodes
             )
+            nodes += used
             if not completed:
-                raise BudgetExhausted("ideal enumeration exceeded the internal cap")
+                raise BudgetExhausted(f"enumeration exceeded {budget.max_nodes} nodes")
             for m in sorted(masks):
-                chosen[layer.mask] = m
+                chosen[geo.mask] = m
                 yield from rec(j + 1)
-            chosen.pop(layer.mask, None)
+            chosen.pop(geo.mask, None)
 
         yield from rec(0)
 
@@ -405,43 +465,24 @@ def enumerate_all_colored_complexes(
         raise ValueError("vertex_bounds must list one bound >= 0 per color")
     nodes = 0
     for t in product(*(range(b + 1) for b in bounds)):
-        t_by_color = {c: t[c - 1] for c in range(1, num_colors + 1)}
-        layers = [
-            _build_layer(colors_of_mask(mask), t_by_color, 0)
-            for mask in subset_masks(num_colors)
-            if mask.bit_count() >= 2
-            and all(t[i] > 0 for i in range(num_colors) if mask >> i & 1)
-        ]
-        chosen: dict[int, int] = {0: 1}
-        for i in range(num_colors):
-            chosen[1 << i] = (1 << t[i]) - 1
-        fixed = frozenset(_fixed_faces(list(t)))
+        layers = _layers_within(num_colors, t)
+        chosen, fixed = _start(t)
 
         def rec(j: int) -> Iterator[ColoredComplex]:
             nonlocal nodes
             if j == len(layers):
-                faces = set(fixed)
-                for layer in layers:
-                    m = chosen[layer.mask]
-                    idx = 0
-                    while m:
-                        if m & 1:
-                            faces.add(layer.faces[idx])
-                        m >>= 1
-                        idx += 1
-                yield ColoredComplex._raw(num_colors, frozenset(faces))
+                yield _assemble(num_colors, fixed, layers, chosen)
                 return
-            layer = layers[j]
-            allowed = _allowed_mask(layer, chosen)
-            for m in _submasks_ascending(allowed):
+            geo = layers[j]
+            for m in _submasks_ascending(_allowed_mask(geo, chosen)):
                 nodes += 1
                 if nodes > budget.max_nodes:
                     raise BudgetExhausted(
                         f"enumeration exceeded {budget.max_nodes} nodes"
                     )
-                chosen[layer.mask] = m
+                chosen[geo.mask] = m
                 yield from rec(j + 1)
-            chosen.pop(layer.mask, None)
+            chosen.pop(geo.mask, None)
 
         yield from rec(0)
 
@@ -478,22 +519,44 @@ def partition_number(e: int) -> int:
     return p[e]
 
 
-def count_two_color_shifted_by_edges(e: int) -> int:
+def _diagram_preds(e: int) -> list[int]:
+    """Immediate-predecessor masks of the cells (i, j) with i * j <= e,
+    row by row: a Young diagram with e cells holds the i x j rectangle
+    under each of its cells, so no other cell of the e x e grid can be
+    in one."""
+    preds: list[int] = []
+    above = 0  # rank of the first cell of the row above
+    for i in range(1, e + 1):
+        first = len(preds)
+        for j in range(e // i):
+            m = 1 << (first + j - 1) if j else 0
+            if i > 1:
+                m |= 1 << (above + j)
+            preds.append(m)
+        above = first
+    return preds
+
+
+def count_two_color_shifted_by_edges(
+    e: int, budget: SearchBudget | None = None
+) -> int:
     """Number of two-color color-shifted edge families with exactly e edges.
 
     Edge families are down-sets of the index grid (Young diagrams), and
     a vertex budget of e per color never constrains a diagram with e
     cells; the count equals partition_number(e), which this function
-    deliberately does not call: it enumerates the diagrams.
+    deliberately does not call: it enumerates the diagrams.  Raises
+    BudgetExhausted once the count has spent the node budget.
     """
+    if budget is None:
+        budget = SearchBudget()
     e = int(e)
     if e < 0:
         raise ValueError("edge count must be >= 0")
-    layer = _build_layer((1, 2), {1: e, 2: e}, e)
-    allowed = (1 << len(layer.faces)) - 1
+    preds = _diagram_preds(e)
     count, _used, completed = _kernels.count_ideals_of_size(
-        layer.preds, allowed, e, _UNBOUNDED
+        preds, (1 << len(preds)) - 1, e, budget.max_nodes
     )
     if not completed:
-        raise BudgetExhausted("diagram enumeration exceeded the internal cap")
+        raise BudgetExhausted(f"diagram count exceeded {budget.max_nodes} nodes")
     return count

@@ -148,3 +148,23 @@ def brute_partitions(e: int) -> int:
         return sum(rec(remaining - part, part) for part in range(min(largest, remaining), 0, -1))
 
     return rec(e, e) if e >= 0 else 0
+
+
+def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
+    """Layer points whose every one-color-drop projection is chosen,
+    tested point by point in row-major rank order."""
+    mask = sum(1 << (c - 1) for c in colors)
+    allowed = 0
+    for rank, v in enumerate(product(*(range(r) for r in radices))):
+        ok = True
+        for j, c in enumerate(colors):
+            sub_radices = radices[:j] + radices[j + 1:]
+            sub_v = v[:j] + v[j + 1:]
+            sub_rank = 0
+            for x, r in zip(sub_v, sub_radices):
+                sub_rank = sub_rank * r + x
+            if not chosen[mask ^ (1 << (c - 1))] >> sub_rank & 1:
+                ok = False
+        if ok:
+            allowed |= 1 << rank
+    return allowed

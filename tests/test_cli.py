@@ -231,6 +231,18 @@ def test_count_shifted_zero(capsys):
     assert code == 0 and out == "1 1 OK\n"
 
 
+def test_count_shifted_budget(capsys, monkeypatch):
+    from flagshift import cli, oracle
+
+    def small_budget(e):
+        return oracle.count_two_color_shifted_by_edges(e, oracle.SearchBudget(max_nodes=5))
+
+    monkeypatch.setattr(cli, "count_two_color_shifted_by_edges", small_budget)
+    code, out, err = run(capsys, "count-shifted", "--edges", "6")
+    assert code == 3 and out == ""
+    assert "exceeded 5 nodes" in err
+
+
 def test_count_shifted_negative_edges(capsys):
     code, _, err = run(capsys, "count-shifted", "--edges", "-1")
     assert code == 64
@@ -259,12 +271,6 @@ def test_realizable2_wrong_color_count(capsys, tmp_path):
     )
     code, _, err = run(capsys, "realizable2", str(one_color))
     assert code == 66 and "exactly 2 colors" in err
-
-
-def test_backend(capsys):
-    code, out, _ = run(capsys, "backend")
-    assert code == 0
-    assert out.strip() in ("compiled", "pure")
 
 
 # ===================================================================

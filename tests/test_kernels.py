@@ -1,11 +1,10 @@
-"""Bitmask down-set kernels: brute-force parity and backend agreement."""
+"""Bitmask down-set kernels: brute-force parity and node accounting."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import _kernels
 from flagshift._kernels import ideals_py
@@ -140,78 +139,58 @@ def test_counts_are_size_partitioned():
     assert by_size == len(total)
 
 
-# ===================================================================
-# compiled kernel parity
-# ===================================================================
-
-needs_compiled = pytest.mark.skipif(
-    not _kernels.compiled_available(), reason="compiled kernel not built"
-)
-
-
-@needs_compiled
-def test_compiled_matches_pure_on_grids():
-    from flagshift._kernels import _ideals_cy
-
-    for rows, cols in [(1, 1), (2, 2), (3, 3), (2, 5), (4, 4)]:
-        preds = grid(rows, cols)
-        full = (1 << (rows * cols)) - 1
-        for size in range(rows * cols + 1):
-            py = ideals_py.ideals_of_size(preds, full, size, HUGE)
-            cy = _ideals_cy.ideals_of_size(preds, full, size, HUGE)
-            assert py == cy
-        assert ideals_py.all_ideals(preds, full, HUGE) == _ideals_cy.all_ideals(
-            preds, full, HUGE
-        )
-
-
-@needs_compiled
-def test_compiled_matches_pure_under_budget():
-    from flagshift._kernels import _ideals_cy
-
-    preds = grid(3, 4)
-    full = (1 << 12) - 1
-    for budget in [1, 7, 50, 313]:
-        py = ideals_py.ideals_of_size(preds, full, 5, budget)
-        cy = _ideals_cy.ideals_of_size(preds, full, 5, budget)
-        assert py == cy
-        assert ideals_py.count_ideals_of_size(
-            preds, full, 5, budget
-        ) == _ideals_cy.count_ideals_of_size(preds, full, 5, budget)
-
-
-@needs_compiled
-def test_compiled_rejects_oversized_posets():
-    from flagshift._kernels import _ideals_cy
-
-    with pytest.raises(ValueError):
-        _ideals_cy.all_ideals([0] * 65, 0, HUGE)
-
-
-@needs_compiled
-def test_dispatcher_falls_back_above_64_points():
-    # 65 independent points exceed the uint64 mask: the dispatcher must
-    # route to the pure kernel instead of erroring
+def test_kernels_take_more_than_64_points():
     preds = antichain(65)
     full = (1 << 65) - 1
     count, _, done = _kernels.count_ideals_of_size(preds, full, 1, HUGE)
     assert done and count == 65
 
 
-def test_set_backend_round_trip():
-    before = _kernels.backend()
-    try:
-        _kernels.set_backend("pure")
-        assert _kernels.backend() == "pure"
-        got, _, done = _kernels.all_ideals(chain(3), 0b111, HUGE)
-        assert done and sorted(got) == [0b000, 0b001, 0b011, 0b111]
-        if _kernels.compiled_available():
-            _kernels.set_backend("compiled")
-            assert _kernels.backend() == "compiled"
-    finally:
-        _kernels.set_backend(before)
-    with pytest.raises(ValueError):
-        _kernels.set_backend("vectorized")
+# ===================================================================
+# up-set walk node accounting
+# ===================================================================
+
+def test_upset_walk_nodes_on_chains():
+    # per included point one node, plus one pruned exclude sibling
+    for n in range(9):
+        full = (1 << n) - 1
+        for size in range(n + 1):
+            got, nodes, done = ideals_py.ideals_of_size(chain(n), full, size, HUGE)
+            assert done and got == [(1 << size) - 1]
+            assert nodes == 2 * size + 1
+            assert ideals_py.count_ideals_of_size(chain(n), full, size, HUGE) == (
+                1, nodes, True,
+            )
+
+
+GRID_NODES = {
+    (3, 3): [1, 3, 7, 13, 15, 19, 23, 19, 17, 19],
+    (4, 4): [1, 3, 7, 13, 23, 27, 37, 45, 55, 53, 57, 53, 59, 43, 35, 31, 33],
+}
+
+
+def test_upset_walk_nodes_on_grids():
+    for (rows, cols), by_size in GRID_NODES.items():
+        preds = grid(rows, cols)
+        full = (1 << (rows * cols)) - 1
+        for size, want in enumerate(by_size):
+            got, nodes, done = ideals_py.ideals_of_size(preds, full, size, HUGE)
+            assert done and nodes == want, (rows, cols, size)
+            count = ideals_py.count_ideals_of_size(preds, full, size, HUGE)
+            assert count == (len(got), want, True)
+
+
+def test_upset_walk_budget_stop_is_a_prefix():
+    preds = grid(3, 4)
+    full = (1 << 12) - 1
+    every, total, done = ideals_py.ideals_of_size(preds, full, 5, HUGE)
+    assert done
+    for budget in [1, 7, 20, total - 1]:
+        partial, nodes, done = ideals_py.ideals_of_size(preds, full, 5, budget)
+        assert not done and nodes == budget + 1
+        assert partial == every[: len(partial)]
+        count, nodes, done = ideals_py.count_ideals_of_size(preds, full, 5, budget)
+        assert not done and nodes == budget + 1 and count == len(partial)
 
 
 # ===================================================================
@@ -252,14 +231,27 @@ def test_sized_ideals_property(args, size):
     assert done and count == len(got)
 
 
-@settings(max_examples=40)
-@given(random_posets(), st.integers(0, 8))
-def test_compiled_parity_property(args, size):
-    if not _kernels.compiled_available():
-        return
-    from flagshift._kernels import _ideals_cy
+@st.composite
+def posets_with_gaps(draw):
+    """Allowed sets that leave out a point below an allowed one, so they
+    are not down-closed."""
+    preds, allowed = draw(random_posets().filter(lambda args: len(args[0]) >= 2))
+    n = len(preds)
+    low = draw(st.integers(0, n - 2))
+    high = draw(st.integers(low + 1, n - 1))
+    preds[high] |= 1 << low
+    return preds, (allowed | 1 << high) & ~(1 << low)
 
+
+@seed(20101)
+@settings(max_examples=150, derandomize=True, database=None)
+@given(st.one_of(random_posets(), posets_with_gaps()), st.integers(0, 8))
+def test_upset_walk_matches_brute(args, size):
     preds, allowed = args
-    assert ideals_py.ideals_of_size(
+    got, nodes, done = ideals_py.ideals_of_size(preds, allowed, size, HUGE)
+    assert done
+    assert sorted(got) == brute_ideals(preds, allowed, size)
+    count, count_nodes, done = ideals_py.count_ideals_of_size(
         preds, allowed, size, HUGE
-    ) == _ideals_cy.ideals_of_size(preds, allowed, size, HUGE)
+    )
+    assert done and count == len(got) and count_nodes == nodes

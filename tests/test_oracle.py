@@ -22,7 +22,14 @@ from flagshift import (
     verify_uniqueness,
 )
 
-from helpers import brute_all_color_shifted, brute_partitions, staircase
+from flagshift import oracle
+
+from helpers import (
+    brute_all_color_shifted,
+    brute_allowed_mask,
+    brute_partitions,
+    staircase,
+)
 
 
 # ===================================================================
@@ -184,6 +191,58 @@ def test_forced_layer_budget_boundary():
     assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
 
 
+def test_chain_layer_budget_boundary():
+    # 3 x 1 edge grid with target 2: a chain, one node to open it and
+    # one to assign its prefix
+    fv = FlagVector(2, (1, 3, 1, 2), kind="f")
+    short = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=1))
+    assert not short.witnesses
+    assert not short.exhausted and not short.truncated
+    enough = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=2))
+    assert enough.exhausted and enough.nodes_visited == 2
+    assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
+
+
+def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus):
+    """Every layer opened by the corpus searches and enumerations gets
+    the allowed set the point-by-point projection test gives."""
+    fiber_allowed = oracle._allowed_mask
+    opened = []
+
+    def checked(geo, chosen):
+        got = fiber_allowed(geo, chosen)
+        colors = tuple(v.color for v in geo.faces[-1].vertices)
+        radices = tuple(v.index for v in geo.faces[-1].vertices)
+        assert got == brute_allowed_mask(colors, radices, chosen), (colors, radices)
+        opened.append(colors)
+        return got
+
+    monkeypatch.setattr(oracle, "_allowed_mask", checked)
+    bases = list(enumerate_color_shifted_complexes(2, [4, 4]))
+    bases += enumerate_color_shifted_complexes(3, [2, 2, 2])
+    assert len(bases) == 1230
+    for c in bases:
+        verify_uniqueness(c)
+    for c in corpus:
+        find_color_shifted_with_flag(c)
+    assert sum(1 for _ in enumerate_all_colored_complexes(2, [2, 3])) > 0
+    assert len(opened) > 1000 and max(map(len, opened)) >= 4
+
+
+def test_layer_geometry_cache_is_bounded_and_immutable():
+    geo = oracle._layer_geometry((1, 2, 3), (2, 3, 1))
+    assert oracle._layer_geometry((1, 2, 3), (2, 3, 1)) is geo
+    maxsize = oracle._layer_geometry.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+    for field in (geo.faces, geo.preds, geo.drops, *geo.drops):
+        assert isinstance(field, tuple)
+    assert all(fibers is None or isinstance(fibers, tuple) for _, _, fibers in geo.drops)
+    with pytest.raises(AttributeError):
+        geo.preds = ()
+    with pytest.raises(TypeError):
+        geo.preds[0] = 1
+
+
 def test_find_matches_flag_of_any_source(corpus):
     for c in corpus:
         if len(c) == 0 or c.num_colors > 4:
@@ -243,6 +302,13 @@ def test_uniqueness_of_staircases():
     assert verify_uniqueness(staircase(9)).unique is True
 
 
+def test_uniqueness_of_larger_staircases():
+    nine = verify_uniqueness(staircase(9))
+    assert nine.unique is True and nine.outcome.nodes_visited <= 100_000
+    ten = verify_uniqueness(staircase(10))
+    assert ten.unique is True and ten.outcome.nodes_visited <= 300_000
+
+
 def test_uniqueness_budget_runs_out(sample_b):
     result = verify_uniqueness(sample_b, SearchBudget(max_nodes=2))
     assert result.unique is None
@@ -272,6 +338,14 @@ def test_enumerate_all_includes_unshifted():
 
 def test_enumerate_all_33_count():
     assert sum(1 for _ in enumerate_all_colored_complexes(2, [3, 3])) == 689
+
+
+def test_enumerate_shifted_budget():
+    assert sum(1 for _ in enumerate_color_shifted_complexes(2, [3, 3])) == 69
+    gen = enumerate_color_shifted_complexes(2, [3, 3], SearchBudget(max_nodes=10))
+    with pytest.raises(BudgetExhausted, match="10 nodes"):
+        for _ in gen:
+            pass
 
 
 def test_enumerate_all_budget():
@@ -311,6 +385,17 @@ def test_partition_number_overflow_guard():
 def test_diagram_counts_match_partitions():
     for e in range(9):
         assert count_two_color_shifted_by_edges(e) == partition_number(e)
+
+
+def test_diagram_count_at_thirty_edges():
+    assert count_two_color_shifted_by_edges(30) == partition_number(30)
+
+
+def test_diagram_count_budget():
+    # e = 18 walks 3,193 nodes
+    assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3193)) == 385
+    with pytest.raises(BudgetExhausted, match="3192 nodes"):
+        count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3192))
 
 
 def test_diagram_count_witnesses_by_edges():
