@@ -1,4 +1,7 @@
-"""Pure-Python kernels for down-set enumeration over bitmask posets.
+"""Down-set enumeration kernels over bitmask posets, in pure Python.
+
+Callers look these names up on the module at call time, so a wrapper
+bound here is seen by every caller.
 
 A poset is given as a sequence `preds`: preds[i] is the bitmask of the
 immediate predecessors of point i, and points must be listed in a linear

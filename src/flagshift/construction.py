@@ -23,7 +23,7 @@ from .complexes import ColoredComplex, Face, Vertex, cone, select_colors
 # unused here, but perfbench's tracer and its tests look the binding up
 from .complexes import union  # noqa: F401
 from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, subset_masks
-from .shifting import find_shift_violation, is_color_shifted, principal_downset, shift_maximal_faces
+from .shifting import find_shift_violation, principal_downset, shift_maximal_faces
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     """Extend a non-empty color-shifted complex as described above.
 
     Returns the extended complex together with its construction report.
-    Raises ValueError if delta is empty or not color-shifted, and
-    TooManyColorsError, before building anything, if the extension would
-    need more than MAX_COLORS colors.
+    Raises ValueError if delta is empty or, from shift_maximal_faces, if
+    it is not color-shifted, and TooManyColorsError, before building
+    anything, if the extension would need more than MAX_COLORS colors.
 
     The face set is assembled in one pass without re-validation.  It is
     a valid complex: delta and each cone over a principal down-set are
@@ -67,12 +67,6 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
-    violation = find_shift_violation(delta)
-    if violation is not None:
-        missing, containing = violation
-        raise ValueError(
-            f"input is not color-shifted: {containing} present but {missing} missing"
-        )
     n = delta.num_colors
     maximal = shift_maximal_faces(delta)
     k = len(maximal)
@@ -157,7 +151,7 @@ def verify_cone_extension(
                     f"expected {report.predicted_flag.count_at_mask(mask)} faces "
                     f"on colors {set(colors) or '{}'}, found {fv.count_at_mask(mask)}",
                 )
-    if not is_color_shifted(extended):
+    if find_shift_violation(extended) is not None:
         return VerificationResult(False, "color-shifted", "the extension is not color-shifted")
     for face in extended.faces:
         fresh = [c for c in face.colors if c > n]

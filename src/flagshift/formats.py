@@ -21,13 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .complexes import (
-    ColoredComplex,
-    Face,
-    InvalidComplexError,
-    from_generators,
-    validate_faces,
-)
+from .complexes import ColoredComplex, Face, from_generators
 from .construction import ConstructionReport
 from .flags import CoarseFVector, FlagVector
 
@@ -98,10 +92,7 @@ def parse_complex(text: str) -> ColoredComplex:
     faces = [_parse_face(entry, pos) for pos, entry in enumerate(entries)]
     if has_generators:
         return from_generators(num_colors, faces)
-    violation = validate_faces(num_colors, frozenset(faces))
-    if violation is not None:
-        raise InvalidComplexError(violation)
-    return ColoredComplex._raw(num_colors, frozenset(faces))
+    return ColoredComplex(num_colors, faces)
 
 
 def complex_to_obj(c: ColoredComplex) -> dict:

@@ -8,7 +8,7 @@ and the layer for a color set S is an order ideal of the index grid
 prod over c in S of {1..t_c}, restricted to faces whose one-color-drop
 projections were all chosen in lower layers.  That restriction set is
 itself down-closed, so the per-layer candidates are exactly the order
-ideals of a bitmask poset with a prescribed size; the _kernels package
+ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
 The allowed set is computed bitwise.  For each dropped color the
@@ -33,11 +33,14 @@ lies in a lower layer chosen as an order ideal, so u is allowed too.
     of size target is the prefix (1 << target) - 1.
 Either way the single candidate costs one node.
 
-Searches are budgeted: one node is one partial-assignment extension,
-either a kernel step, a single-candidate layer or a layer assignment.
-Outcomes distinguish an exhausted search space from a budget stop and
-from a witness-cap stop, so "no witness" and "ran out of budget" are
-never conflated.
+One walk (_walk) assigns the layers depth first for the prescribed-flag
+search and both enumerations; only the source of each layer's candidates
+differs.  Every search is budgeted by one rule: one node is one partial-
+assignment extension, either a kernel step, a single-candidate open or a
+layer assignment (a flag target with no layer costs one node, its empty
+assignment).  Outcomes distinguish an exhausted search space from a
+budget stop and from a witness-cap stop, so "no witness" and "ran out of
+budget" are never conflated.
 """
 
 from __future__ import annotations
@@ -232,6 +235,45 @@ def _start(t) -> tuple[dict[int, int], frozenset[Face]]:
     return chosen, frozenset(faces)
 
 
+def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
+    """Depth-first walk over the assignments of `layers`, in order.
+
+    source(geo, allowed, remaining) returns a layer's candidates as the
+    kernels do, (fresh list of masks, nodes spent, completed); a source
+    that ran out spends more than `remaining`.  The walk charges that
+    plus one node per layer assignment, tries candidates in ascending
+    order, keeps the assigned masks in `chosen`, and yields the node
+    count at each complete assignment.  It returns the final count,
+    which exceeds max_nodes exactly when the budget ran out.
+    """
+    nodes = 0
+    depth = len(layers)
+    frames = []  # per assigned layer: (color-set mask, untried masks, descending)
+    while True:
+        j = len(frames)
+        if j == depth:
+            yield nodes
+        else:
+            geo = layers[j]
+            masks, used, _ = source(geo, _allowed_mask(geo, chosen), max_nodes - nodes)
+            nodes += used
+            if nodes > max_nodes:
+                return nodes
+            masks.sort(reverse=True)
+            frames.append((geo.mask, masks))
+        while frames:
+            mask, untried = frames[-1]
+            if untried:
+                break
+            frames.pop()
+        else:
+            return nodes
+        nodes += 1
+        if nodes > max_nodes:
+            return nodes
+        chosen[mask] = untried.pop()
+
+
 # ===================================================================
 # prescribed-flag search
 # ===================================================================
@@ -273,84 +315,37 @@ def enumerate_color_shifted_with_flag(
             return SearchOutcome([], exhausted=True, nodes_visited=0)
 
     layers = []
-    targets = []
+    wants = {}
     for mask in subset_masks(n):
         if mask.bit_count() >= 2 and target.count_at_mask(mask) > 0:
             layers.append(_geometry(mask, t))
-            targets.append(target.count_at_mask(mask))
+            wants[mask] = target.count_at_mask(mask)
     chosen, fixed = _start(t)
-
-    witnesses: list[ColoredComplex] = []
-    nodes = 0
-    budget_hit = False
-    truncated = False
-
-    def emit() -> None:
-        witnesses.append(_assemble(n, fixed, layers, chosen))
-
     if not layers:
-        nodes += 1
-        if nodes <= budget.max_nodes:
-            emit()
-            return SearchOutcome(witnesses, exhausted=True, nodes_visited=nodes)
-        return SearchOutcome([], exhausted=False, nodes_visited=nodes)
+        # the empty assignment is the single candidate
+        return SearchOutcome([_assemble(n, fixed, layers, chosen)], True, 1)
 
-    def open_layer(j: int) -> list[int] | None:
-        """Candidate masks for layer j, or None if the budget ran out."""
-        nonlocal nodes
-        geo = layers[j]
-        want = targets[j]
-        allowed = _allowed_mask(geo, chosen)
+    def candidates(geo: _Geometry, allowed: int, remaining: int):
+        want = wants[geo.mask]
         size = allowed.bit_count()
         if size < want:
-            return []
+            return [], 0, True
         if size == want or geo.chain:
             # the single candidate (module docstring)
-            nodes += 1
-            if nodes > budget.max_nodes:
-                return None
-            return [(1 << want) - 1 if geo.chain else allowed]
-        masks, used, completed = _kernels.ideals_of_size(
-            geo.preds, allowed, want, budget.max_nodes - nodes
-        )
-        nodes += used
-        if not completed:
-            return None
-        masks.sort()
-        return masks
+            return [(1 << want) - 1 if geo.chain else allowed], 1, True
+        return _kernels.ideals_of_size(geo.preds, allowed, want, remaining)
 
-    stack: list[list] = []  # frames [layer index, candidates, position]
-    first = open_layer(0)
-    if first is None:
-        budget_hit = True
-    else:
-        stack.append([0, first, 0])
-    while stack:
-        frame = stack[-1]
-        j, candidates, pos = frame
-        if pos >= len(candidates):
-            stack.pop()
-            chosen.pop(layers[j].mask, None)
-            continue
-        frame[2] += 1
-        nodes += 1
-        if nodes > budget.max_nodes:
-            budget_hit = True
-            break
-        chosen[layers[j].mask] = candidates[pos]
-        if j + 1 == len(layers):
-            emit()
+    witnesses: list[ColoredComplex] = []
+    walk = _walk(layers, chosen, candidates, budget.max_nodes)
+    try:
+        while True:
+            nodes = next(walk)
+            witnesses.append(_assemble(n, fixed, layers, chosen))
             if len(witnesses) >= budget.max_witnesses:
-                truncated = True
-                break
-        else:
-            nxt = open_layer(j + 1)
-            if nxt is None:
-                budget_hit = True
-                break
-            stack.append([j + 1, nxt, 0])
-    exhausted = not budget_hit and not truncated
-    return SearchOutcome(witnesses, exhausted, nodes, truncated)
+                return SearchOutcome(witnesses, False, nodes, truncated=True)
+    except StopIteration as stop:
+        nodes = stop.value
+    return SearchOutcome(witnesses, nodes <= budget.max_nodes, nodes)
 
 
 def find_color_shifted_with_flag(
@@ -393,6 +388,36 @@ def verify_uniqueness(
 # unconstrained enumerations
 # ===================================================================
 
+def _enumerate(
+    num_colors: int, vertex_bounds: Iterable[int], budget: SearchBudget | None, source
+) -> Iterator[ColoredComplex]:
+    """The complexes within the vertex bounds whose layers take the
+    candidates of `source` (see _walk), vertex counts in lexicographic
+    order, under one node budget."""
+    if budget is None:
+        budget = SearchBudget()
+    bounds = [int(b) for b in vertex_bounds]
+    if len(bounds) != num_colors or any(b < 0 for b in bounds):
+        raise ValueError("vertex_bounds must list one bound >= 0 per color")
+    nodes = 0
+    for t in product(*(range(b + 1) for b in bounds)):
+        layers = _layers_within(num_colors, t)
+        chosen, fixed = _start(t)
+        walk = _walk(layers, chosen, source, budget.max_nodes - nodes)
+        try:
+            while True:
+                next(walk)
+                yield _assemble(num_colors, fixed, layers, chosen)
+        except StopIteration as stop:
+            nodes += stop.value
+        if nodes > budget.max_nodes:
+            raise BudgetExhausted(f"enumeration exceeded {budget.max_nodes} nodes")
+
+
+def _every_ideal(geo: _Geometry, allowed: int, remaining: int):
+    return _kernels.all_ideals(geo.preds, allowed, remaining)
+
+
 def enumerate_color_shifted_complexes(
     num_colors: int,
     vertex_bounds: Iterable[int],
@@ -403,48 +428,18 @@ def enumerate_color_shifted_complexes(
     Complexes are yielded in a deterministic order: vertex counts in
     lexicographic order, then layer ideals bottom up.  The empty complex
     is not produced (the trivial complex {empty face} is).  Raises
-    BudgetExhausted once the kernels have spent the node budget.
+    BudgetExhausted once the search has spent the node budget.
     """
-    if budget is None:
-        budget = SearchBudget()
-    bounds = [int(b) for b in vertex_bounds]
-    if len(bounds) != num_colors or any(b < 0 for b in bounds):
-        raise ValueError("vertex_bounds must list one bound >= 0 per color")
-    nodes = 0
-    for t in product(*(range(b + 1) for b in bounds)):
-        layers = _layers_within(num_colors, t)
-        chosen, fixed = _start(t)
-
-        def rec(j: int) -> Iterator[ColoredComplex]:
-            nonlocal nodes
-            if j == len(layers):
-                yield _assemble(num_colors, fixed, layers, chosen)
-                return
-            geo = layers[j]
-            masks, used, completed = _kernels.all_ideals(
-                geo.preds, _allowed_mask(geo, chosen), budget.max_nodes - nodes
-            )
-            nodes += used
-            if not completed:
-                raise BudgetExhausted(f"enumeration exceeded {budget.max_nodes} nodes")
-            for m in sorted(masks):
-                chosen[geo.mask] = m
-                yield from rec(j + 1)
-            chosen.pop(geo.mask, None)
-
-        yield from rec(0)
+    return _enumerate(num_colors, vertex_bounds, budget, _every_ideal)
 
 
-def _submasks_ascending(mask: int) -> list[int]:
-    subs = []
-    s = mask
-    while True:
+def _every_subset(geo: _Geometry, allowed: int, remaining: int):
+    subs = [allowed]
+    s = allowed
+    while s:
+        s = (s - 1) & allowed
         subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    subs.reverse()
-    return subs
+    return subs, 0, True
 
 
 def enumerate_all_colored_complexes(
@@ -458,33 +453,7 @@ def enumerate_all_colored_complexes(
     if the node budget runs out mid-stream.  The empty complex is not
     produced.
     """
-    if budget is None:
-        budget = SearchBudget()
-    bounds = [int(b) for b in vertex_bounds]
-    if len(bounds) != num_colors or any(b < 0 for b in bounds):
-        raise ValueError("vertex_bounds must list one bound >= 0 per color")
-    nodes = 0
-    for t in product(*(range(b + 1) for b in bounds)):
-        layers = _layers_within(num_colors, t)
-        chosen, fixed = _start(t)
-
-        def rec(j: int) -> Iterator[ColoredComplex]:
-            nonlocal nodes
-            if j == len(layers):
-                yield _assemble(num_colors, fixed, layers, chosen)
-                return
-            geo = layers[j]
-            for m in _submasks_ascending(_allowed_mask(geo, chosen)):
-                nodes += 1
-                if nodes > budget.max_nodes:
-                    raise BudgetExhausted(
-                        f"enumeration exceeded {budget.max_nodes} nodes"
-                    )
-                chosen[geo.mask] = m
-                yield from rec(j + 1)
-            chosen.pop(geo.mask, None)
-
-        yield from rec(0)
+    return _enumerate(num_colors, vertex_bounds, budget, _every_subset)
 
 
 # ===================================================================

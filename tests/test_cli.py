@@ -160,6 +160,10 @@ def test_construct_out_file_with_report(capsys, tmp_path):
 def test_construct_rejects_unshifted(capsys):
     code, _, err = run(capsys, "construct", data("nonshifted.json"))
     assert code == 2 and "color-shifted" in err
+    line = "complex is not color-shifted: {v_2^1,v_1^2} present but {v_1^1,v_1^2} missing\n"
+    assert err == line
+    code, _, err = run(capsys, "verify-unique", data("nonshifted.json"))
+    assert code == 2 and err == line
 
 
 def test_color_limit_exits_negative(capsys, tmp_path):

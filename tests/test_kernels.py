@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import _kernels
-from flagshift._kernels import ideals_py
+from flagshift import _kernels as ideals_py
 
 HUGE = 1 << 40
 

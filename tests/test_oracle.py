@@ -11,6 +11,7 @@ from flagshift import (
     ColoredComplex,
     FlagVector,
     SearchBudget,
+    cone_extension,
     count_two_color_shifted_by_edges,
     enumerate_all_colored_complexes,
     enumerate_color_shifted_complexes,
@@ -201,6 +202,66 @@ def test_chain_layer_budget_boundary():
     enough = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=2))
     assert enough.exhausted and enough.nodes_visited == 2
     assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
+
+
+SWEEP_TARGETS = [
+    FlagVector(2, (1, 3, 3, 6), kind="f"),
+    FlagVector(2, (1, 2, 2, 2), kind="f"),
+    FlagVector(2, (1, 3, 1, 2), kind="f"),
+    FlagVector(2, (1, 2, 2, 4), kind="f"),
+    flag_f(cone_extension(staircase(3))[0]),
+    flag_f(cone_extension(staircase(4))[0]),
+]
+
+
+@pytest.mark.parametrize("target", SWEEP_TARGETS, ids=lambda fv: str(fv.dense()))
+def test_search_budget_sweep(target):
+    """Every node budget stops at a prefix of the unbounded outcome and
+    costs exactly one node past the budget; from the full count up, the
+    outcome is the unbounded one.  Every witness cap, the witness total
+    included, stops at the cap."""
+    many = 1_000_000
+    full = enumerate_color_shifted_with_flag(target, SearchBudget(max_witnesses=many))
+    assert full.exhausted and not full.truncated and full.witnesses
+    for max_nodes in range(1, full.nodes_visited + 3):
+        out = enumerate_color_shifted_with_flag(target, SearchBudget(max_nodes, many))
+        if max_nodes < full.nodes_visited:
+            assert not out.exhausted and not out.truncated, max_nodes
+            assert out.nodes_visited == max_nodes + 1
+            assert out.witnesses == full.witnesses[: len(out.witnesses)]
+        else:
+            assert out == full, max_nodes
+    for cap in range(1, len(full.witnesses) + 1):
+        out = enumerate_color_shifted_with_flag(target, SearchBudget(max_witnesses=cap))
+        assert out.truncated and not out.exhausted
+        assert out.witnesses == full.witnesses[:cap]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, bounds, completes_at",
+    [
+        (enumerate_color_shifted_complexes, [2, 3], 106),
+        (enumerate_all_colored_complexes, [2, 2], 26),
+    ],
+)
+def test_enumeration_budget_sweep(enumerate_, bounds, completes_at):
+    """Below the node count of the whole stream every budget yields a
+    proper prefix, no shorter than a smaller budget's, and then raises
+    BudgetExhausted; from that count up the stream is complete."""
+    full = list(enumerate_(2, bounds))
+    shorter = 0
+    for max_nodes in range(1, completes_at + 3):
+        got = []
+        stream = enumerate_(2, bounds, SearchBudget(max_nodes=max_nodes))
+        if max_nodes < completes_at:
+            with pytest.raises(BudgetExhausted, match=f"exceeded {max_nodes} nodes"):
+                for c in stream:
+                    got.append(c)
+            assert shorter <= len(got) < len(full)
+            assert got == full[: len(got)]
+            shorter = len(got)
+        else:
+            assert list(stream) == full
 
 
 def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus):
