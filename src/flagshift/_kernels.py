@@ -12,26 +12,34 @@ Python integers, so any number of points works.
 One visited state is one node; when the node budget runs out a kernel
 stops and reports completed=False with whatever it found so far.
 
-The sized kernels (`ideals_of_size`, `count_ideals_of_size`) walk an
-up-set-pruned include/exclude tree.  Each state carries `avail`: the
-allowed points that are undecided and lie above no excluded and no
-non-allowed point.  Invariant: every point below the lowest bit of
-`avail` is decided, and every predecessor of a point in `avail` is
-chosen.  A predecessor p < i that is not chosen was either excluded or
-not allowed, and then the up-set of p, which holds i, was cleared from
-`avail`; or p lies above such a point q, whose up-set holds p's and so
-i too.  Hence
+All three kernels drain one walk, `_down_sets`, over an up-set-pruned
+include/exclude tree.  Each state carries `avail`: the allowed points
+that are undecided and lie above no excluded and no non-allowed point.
+Invariant: every point below the lowest bit of `avail` is decided, and
+every predecessor of a point in `avail` is chosen.  A predecessor p < i
+that is not chosen was either excluded or not allowed, and then the
+up-set of p, which holds i, was cleared from `avail`; or p lies above
+such a point q, whose up-set holds p's and so i too.  Hence
   - including the lowest point of `avail` always keeps a down-set, so
     the walk branches on that point alone and never tests preds;
   - excluding point i forbids every point above it, so its up-set
     leaves `avail` at once;
   - a down-set that extends the current state can only add points of
-    `avail`, so a state with count + |avail| < size holds no down-set of
-    the target size and is pruned.
-`all_ideals` keeps the plain walk that decides points in order.
+    `avail`, so a sized walk prunes a state with count + |avail| < size,
+    which holds no down-set of the target size;
+  - a state with empty `avail` is a finished down-set: the any-size
+    walk yields it as a leaf and prunes nothing.  Every down-set D of
+    `allowed` starts inside `avail`, and is reached by including the
+    lowest point of `avail` exactly when it is in D: excluding a point
+    outside D clears only points above it, none of them in D.  Two
+    leaves differ at the branch that split them.  So the leaves are the L down-sets, once
+    each, every other state has two children, and the any-size walk
+    visits exactly 2L - 1 nodes.
 """
 
 from __future__ import annotations
+
+_ANY_SIZE = -1  # no count equals it and none falls below it
 
 
 def _up_sets(preds) -> list[int]:
@@ -58,6 +66,46 @@ def _initial_avail(preds, allowed: int, ups: list[int]) -> int:
     return avail
 
 
+def _down_sets(preds, allowed: int, size: int, max_nodes: int):
+    """Yield the down-sets of `allowed` with `size` points (any size for
+    _ANY_SIZE); return (nodes_visited, completed)."""
+    ups = _up_sets(preds)
+    nodes = 0
+    stack = [(_initial_avail(preds, allowed, ups), 0, 0)]  # (avail, chosen, count)
+    while stack:
+        avail, chosen, count = stack.pop()
+        nodes += 1
+        if nodes > max_nodes:
+            return nodes, False
+        if count == size:
+            yield chosen
+            continue
+        if count + avail.bit_count() < size:
+            continue
+        if not avail:  # reached by the any-size walk only
+            yield chosen
+            continue
+        low = avail & -avail
+        stack.append((avail & ~ups[low.bit_length() - 1], chosen, count))
+        stack.append((avail ^ low, chosen | low, count + 1))
+    return nodes, True
+
+
+def _drain(walk, keep: bool):
+    """Run a walk to its end: (its down-sets as a list when `keep`, else
+    their number, nodes_visited, completed)."""
+    masks: list[int] = []
+    found = 0
+    while True:
+        try:
+            mask = next(walk)
+        except StopIteration as stop:
+            return (masks if keep else found, *stop.value)
+        found += 1
+        if keep:
+            masks.append(mask)
+
+
 def ideals_of_size(
     preds, allowed: int, size: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
@@ -65,68 +113,18 @@ def ideals_of_size(
 
     Returns (masks, nodes_visited, completed).
     """
-    ups = _up_sets(preds)
-    out: list[int] = []
-    nodes = 0
-    stack = [(_initial_avail(preds, allowed, ups), 0, 0)]  # (avail, chosen, count)
-    while stack:
-        avail, chosen, count = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            return out, nodes, False
-        if count == size:
-            out.append(chosen)
-            continue
-        if count + avail.bit_count() < size:
-            continue
-        low = avail & -avail
-        stack.append((avail & ~ups[low.bit_length() - 1], chosen, count))
-        stack.append((avail ^ low, chosen | low, count + 1))
-    return out, nodes, True
+    return _drain(_down_sets(preds, allowed, size, max_nodes), True)
 
 
 def count_ideals_of_size(
     preds, allowed: int, size: int, max_nodes: int
 ) -> tuple[int, int, bool]:
     """Like ideals_of_size but only counts the down-sets."""
-    ups = _up_sets(preds)
-    found = 0
-    nodes = 0
-    stack = [(_initial_avail(preds, allowed, ups), 0)]  # (avail, count)
-    while stack:
-        avail, count = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            return found, nodes, False
-        if count == size:
-            found += 1
-            continue
-        if count + avail.bit_count() < size:
-            continue
-        low = avail & -avail
-        stack.append((avail & ~ups[low.bit_length() - 1], count))
-        stack.append((avail ^ low, count + 1))
-    return found, nodes, True
+    return _drain(_down_sets(preds, allowed, size, max_nodes), False)
 
 
 def all_ideals(
     preds, allowed: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
     """Every down-set of `allowed`, any size (the empty set included)."""
-    npoints = len(preds)
-    out: list[int] = []
-    nodes = 0
-    stack = [(0, 0)]
-    while stack:
-        i, chosen = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            return out, nodes, False
-        if i == npoints:
-            out.append(chosen)
-            continue
-        bit = 1 << i
-        stack.append((i + 1, chosen))
-        if allowed & bit and preds[i] & ~chosen == 0:
-            stack.append((i + 1, chosen | bit))
-    return out, nodes, True
+    return _drain(_down_sets(preds, allowed, _ANY_SIZE, max_nodes), True)

@@ -271,12 +271,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", action="store_true", help="emit the construction report")
     p = add("verify-unique", _cmd_verify_unique, "exhaustively check the extension is unique")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
-    p.add_argument("--max-witnesses", type=int, default=2)
+    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+    p.add_argument("--max-witnesses", type=int, default=SearchBudget.max_witnesses)
     p = add("find-shifted", _cmd_find_shifted, "find a color-shifted complex with the same flag vector")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
-    p.add_argument("--max-witnesses", type=int, default=2)
+    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+    p.add_argument("--max-witnesses", type=int, default=SearchBudget.max_witnesses)
     p = add("count-shifted", _cmd_count_shifted, "count two-color shifted edge families; cross-check partitions")
     p.add_argument("--edges", type=int, required=True)
     p = add("realizable2", _cmd_realizable2, "two-color flag vector realizability")

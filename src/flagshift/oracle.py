@@ -290,43 +290,36 @@ def enumerate_color_shifted_with_flag(
         budget = SearchBudget()
     if target.kind != "f":
         raise ValueError("search target must be an f-vector")
-    if target.count_at_mask(0) != 1:
+    f = target.dense()
+    if f[0] != 1:
         raise ValueError("search target must count the empty face exactly once")
     n = target.num_colors
-    t = [target.count_at_mask(1 << i) for i in range(n)]
+    t = [f[1 << i] for i in range(n)]
 
-    # A color set with faces needs every one-color-drop subset to have
-    # faces too, and no layer can exceed its grid.
-    for mask in range(1 << n):
-        count = target.count_at_mask(mask)
-        if count == 0 or mask == 0:
+    # A color set with faces needs faces on every one-color drop, and no
+    # layer can exceed its grid; both are checked before the grid is built.
+    layers = []
+    for mask in subset_masks(n):
+        if mask.bit_count() < 2 or f[mask] == 0:
             continue
         grid = 1
-        sub_ok = True
         m = mask
         while m:
-            bit = m & -m
-            if target.count_at_mask(mask ^ bit) == 0:
-                sub_ok = False
-                break
-            grid *= t[bit.bit_length() - 1]
-            m ^= bit
-        if not sub_ok or count > grid:
+            low = m & -m
+            if f[mask ^ low] == 0:
+                return SearchOutcome([], exhausted=True, nodes_visited=0)
+            grid *= t[low.bit_length() - 1]
+            m ^= low
+        if f[mask] > grid:
             return SearchOutcome([], exhausted=True, nodes_visited=0)
-
-    layers = []
-    wants = {}
-    for mask in subset_masks(n):
-        if mask.bit_count() >= 2 and target.count_at_mask(mask) > 0:
-            layers.append(_geometry(mask, t))
-            wants[mask] = target.count_at_mask(mask)
+        layers.append(_geometry(mask, t))
     chosen, fixed = _start(t)
     if not layers:
         # the empty assignment is the single candidate
         return SearchOutcome([_assemble(n, fixed, layers, chosen)], True, 1)
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
-        want = wants[geo.mask]
+        want = f[geo.mask]
         size = allowed.bit_count()
         if size < want:
             return [], 0, True
@@ -374,8 +367,8 @@ def verify_uniqueness(
     if budget is None:
         budget = SearchBudget()
     effective = SearchBudget(budget.max_nodes, max(2, budget.max_witnesses))
-    extended, _report = cone_extension(delta)
-    outcome = enumerate_color_shifted_with_flag(flag_f(extended), effective)
+    extended, report = cone_extension(delta)
+    outcome = enumerate_color_shifted_with_flag(report.predicted_flag, effective)
     if outcome.exhausted:
         unique: bool | None = outcome.witnesses == [extended]
     else:
@@ -513,19 +506,28 @@ def count_two_color_shifted_by_edges(
 
     Edge families are down-sets of the index grid (Young diagrams), and
     a vertex budget of e per color never constrains a diagram with e
-    cells; the count equals partition_number(e), which this function
-    deliberately does not call: it enumerates the diagrams.  Raises
-    BudgetExhausted once the count has spent the node budget.
+    cells; the count equals partition_number(e), but this function
+    enumerates the diagrams.  It reads partition_number(e) only to bound
+    the budget: each diagram is a distinct leaf of the walk, so when
+    there are more diagrams than max_nodes (or too many for 64 bits) the
+    budget stop is certain and BudgetExhausted is raised without
+    walking.  Otherwise BudgetExhausted is raised once the count has
+    spent the node budget.
     """
     if budget is None:
         budget = SearchBudget()
     e = int(e)
     if e < 0:
         raise ValueError("edge count must be >= 0")
-    preds = _diagram_preds(e)
-    count, _used, completed = _kernels.count_ideals_of_size(
-        preds, (1 << len(preds)) - 1, e, budget.max_nodes
-    )
-    if not completed:
-        raise BudgetExhausted(f"diagram count exceeded {budget.max_nodes} nodes")
-    return count
+    try:
+        certain = partition_number(e) > budget.max_nodes
+    except OverflowError:
+        certain = True
+    if not certain:
+        preds = _diagram_preds(e)
+        count, _used, completed = _kernels.count_ideals_of_size(
+            preds, (1 << len(preds)) - 1, e, budget.max_nodes
+        )
+        if completed:
+            return count
+    raise BudgetExhausted(f"diagram count exceeded {budget.max_nodes} nodes")

@@ -71,10 +71,15 @@ def is_color_shifted(c: ColoredComplex) -> bool:
 def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     """Dominance-maximal faces of a color-shifted complex, canonically ordered.
 
-    A face is maximal exactly when no immediate successor (one index
-    bumped, or one fresh color added at index 1) is present; for a
-    down-set this is equivalent to having no dominating face at all.
-    The empty face is maximal exactly when the complex is {empty face}.
+    A face F of c is maximal exactly when it is no face's immediate
+    predecessor (one color dropped, or one index lowered by one).  Each
+    such predecessor is strictly dominated by its face, so it is not
+    maximal.  Conversely, a face F dominated by some other face of the
+    down-set c has an immediate successor G in c: F with one index
+    raised by one, or F with a fresh color at index 1.  F is G's
+    immediate predecessor at that color.  The empty face is a
+    predecessor of every vertex, so it is maximal exactly when the
+    complex is {empty face}.
     """
     violation = find_shift_violation(c)
     if violation is not None:
@@ -82,22 +87,8 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
         raise ValueError(
             f"complex is not color-shifted: {containing} present but {missing} missing"
         )
-    faces = c.faces
-    maximal = []
-    for face in faces:
-        used = set(face.colors)
-        succs: list[Face] = [
-            face.with_index(color, index + 1) for color, index in face.vertices
-        ]
-        succs.extend(
-            face.with_vertex(Vertex(color, 1))
-            for color in range(1, c.num_colors + 1)
-            if color not in used
-        )
-        if not any(s in faces for s in succs):
-            maximal.append(face)
-    maximal.sort(key=shift_max_key)
-    return maximal
+    covered = {pred for face in c.faces for pred in _immediate_predecessors(face)}
+    return sorted(c.faces - covered, key=shift_max_key)
 
 
 def principal_downset(c: ColoredComplex, face: Face) -> ColoredComplex:

@@ -194,6 +194,30 @@ def test_upset_walk_budget_stop_is_a_prefix():
 
 
 # ===================================================================
+# any-size walk node accounting
+# ===================================================================
+
+def assert_two_nodes_per_down_set(preds, allowed):
+    """The any-size walk's leaves are its L down-sets and every other
+    state branches in two, so it visits exactly 2L - 1 nodes."""
+    got, nodes, done = ideals_py.all_ideals(preds, allowed, HUGE)
+    assert done and nodes == 2 * len(got) - 1
+    return len(got), nodes
+
+
+def test_any_size_walk_nodes_on_chains():
+    for n in range(9):
+        assert assert_two_nodes_per_down_set(chain(n), (1 << n) - 1) == (n + 1, 2 * n + 1)
+
+
+def test_any_size_walk_nodes_on_grids():
+    # the down-sets of a rows x cols grid are the C(rows + cols, rows)
+    # lattice paths
+    assert assert_two_nodes_per_down_set(grid(3, 3), (1 << 9) - 1) == (20, 39)
+    assert assert_two_nodes_per_down_set(grid(4, 4), (1 << 16) - 1) == (70, 139)
+
+
+# ===================================================================
 # properties
 # ===================================================================
 
@@ -218,6 +242,7 @@ def test_all_ideals_property(args):
     got, _, done = ideals_py.all_ideals(preds, allowed, HUGE)
     assert done
     assert sorted(got) == brute_ideals(preds, allowed)
+    assert_two_nodes_per_down_set(preds, allowed)
 
 
 @settings(max_examples=60)

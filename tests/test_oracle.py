@@ -109,6 +109,26 @@ def test_search_short_circuits_oversized_layers():
     assert outcome.nodes_visited == 0
 
 
+def test_rejected_targets_build_no_layer(monkeypatch):
+    """The one-color drops and the grid size are checked before a layer's
+    grid is built, so a rejected target costs no geometry, however large
+    its grid would be."""
+
+    def built(*args):
+        raise AssertionError("a layer grid was built")
+
+    monkeypatch.setattr(oracle, "_geometry", built)
+    for n, dense in [
+        (2, (1, 0, 0, 3)),
+        (2, (1, 0, 2, 1)),
+        (2, (1, 2, 0, 1)),
+        (2, (1, 10**6, 10**6, 10**12 + 1)),
+        (3, (1, 1, 1, 0, 1, 0, 0, 1)),
+    ]:
+        outcome = enumerate_color_shifted_with_flag(FlagVector(n, dense))
+        assert (outcome.witnesses, outcome.exhausted, outcome.nodes_visited) == ([], True, 0)
+
+
 def test_search_rejects_bad_targets():
     from flagshift import h_from_f
 
@@ -240,7 +260,7 @@ def test_search_budget_sweep(target):
 @pytest.mark.parametrize(
     "enumerate_, bounds, completes_at",
     [
-        (enumerate_color_shifted_complexes, [2, 3], 106),
+        (enumerate_color_shifted_complexes, [2, 3], 78),
         (enumerate_all_colored_complexes, [2, 2], 26),
     ],
 )
@@ -457,6 +477,28 @@ def test_diagram_count_budget():
     assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3193)) == 385
     with pytest.raises(BudgetExhausted, match="3192 nodes"):
         count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3192))
+
+
+def test_diagram_count_fails_fast_when_the_stop_is_certain(monkeypatch):
+    """Each diagram is a leaf of the walk, so with more diagrams than
+    max_nodes the budget stop is raised without walking."""
+
+    def walked(*args):
+        raise AssertionError("the diagram walk ran")
+
+    monkeypatch.setattr(oracle._kernels, "count_ideals_of_size", walked)
+    # p(2000) leaves 64-bit range; p(77) = 10,619,863; p(18) = 385
+    for e, budget, nodes in [
+        (2000, None, 10_000_000),
+        (77, None, 10_000_000),
+        (18, SearchBudget(max_nodes=384), 384),
+    ]:
+        with pytest.raises(BudgetExhausted, match=f"exceeded {nodes} nodes"):
+            count_two_color_shifted_by_edges(e, budget)
+    # a stop that is not certain still walks
+    for e, budget in [(76, None), (18, SearchBudget(max_nodes=385)), (18, SearchBudget(max_nodes=3192))]:
+        with pytest.raises(AssertionError, match="walk ran"):
+            count_two_color_shifted_by_edges(e, budget)
 
 
 def test_diagram_count_witnesses_by_edges():
