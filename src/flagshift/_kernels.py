@@ -39,11 +39,15 @@ such a point q, whose up-set holds p's and so i too.  Hence
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _ANY_SIZE = -1  # no count equals it and none falls below it
 
 
-def _up_sets(preds) -> list[int]:
-    """ups[i]: point i and every point above it."""
+@lru_cache(maxsize=256)
+def _up_sets(preds: tuple[int, ...]) -> tuple[int, ...]:
+    """ups[i]: point i and every point above it; cached per poset, since
+    the enumerations and searches walk the same few grids again and again."""
     ups = [1 << i for i in range(len(preds))]
     for i in range(len(preds) - 1, -1, -1):
         up = ups[i]
@@ -52,10 +56,10 @@ def _up_sets(preds) -> list[int]:
             low = m & -m
             ups[low.bit_length() - 1] |= up
             m ^= low
-    return ups
+    return tuple(ups)
 
 
-def _initial_avail(preds, allowed: int, ups: list[int]) -> int:
+def _initial_avail(preds, allowed: int, ups: tuple[int, ...]) -> int:
     """Allowed points above no non-allowed point."""
     avail = allowed
     blocked = ((1 << len(preds)) - 1) & ~allowed
@@ -69,7 +73,7 @@ def _initial_avail(preds, allowed: int, ups: list[int]) -> int:
 def _down_sets(preds, allowed: int, size: int, max_nodes: int):
     """Yield the down-sets of `allowed` with `size` points (any size for
     _ANY_SIZE); return (nodes_visited, completed)."""
-    ups = _up_sets(preds)
+    ups = _up_sets(tuple(preds))
     nodes = 0
     stack = [(_initial_avail(preds, allowed, ups), 0, 0)]  # (avail, chosen, count)
     while stack:

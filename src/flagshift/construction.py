@@ -64,6 +64,13 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     closed under taking subsets, and so is their union; it holds the
     empty face; every apex color n+p has only the vertex 1; and the
     vertices of the base colors are delta's own.
+
+    The predicted flag f-vector is computed in closed form, not read off
+    the output.  The faces on base colors are delta's.  A face with apex
+    color n+p is the apex joined to a face of the principal down-set of
+    F_p, which is the box of every face that F_p dominates.  So for T
+    within the colors of F_p, f_{T + {n+p}} is the product of F_p's
+    indices on T, and every other color set has no face.
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
@@ -78,6 +85,7 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     faces = set(delta.faces)
     apexes = []
     predicted_edges = []
+    counts = list(flag_f(delta).dense()) + [0] * ((1 << (n + k)) - (1 << n))
     for p, face in enumerate(maximal, start=1):
         apex = Vertex(n + p, 1)
         apexes.append(apex)
@@ -85,6 +93,13 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
+        # the cone over the box under F_p: f_{T + apex} = prod_{c in T} F_p[c]
+        box = [(0, 1)]
+        for color, index in face.vertices:
+            bit = 1 << (color - 1)
+            box += [(mask | bit, size * index) for mask, size in box]
+        for mask, size in box:
+            counts[mask | 1 << (n + p - 1)] = size
     extended = ColoredComplex._raw(n + k, frozenset(faces))
     report = ConstructionReport(
         base_colors=n,
@@ -94,7 +109,7 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         apexes=tuple(apexes),
         predicted_singletons=tuple(range(n + 1, n + k + 1)),
         predicted_edges=tuple(predicted_edges),
-        predicted_flag=flag_f(extended),
+        predicted_flag=FlagVector(n + k, counts),
     )
     return extended, report
 

@@ -20,18 +20,45 @@ A fully chosen sub-layer constrains nothing and is skipped; when the
 dropped color has one vertex, projection keeps the rank, so the fiber
 union is the chosen sub-mask itself.
 
-Some layers have a single candidate and skip the kernel.  The allowed
-set is down-closed: if v is allowed and u <= v, each one-color-drop
-projection of u is dominated by the matching projection of v, which
-lies in a lower layer chosen as an order ideal, so u is allowed too.
-  - When the layer target equals |allowed|, an ideal of that size
-    inside `allowed` can only be `allowed` itself.
-  - When at most one color of the layer has more than one vertex (as
-    for a base color against the one-vertex apex colors of a cone
-    extension), the grid is a chain in rank order.  A down-closed set
-    in a chain is a prefix, so with |allowed| >= target the only ideal
-    of size target is the prefix (1 << target) - 1.
-Either way the single candidate costs one node.
+The allowed set is down-closed: if v is allowed and u <= v, each
+one-color-drop projection of u is dominated by the matching projection
+of v, which lies in a lower layer chosen as an order ideal, so u is
+allowed too.  When a layer's target equals |allowed|, an ideal of that
+size inside `allowed` can only be `allowed` itself: the layer has a
+single candidate, which costs one node and skips the kernel.
+
+Before the prescribed-flag search branches, a bound-propagation
+fixpoint (_propagate) runs the counting argument behind the uniqueness
+of the cone extension.  Each layer L gets an upper bound U(L), holding
+L's points in every solution, and a required set R(L), held by them:
+  - U(L) is the allowed set computed over the sub-layers' U.  The
+    allowed set is monotone in the sub-layer masks, and each solution's
+    sub-layers lie in their U, so its layer L lies in U(L).
+  - When at most one color of L has more than one vertex (as for a
+    base color against the one-vertex apex colors of a cone extension),
+    the grid is a chain in rank order.  A down-closed set in a chain is
+    a prefix, so U(L) is also cut to the target prefix (1 << target) - 1.
+  - When |U(L)| equals L's target, every solution chooses U(L) itself,
+    so R(L) = U(L).  A solution's layer L projects into its chosen
+    sub-layers, so each one-color-drop projection of R(L) is required
+    there; a projection of a down-set is a down-set, so R stays
+    down-closed.  A sub-layer whose R reaches its target is settled:
+    every solution chooses exactly R there, and its U shrinks to R.
+  - Iterating to a fixpoint only shrinks U and grows R.  A worklist
+    re-opens a layer only when the U of one of its sub-layers shrank,
+    lowest layer first, and R grows only from the layer being opened,
+    whose U was just computed from the U below it.  So the points newly
+    required by one opening project into the U of every layer below:
+    every path down to a layer projects them alike, and a layer that
+    settles during the opening already holds them.  R therefore never
+    leaves U, and a settled layer, whose R is its U, gains nothing from
+    a projection and is not visited.
+  - A layer with |U| below its target or |R| above it admits no
+    solution, so the target is refuted with no node.
+The walk then intersects each layer's allowed set with U(L); both are
+down-sets, so the single-candidate rule above still holds, and a layer
+whose |U| meets its target has only U as its candidate.  A chain layer
+never holds more than its target, so it has a single candidate or none.
 
 One walk (_walk) assigns the layers depth first for the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
@@ -224,15 +251,22 @@ def _assemble(
     return ColoredComplex._raw(num_colors, frozenset(faces))
 
 
+@lru_cache(maxsize=256)
+def _vertex_faces(t: tuple[int, ...]) -> frozenset[Face]:
+    """The empty face and t[i] vertices of color i + 1; cached, since
+    building faces costs more than a search with forced layers."""
+    faces = {EMPTY_FACE}
+    for c, count in enumerate(t, start=1):
+        faces.update(Face(((c, i),)) for i in range(1, count + 1))
+    return frozenset(faces)
+
+
 def _start(t) -> tuple[dict[int, int], frozenset[Face]]:
     """Chosen masks of the empty and vertex layers, and their faces."""
     chosen = {0: 1}
-    faces = {EMPTY_FACE}
     for c, count in enumerate(t, start=1):
         chosen[1 << (c - 1)] = (1 << count) - 1
-        for i in range(1, count + 1):
-            faces.add(Face(((c, i),)))
-    return chosen, frozenset(faces)
+    return chosen, _vertex_faces(tuple(t))
 
 
 def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
@@ -278,6 +312,79 @@ def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
 # prescribed-flag search
 # ===================================================================
 
+def _project(points: int, fibers: tuple[int, ...] | None) -> int:
+    """The sub-layer points that `points` project onto along one drop."""
+    if fibers is None:
+        return points
+    sub = 0
+    for rank, fiber in enumerate(fibers):
+        if fiber & points:
+            sub |= 1 << rank
+    return sub
+
+
+def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
+    """Upper bound U per color-set mask at the bound-propagation fixpoint
+    (module docstring), or None when the target is refuted.
+
+    `layers` are in canonical order, and each one-color drop of a layer
+    is an earlier layer or a vertex layer, fixed whole in `chosen`.
+    """
+    index = {geo.mask: i for i, geo in enumerate(layers)}
+    above: list[list[int]] = [[] for _ in layers]
+    for i, geo in enumerate(layers):
+        for sub_mask, _, _ in geo.drops:
+            if sub_mask in index:
+                above[index[sub_mask]].append(i)
+    upper = dict(chosen)
+    required = [0] * len(layers)
+    queued = [True] * len(layers)  # the layers to re-open, lowest first
+    i = 0
+    while i < len(layers):
+        if not queued[i]:
+            i += 1
+            continue
+        queued[i] = False
+        geo = layers[i]
+        want = f[geo.mask]
+        bound = _allowed_mask(geo, upper)
+        if geo.chain:
+            bound &= (1 << want) - 1
+        old = upper.get(geo.mask)
+        if old is not None:  # U only shrinks; a settled layer keeps U = R
+            bound &= old
+        if bound.bit_count() < want:
+            return None
+        if bound == old:
+            continue
+        upper[geo.mask] = bound
+        shrunk = [i]
+        stack = [(i, bound)] if bound.bit_count() == want else []
+        while stack:  # points newly required in a layer, projected down
+            j, points = stack.pop()
+            sub = layers[j]
+            have = required[j]
+            grown = have | points
+            if grown == have:
+                continue
+            target = f[sub.mask]
+            if grown.bit_count() > target:
+                return None
+            required[j] = grown
+            if grown.bit_count() == target and upper[sub.mask] != grown:
+                upper[sub.mask] = grown
+                shrunk.append(j)
+            for sub_mask, _, fibers in sub.drops:
+                k = index.get(sub_mask)
+                if k is not None and upper[sub_mask] != required[k]:  # not settled
+                    stack.append((k, _project(grown ^ have, fibers)))
+        for j in shrunk:
+            for k in above[j]:
+                queued[k] = True
+                i = min(i, k)
+    return upper
+
+
 def enumerate_color_shifted_with_flag(
     target: FlagVector, budget: SearchBudget | None = None
 ) -> SearchOutcome:
@@ -317,15 +424,19 @@ def enumerate_color_shifted_with_flag(
     if not layers:
         # the empty assignment is the single candidate
         return SearchOutcome([_assemble(n, fixed, layers, chosen)], True, 1)
+    upper = _propagate(layers, f, chosen)
+    if upper is None:
+        return SearchOutcome([], exhausted=True, nodes_visited=0)
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
         want = f[geo.mask]
+        allowed &= upper[geo.mask]
         size = allowed.bit_count()
         if size < want:
             return [], 0, True
-        if size == want or geo.chain:
+        if size == want:
             # the single candidate (module docstring)
-            return [(1 << want) - 1 if geo.chain else allowed], 1, True
+            return [allowed], 1, True
         return _kernels.ideals_of_size(geo.preds, allowed, want, remaining)
 
     witnesses: list[ColoredComplex] = []

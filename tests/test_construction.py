@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from flagshift import (
@@ -252,3 +254,39 @@ def test_verify_catches_apex_pair_face_via_flag(sample_a):
     result = verify_cone_extension(sample_a, tampered, report)
     assert not result.ok
     assert result.failed_check == "flag:f_{1,2,3}"
+
+
+def test_predicted_flag_is_computed_from_delta(monkeypatch, shifted_corpus):
+    """The report's flag vector is predicted from delta's alone, in closed
+    form, and matches the flag vector of the output."""
+    import flagshift.construction as construction
+
+    read = []
+
+    def recorded(c):
+        read.append(c)
+        return flag_f(c)
+
+    monkeypatch.setattr(construction, "flag_f", recorded)
+    for c in shifted_corpus:
+        if len(c) == 0:
+            continue
+        read.clear()
+        extended, report = cone_extension(c)
+        assert read == [c]
+        assert report.predicted_flag == flag_f(extended)
+
+
+def test_verify_catches_one_altered_flag_prediction(sample_b):
+    """Check (b) compares the output with the prediction entry by entry,
+    so raising any one predicted count names that color set."""
+    extended, report = cone_extension(sample_b)
+    dense = report.predicted_flag.dense()
+    for mask in range(1, len(dense)):
+        altered = list(dense)
+        altered[mask] += 1
+        bad = replace(report, predicted_flag=FlagVector(report.total_colors, altered))
+        result = verify_cone_extension(sample_b, extended, bad)
+        colors = [c for c in range(1, report.total_colors + 1) if mask >> (c - 1) & 1]
+        assert not result.ok
+        assert result.failed_check == "flag:f_{" + ",".join(map(str, colors)) + "}"

@@ -280,3 +280,25 @@ def test_upset_walk_matches_brute(args, size):
         preds, allowed, size, HUGE
     )
     assert done and count == len(got) and count_nodes == nodes
+
+
+def test_up_sets_are_cached_per_poset():
+    """The up-sets of a poset are built once and shared by every walk
+    over it, whether its preds come as a list or a tuple; the cache is
+    bounded and its entries cannot be changed."""
+    preds = grid(3, 4)
+    ups = _kernels._up_sets(tuple(preds))
+    assert _kernels._up_sets(tuple(grid(3, 4))) is ups
+    assert isinstance(ups, tuple)
+    maxsize = _kernels._up_sets.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+    # ups[i] is i and every point with i among its ancestors
+    for i in range(len(preds)):
+        above = {i}
+        for j in range(len(preds)):
+            if preds[j] & sum(1 << a for a in above):
+                above.add(j)
+        assert ups[i] == sum(1 << a for a in above), i
+    before = _kernels._up_sets.cache_info().hits
+    assert _kernels.ideals_of_size(preds, (1 << 12) - 1, 5, HUGE)[2]
+    assert _kernels._up_sets.cache_info().hits == before + 1

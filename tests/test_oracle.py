@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import (
     BudgetExhausted,
@@ -157,7 +160,8 @@ def test_search_budget_inconclusive():
     assert not out.exhausted and not out.truncated
 
 
-def _brute_by_flag(num_colors: int, bounds) -> dict[tuple[int, ...], set]:
+@cache
+def _brute_by_flag(num_colors: int, bounds: tuple[int, ...]) -> dict[tuple[int, ...], set]:
     """Brute-force color-shifted face sets within bounds, grouped by flag."""
     by_flag: dict[tuple[int, ...], set] = {}
     for faces in brute_all_color_shifted(num_colors, bounds):
@@ -179,7 +183,7 @@ def _assert_search_matches_brute(targets, by_flag) -> None:
 def test_search_matches_brute_force_two_colors():
     """Every target (1, a, b, e) with a <= 3, b <= 2, e <= 8, including
     the unrealizable ones (e > ab), against all complexes within [3, 2]."""
-    by_flag = _brute_by_flag(2, [3, 2])
+    by_flag = _brute_by_flag(2, (3, 2))
     targets = [(1, a, b, e) for a, b, e in product(range(4), range(3), range(9))]
     assert sum(dense in by_flag for dense in targets) < len(targets)
     _assert_search_matches_brute(targets, by_flag)
@@ -187,7 +191,7 @@ def test_search_matches_brute_force_two_colors():
 
 def test_search_matches_brute_force_three_colors():
     """Every 3-color target whose counts fit the grids within [2, 1, 1]."""
-    by_flag = _brute_by_flag(3, [2, 1, 1])
+    by_flag = _brute_by_flag(3, (2, 1, 1))
     targets = [
         (1, t1, t2, f12, t3, f13, f23, f123)
         for t1, t2, t3 in product(range(3), range(2), range(2))
@@ -198,6 +202,116 @@ def test_search_matches_brute_force_three_colors():
     ]
     assert sum(dense in by_flag for dense in targets) < len(targets)
     _assert_search_matches_brute(targets, by_flag)
+
+
+# brute-force pools of at most 12 faces, 0.4 s each
+DIFFERENTIAL_BOUNDS = [(2, (3, 2)), (2, (5, 1)), (3, (2, 1, 1)), (3, (1, 1, 2))]
+
+
+@st.composite
+def small_targets(draw):
+    """A flag target whose witnesses lie within one of the brute-force
+    bounds: the flag of a brute-force complex, or counts drawn up to one
+    past each grid, so most are not realizable and some overflow."""
+    num_colors, bounds = draw(st.sampled_from(DIFFERENTIAL_BOUNDS))
+    realizable = sorted(_brute_by_flag(num_colors, bounds))
+    if draw(st.booleans()):
+        return num_colors, bounds, draw(st.sampled_from(realizable))
+    t = [draw(st.integers(0, b)) for b in bounds]
+    dense = [1]
+    for mask in range(1, 1 << num_colors):
+        grid = prod(t[i] for i in range(num_colors) if mask >> i & 1)
+        dense.append(grid if mask.bit_count() == 1 else draw(st.integers(0, grid + 1)))
+    return num_colors, bounds, tuple(dense)
+
+
+@seed(20101018)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(small_targets())
+def test_propagated_search_matches_brute_force(target):
+    """The search, bound propagation included, finds exactly the
+    brute-force complexes with the target flag, and none for a target
+    that no complex within the bounds has."""
+    num_colors, bounds, dense = target
+    _assert_search_matches_brute([dense], _brute_by_flag(num_colors, bounds))
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_staircase_uniqueness_is_settled_by_propagation(k):
+    """Bound propagation settles all 3k + 1 layers of the staircase's
+    extension, so each costs one open and one assignment."""
+    result = verify_uniqueness(staircase(k))
+    assert result.unique is True and result.outcome.exhausted
+    assert result.outcome.nodes_visited == 6 * k + 2
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        # t = (1, 1, 2): the chain {1,3} holds 1 edge, so at most 1 of the
+        # 2 triangles is allowed (|U| below the target)
+        (1, 1, 1, 1, 2, 1, 1, 2),
+        # t = (1, 2, 2): the chain {1,2} holds 1 edge, so both triangles
+        # are required, and they need 2 {2,3}-edges where 1 is the target
+        # (|R| above the target)
+        (1, 1, 2, 1, 2, 2, 1, 2),
+        # the extension of the closure of edges (1,1), (2,1) with one
+        # {1,2}-edge less: the apex box alone requires both edges
+        (1, 2, 1, 1, 1, 2, 1, 2),
+        # t = (2, 2, 1, 1, 1): the chain {1,4} holds 1 edge, so the 2
+        # {1,2,4}-triangles are forced and settle the {1,2}-edges to the
+        # 2 on vertex 1 of color 1; {1,2,3}, opened before with all 4
+        # edges allowed, re-opens and allows 2 triangles, not 3
+        (1, 2, 2, 2, 1, 2, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2)
+        + (1, 2, 0, 0, 1, 2) + (0,) * 10,
+    ],
+)
+def test_propagation_refutes_at_the_root(monkeypatch, dense):
+    """A target that passes the drop and grid-size checks but admits no
+    complex by the counting argument is refuted by the fixpoint, with
+    no node, where a walk would have branched into it."""
+    refuted = []
+    propagate = oracle._propagate
+
+    def watched(*args):
+        upper = propagate(*args)
+        refuted.append(upper is None)
+        return upper
+
+    monkeypatch.setattr(oracle, "_propagate", watched)
+    outcome = enumerate_color_shifted_with_flag(FlagVector(len(dense).bit_length() - 1, dense))
+    assert refuted == [True]
+    assert (outcome.witnesses, outcome.exhausted, outcome.truncated) == ([], True, False)
+    assert outcome.nodes_visited == 0
+
+
+def test_reopened_settled_layer_keeps_its_bound():
+    """A settled layer that re-opens keeps U = R, although the allowed set
+    over the shrunk bounds below it may be larger again.  On this
+    perturbed 5-color extension vector that keeps the search at 36 nodes
+    (53 if the bound grew back); it has one witness."""
+    dense = (1, 2, 2, 3, 1, 2, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2) + (1, 2, 2, 2, 1, 2, 1, 2) + (0,) * 8
+    outcome = enumerate_color_shifted_with_flag(FlagVector(5, dense))
+    assert outcome.exhausted and len(outcome.witnesses) == 1
+    assert outcome.nodes_visited == 36
+
+
+def test_projection_matches_faces():
+    """_project sends each layer point to the sub-layer point its face
+    drops to along each color, and a set of points to the union."""
+    for colors, radices in [((1, 2, 3), (2, 3, 2)), ((1, 2), (3, 1)), ((2, 4, 5), (1, 2, 2))]:
+        geo = oracle._layer_geometry(colors, radices)
+        for j, (sub_mask, _, fibers) in enumerate(geo.drops):
+            sub = oracle._layer_geometry(colors[:j] + colors[j + 1:], radices[:j] + radices[j + 1:])
+            assert sub.mask == sub_mask
+            rank = {face: r for r, face in enumerate(sub.faces)}
+            image = [1 << rank[face.without_color(colors[j])] for face in geo.faces]
+            for points in range(1 << len(geo.faces)):
+                want = 0
+                for r, bit in enumerate(image):
+                    if points >> r & 1:
+                        want |= bit
+                assert oracle._project(points, fibers) == want, (colors, radices, j, points)
 
 
 def test_forced_layer_budget_boundary():

@@ -7,12 +7,12 @@ import importlib.util
 from pathlib import Path
 
 from flagshift import (
+    FlagVector,
+    SearchBudget,
     count_two_color_shifted_by_edges,
     enumerate_color_shifted_complexes,
-    verify_uniqueness,
+    enumerate_color_shifted_with_flag,
 )
-
-from helpers import staircase
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,10 +40,15 @@ def test_tracer_targets_exist():
 def test_traced_pass_reaches_every_kernel():
     """One traced pass through the search, the shifted enumeration and the
     diagram count reads the kernels' results; a kernel whose return
-    shape the tracer no longer understands fails here."""
+    shape the tracer no longer understands fails here.  The search
+    target branches: 4 edges on a 3 x 3 grid fit 3 diagrams, which bound
+    propagation cannot tell apart."""
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
-        assert verify_uniqueness(staircase(3)).unique is True
+        outcome = enumerate_color_shifted_with_flag(
+            FlagVector(2, (1, 3, 3, 4)), SearchBudget(max_witnesses=10)
+        )
+        assert outcome.exhausted and len(outcome.witnesses) == 3
         assert len(list(enumerate_color_shifted_complexes(2, [2, 2]))) > 0
         assert count_two_color_shifted_by_edges(8) == 22
     assert tracer.missing == []
