@@ -74,6 +74,16 @@ def _load_complex(path: str):
         raise _CliFailure(EX_NOINPUT, f"{path}: {exc}")
 
 
+def _load_flag(path: str):
+    """Flag f-vector of the complex in `path`; a complex with more colors
+    than flag vectors support is a negative verdict."""
+    c = _load_complex(path)
+    try:
+        return flag_f(c)
+    except ValueError as exc:
+        raise _CliFailure(EX_NEGATIVE, str(exc))
+
+
 def _load_flag_vector(path: str):
     try:
         return parse_flag_vector(_read_text(path))
@@ -93,19 +103,17 @@ def _budget(args) -> SearchBudget:
 # ===================================================================
 
 def _cmd_flag(args) -> int:
-    fv = flag_f(_load_complex(args.file))
-    sys.stdout.write(emit_flag_vector(fv))
+    sys.stdout.write(emit_flag_vector(_load_flag(args.file)))
     return 0
 
 
 def _cmd_hvec(args) -> int:
-    fv = h_from_f(flag_f(_load_complex(args.file)))
-    sys.stdout.write(emit_flag_vector(fv))
+    sys.stdout.write(emit_flag_vector(h_from_f(_load_flag(args.file))))
     return 0
 
 
 def _cmd_coarse(args) -> int:
-    sys.stdout.write(emit_coarse(coarse_f(flag_f(_load_complex(args.file)))))
+    sys.stdout.write(emit_coarse(coarse_f(_load_flag(args.file))))
     return 0
 
 

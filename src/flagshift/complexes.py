@@ -157,7 +157,8 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     face_set = frozenset(faces)
     if not face_set:
         return None
-    for face in sorted(face_set, key=lambda f: f.sort_key):
+    ordered = sorted(face_set, key=lambda f: f.sort_key)
+    for face in ordered:
         for c in face.colors:
             if c > num_colors:
                 return Violation(
@@ -168,7 +169,7 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
                 )
     if EMPTY_FACE not in face_set:
         return Violation("empty-face", "non-empty complex must contain the empty face")
-    for face in sorted(face_set, key=lambda f: f.sort_key):
+    for face in ordered:
         for c in face.colors:
             sub = face.without_color(c)
             if sub not in face_set:

@@ -39,22 +39,25 @@ L's points in every solution, and a required set R(L), held by them:
     the grid is a chain in rank order.  A down-closed set in a chain is
     a prefix, so U(L) is also cut to the target prefix (1 << target) - 1.
   - When |U(L)| equals L's target, every solution chooses U(L) itself,
-    so R(L) = U(L).  A solution's layer L projects into its chosen
-    sub-layers, so each one-color-drop projection of R(L) is required
-    there; a projection of a down-set is a down-set, so R stays
-    down-closed.  A sub-layer whose R reaches its target is settled:
-    every solution chooses exactly R there, and its U shrinks to R.
-  - Iterating to a fixpoint only shrinks U and grows R.  A worklist
-    re-opens a layer only when the U of one of its sub-layers shrank,
-    lowest layer first, and R grows only from the layer being opened,
-    whose U was just computed from the U below it.  So the points newly
-    required by one opening project into the U of every layer below:
-    every path down to a layer projects them alike, and a layer that
-    settles during the opening already holds them.  R therefore never
-    leaves U, and a settled layer, whose R is its U, gains nothing from
-    a projection and is not visited.
+    so R(L) gains U(L).
+  - A solution's layer L projects into its chosen sub-layers, so each
+    one-color-drop projection of R(L) is required there.
+  - When |R(L)| equals L's target, every solution chooses R(L) itself,
+    so U(L) is cut to R(L).
   - A layer with |U| below its target or |R| above it admits no
     solution, so the target is refuted with no node.
+Each step cuts U(L) to a set that holds L's points in every solution, or
+adds to R(L) points that every solution's layer L holds, so the steps
+are sound in any order.  R is a union of down-sets (the U it gains and
+projections of down-sets), so U stays down-closed when cut to R.  The
+steps are monotone, since a smaller U and a larger R only shrink U and
+grow R, so any order that applies each until none changes anything
+reaches the same fixpoint.  _propagate runs rounds of two sweeps: up in
+canonical order, computing each U from the U below it, then down in
+reverse, where each layer's R is complete before it is checked and
+projected.  After a down sweep that shrinks no U, every U still matches
+the U below it and every R was read whole, so no step changes anything.
+
 The walk then intersects each layer's allowed set with U(L); both are
 down-sets, so the single-candidate rule above still holds, and a layer
 whose |U| meets its target has only U as its candidate.  A chain layer
@@ -330,59 +333,34 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
     `layers` are in canonical order, and each one-color drop of a layer
     is an earlier layer or a vertex layer, fixed whole in `chosen`.
     """
-    index = {geo.mask: i for i, geo in enumerate(layers)}
-    above: list[list[int]] = [[] for _ in layers]
-    for i, geo in enumerate(layers):
-        for sub_mask, _, _ in geo.drops:
-            if sub_mask in index:
-                above[index[sub_mask]].append(i)
     upper = dict(chosen)
-    required = [0] * len(layers)
-    queued = [True] * len(layers)  # the layers to re-open, lowest first
-    i = 0
-    while i < len(layers):
-        if not queued[i]:
-            i += 1
-            continue
-        queued[i] = False
-        geo = layers[i]
-        want = f[geo.mask]
-        bound = _allowed_mask(geo, upper)
-        if geo.chain:
-            bound &= (1 << want) - 1
-        old = upper.get(geo.mask)
-        if old is not None:  # U only shrinks; a settled layer keeps U = R
-            bound &= old
-        if bound.bit_count() < want:
-            return None
-        if bound == old:
-            continue
-        upper[geo.mask] = bound
-        shrunk = [i]
-        stack = [(i, bound)] if bound.bit_count() == want else []
-        while stack:  # points newly required in a layer, projected down
-            j, points = stack.pop()
-            sub = layers[j]
-            have = required[j]
-            grown = have | points
-            if grown == have:
-                continue
-            target = f[sub.mask]
-            if grown.bit_count() > target:
+    required = {geo.mask: 0 for geo in layers}
+    while True:
+        for geo in layers:  # up: sub-layers first
+            want = f[geo.mask]
+            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)  # -1: unbounded
+            if geo.chain:
+                bound &= (1 << want) - 1
+            if bound.bit_count() < want:
                 return None
-            required[j] = grown
-            if grown.bit_count() == target and upper[sub.mask] != grown:
-                upper[sub.mask] = grown
-                shrunk.append(j)
-            for sub_mask, _, fibers in sub.drops:
-                k = index.get(sub_mask)
-                if k is not None and upper[sub_mask] != required[k]:  # not settled
-                    stack.append((k, _project(grown ^ have, fibers)))
-        for j in shrunk:
-            for k in above[j]:
-                queued[k] = True
-                i = min(i, k)
-    return upper
+            upper[geo.mask] = bound
+            if bound.bit_count() == want:
+                required[geo.mask] |= bound
+        shrunk = False
+        for geo in reversed(layers):  # down: super-layers first
+            want = f[geo.mask]
+            need = required[geo.mask]
+            if need.bit_count() > want:
+                return None
+            if need.bit_count() == want:
+                bound = upper[geo.mask]
+                upper[geo.mask] = bound & need
+                shrunk |= upper[geo.mask] != bound
+            for sub_mask, _, fibers in geo.drops:
+                if sub_mask in required:
+                    required[sub_mask] |= _project(need, fibers)
+        if not shrunk:
+            return upper
 
 
 def enumerate_color_shifted_with_flag(

@@ -80,14 +80,17 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     immediate predecessor at that color.  The empty face is a
     predecessor of every vertex, so it is maximal exactly when the
     complex is {empty face}.
+
+    Every dominated face is reached by a chain of immediate predecessors,
+    so c is color-shifted exactly when it holds every face's immediate
+    predecessors; find_shift_violation runs only to name a violation.
     """
-    violation = find_shift_violation(c)
-    if violation is not None:
-        missing, containing = violation
+    covered = {pred for face in c.faces for pred in _immediate_predecessors(face)}
+    if not covered <= c.faces:
+        missing, containing = find_shift_violation(c)
         raise ValueError(
             f"complex is not color-shifted: {containing} present but {missing} missing"
         )
-    covered = {pred for face in c.faces for pred in _immediate_predecessors(face)}
     return sorted(c.faces - covered, key=shift_max_key)
 
 

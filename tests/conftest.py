@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked examples and a mixed corpus of complexes."""
+"""Shared fixtures: the worked examples, a mixed corpus of complexes and
+the enumerated corpus of small color-shifted complexes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from flagshift import (
     ColoredComplex,
     cone,
+    enumerate_color_shifted_complexes,
     from_generators,
     shift_closure,
     trivial_complex,
@@ -101,3 +103,16 @@ def corpus(shifted_corpus) -> list[ColoredComplex]:
             3, [face((1, 1), (2, 2)), face((2, 1), (3, 2)), face((3, 1))]
         ),
     ]
+
+
+@pytest.fixture(scope="session")
+def enumerated_corpus() -> list[ColoredComplex]:
+    """Every color-shifted complex within 4 x 4 vertices over 2 colors or
+    2 x 2 x 2 over 3: the 1,230 small complexes the uniqueness claim is
+    checked on."""
+    complexes = [
+        *enumerate_color_shifted_complexes(2, [4, 4]),
+        *enumerate_color_shifted_complexes(3, [2, 2, 2]),
+    ]
+    assert len(complexes) == 1230
+    return complexes

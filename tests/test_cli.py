@@ -73,6 +73,17 @@ def test_flag_reads_stdin(capsys, monkeypatch):
     assert out == golden("sample_a_flag.json")
 
 
+@pytest.mark.parametrize("command", ["flag", "hvec", "coarse"])
+def test_vector_commands_reject_too_many_colors(capsys, tmp_path, command):
+    """A valid complex with 17 colors has no flag vector: a negative
+    verdict with the library's message, not a traceback."""
+    path = tmp_path / "wide.json"
+    path.write_text('{"num_colors": 17, "faces": [[]]}\n')
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == "flag vectors support at most 16 colors\n"
+
+
 # ===================================================================
 # shiftedness subcommands
 # ===================================================================

@@ -198,8 +198,8 @@ def test_extension_selection_recovers_base(shifted_corpus):
 # verification
 # ===================================================================
 
-def test_verify_passes_on_real_extensions(shifted_corpus):
-    for c in shifted_corpus:
+def test_verify_passes_on_real_extensions(shifted_corpus, enumerated_corpus):
+    for c in [*shifted_corpus, *enumerated_corpus]:
         if len(c) == 0:
             continue
         extended, report = cone_extension(c)

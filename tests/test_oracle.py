@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -180,6 +181,21 @@ def _assert_search_matches_brute(targets, by_flag) -> None:
         assert {w.faces for w in outcome.witnesses} == by_flag.get(dense, set()), dense
 
 
+def _grid_targets(num_colors: int, bounds: tuple[int, ...]):
+    """Every dense flag target within the vertex bounds whose counts fit
+    their grids."""
+    multi = [m for m in range(1, 1 << num_colors) if m.bit_count() >= 2]
+    for t in product(*(range(b + 1) for b in bounds)):
+        grids = [prod(t[i] for i in range(num_colors) if m >> i & 1) for m in multi]
+        for counts in product(*(range(g + 1) for g in grids)):
+            dense = [1] + [0] * ((1 << num_colors) - 1)
+            for i in range(num_colors):
+                dense[1 << i] = t[i]
+            for m, count in zip(multi, counts):
+                dense[m] = count
+            yield tuple(dense)
+
+
 def test_search_matches_brute_force_two_colors():
     """Every target (1, a, b, e) with a <= 3, b <= 2, e <= 8, including
     the unrealizable ones (e > ab), against all complexes within [3, 2]."""
@@ -192,14 +208,7 @@ def test_search_matches_brute_force_two_colors():
 def test_search_matches_brute_force_three_colors():
     """Every 3-color target whose counts fit the grids within [2, 1, 1]."""
     by_flag = _brute_by_flag(3, (2, 1, 1))
-    targets = [
-        (1, t1, t2, f12, t3, f13, f23, f123)
-        for t1, t2, t3 in product(range(3), range(2), range(2))
-        for f12, f13, f23, f123 in product(
-            range(t1 * t2 + 1), range(t1 * t3 + 1), range(t2 * t3 + 1),
-            range(t1 * t2 * t3 + 1),
-        )
-    ]
+    targets = list(_grid_targets(3, (2, 1, 1)))
     assert sum(dense in by_flag for dense in targets) < len(targets)
     _assert_search_matches_brute(targets, by_flag)
 
@@ -234,6 +243,38 @@ def test_propagated_search_matches_brute_force(target):
     that no complex within the bounds has."""
     num_colors, bounds, dense = target
     _assert_search_matches_brute([dense], _brute_by_flag(num_colors, bounds))
+
+
+@pytest.mark.parametrize("num_colors, bounds", DIFFERENTIAL_BOUNDS)
+def test_propagated_bounds_hold_every_witness(num_colors, bounds):
+    """Layer by layer, over every target that fits the grids within the
+    bounds: the fixpoint refutes only targets that no brute-force complex
+    meets, and otherwise each brute-force witness's points in every
+    layer lie inside that layer's U."""
+    by_flag = _brute_by_flag(num_colors, bounds)
+    propagate = oracle._propagate
+    for dense in _grid_targets(num_colors, bounds):
+        witnesses = by_flag.get(dense, set())
+        calls = []
+
+        def watched(layers, f, chosen):
+            upper = propagate(layers, f, chosen)
+            calls.append((layers, upper))
+            return upper
+
+        with mock.patch.object(oracle, "_propagate", watched):
+            outcome = enumerate_color_shifted_with_flag(FlagVector(num_colors, dense))
+        if not calls:  # no layer to bound, or rejected by the drop check
+            assert {w.faces for w in outcome.witnesses} == witnesses, dense
+            continue
+        [(layers, upper)] = calls
+        if upper is None:
+            assert not witnesses, dense
+            continue
+        for faces in witnesses:
+            for geo in layers:
+                points = sum(1 << r for r, face in enumerate(geo.faces) if face in faces)
+                assert points & ~upper[geo.mask] == 0, (dense, geo.mask)
 
 
 @pytest.mark.parametrize("k", range(2, 15))
@@ -398,7 +439,7 @@ def test_enumeration_budget_sweep(enumerate_, bounds, completes_at):
             assert list(stream) == full
 
 
-def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus):
+def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus, enumerated_corpus):
     """Every layer opened by the corpus searches and enumerations gets
     the allowed set the point-by-point projection test gives."""
     fiber_allowed = oracle._allowed_mask
@@ -413,13 +454,11 @@ def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus):
         return got
 
     monkeypatch.setattr(oracle, "_allowed_mask", checked)
-    bases = list(enumerate_color_shifted_complexes(2, [4, 4]))
-    bases += enumerate_color_shifted_complexes(3, [2, 2, 2])
-    assert len(bases) == 1230
-    for c in bases:
+    for c in enumerated_corpus:
         verify_uniqueness(c)
     for c in corpus:
         find_color_shifted_with_flag(c)
+    assert sum(1 for _ in enumerate_color_shifted_complexes(3, [2, 1, 2])) > 0
     assert sum(1 for _ in enumerate_all_colored_complexes(2, [2, 3])) > 0
     assert len(opened) > 1000 and max(map(len, opened)) >= 4
 

@@ -11,7 +11,6 @@ from flagshift import (
     Face,
     dominance_le,
     down_set_faces,
-    enumerate_color_shifted_complexes,
     find_shift_violation,
     is_color_shifted,
     principal_downset,
@@ -177,13 +176,8 @@ def test_maximal_faces_reject_unshifted(corpus, shifted_corpus):
             shift_maximal_faces(c)
 
 
-def test_maximal_faces_match_brute_force(shifted_corpus):
-    enumerated = [
-        *enumerate_color_shifted_complexes(2, [4, 4]),
-        *enumerate_color_shifted_complexes(3, [2, 2, 2]),
-    ]
-    assert len(enumerated) == 1230
-    for c in [*shifted_corpus, *enumerated]:
+def test_maximal_faces_match_brute_force(shifted_corpus, enumerated_corpus):
+    for c in [*shifted_corpus, *enumerated_corpus]:
         assert set(shift_maximal_faces(c)) == brute_shift_maximal(set(c.faces)), c
 
 
