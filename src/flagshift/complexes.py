@@ -46,6 +46,15 @@ class Face:
                 raise ValueError(f"face holds two vertices of color {c1}")
         object.__setattr__(self, "_vertices", tuple(Vertex(c, i) for c, i in pairs))
 
+    @classmethod
+    def _raw(cls, vertices: tuple[Vertex, ...]) -> "Face":
+        """Internal fast path: the caller guarantees a tuple of Vertex
+        values with components >= 1, sorted by strictly increasing color,
+        which is what __init__ would have stored."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_vertices", vertices)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("Face is immutable")
 
@@ -63,7 +72,11 @@ class Face:
 
     @property
     def sort_key(self) -> tuple:
-        return (len(self._vertices), self.colors, self.indices)
+        vertices = self._vertices
+        if not vertices:
+            return (0, (), ())
+        colors, indices = zip(*vertices)
+        return (len(vertices), colors, indices)
 
     def index_of(self, color: int) -> int:
         """Index of this face's vertex of the given color; KeyError if absent."""
@@ -153,10 +166,47 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     face (for a non-empty family), closure under dropping one vertex
     (which implies full subset closure), and index contiguity of the
     singleton faces within each color.
+
+    The invariants are tested on the vertex tuples first: a face's
+    colors are sorted, so its last vertex has its largest color, and its
+    one-vertex drops are its tuple with one entry cut out.  Only a
+    family that fails them is scanned in canonical order, to name the
+    first violation.
     """
     face_set = frozenset(faces)
     if not face_set:
         return None
+    tuples = {face._vertices for face in face_set}
+    valid = () in tuples
+    top: dict[int, int] = {}  # color -> largest singleton index
+    singletons = 0
+    for vertices in tuples:
+        if not valid:
+            break
+        if not vertices:
+            continue
+        if vertices[-1][0] > num_colors:
+            valid = False
+        elif len(vertices) == 1:
+            color, index = vertices[0]
+            if index > top.get(color, 0):
+                top[color] = index
+            singletons += 1
+        else:
+            for j in range(len(vertices)):
+                if vertices[:j] + vertices[j + 1:] not in tuples:
+                    valid = False
+                    break
+    # A color's singleton indices are distinct, so they run from 1 without
+    # a gap exactly when the largest equals their number; and the largest
+    # is never below the number, so the sums agree only if every color's do.
+    if valid and sum(top.values()) == singletons:
+        return None
+    return _first_violation(num_colors, face_set)
+
+
+def _first_violation(num_colors: int, face_set: frozenset[Face]) -> Violation | None:
+    """The canonical scan behind validate_faces, naming the first violation."""
     ordered = sorted(face_set, key=lambda f: f.sort_key)
     for face in ordered:
         for c in face.colors:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ColoredComplex, Face, Vertex, cone, select_colors
-# unused here, but perfbench's tracer and its tests look the binding up
-from .complexes import union  # noqa: F401
+from .complexes import ColoredComplex, Face, Vertex, select_colors
 from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, subset_masks
-from .shifting import find_shift_violation, principal_downset, shift_maximal_faces
+from .shifting import find_shift_violation, shift_maximal_faces
+# unused here, but perfbench's tracer and its tests look the bindings up
+from .complexes import cone, union  # noqa: F401
+from .shifting import principal_downset  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,22 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     it is not color-shifted, and TooManyColorsError, before building
     anything, if the extension would need more than MAX_COLORS colors.
 
-    The face set is assembled in one pass without re-validation.  It is
-    a valid complex: delta and each cone over a principal down-set are
-    closed under taking subsets, and so is their union; it holds the
-    empty face; every apex color n+p has only the vertex 1; and the
-    vertices of the base colors are delta's own.
+    The face set is assembled in one pass without re-validation, and
+    each apex face is built once, straight from its vertex tuple.  A
+    face with apex color n+p is the apex joined to a face of the
+    principal down-set of F_p, which is the box of every choice, per
+    color of F_p, of no vertex or one of index 1..F_p's.  Such a choice
+    lists its vertices by increasing base color, and the apex color n+p
+    exceeds every base color, so choice + (apex,) is a Face's sorted
+    vertex tuple.  The result is a valid complex: delta and each cone
+    over a box are closed under taking subsets, and so is their union;
+    it holds the empty face; every apex color n+p has only the vertex 1;
+    and the vertices of the base colors are delta's own.
 
     The predicted flag f-vector is computed in closed form, not read off
-    the output.  The faces on base colors are delta's.  A face with apex
-    color n+p is the apex joined to a face of the principal down-set of
-    F_p, which is the box of every face that F_p dominates.  So for T
-    within the colors of F_p, f_{T + {n+p}} is the product of F_p's
-    indices on T, and every other color set has no face.
+    the output.  The faces on base colors are delta's, and for T within
+    the colors of F_p, f_{T + {n+p}} is the product of F_p's indices on
+    T; every other color set has no face.
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
@@ -82,25 +87,30 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
             f"the extension of a complex with n={n} colors and k={k} shift-maximal "
             f"faces needs n+k={n + k} colors; flag vectors support at most {MAX_COLORS}"
         )
-    faces = set(delta.faces)
+    apex_faces = []
     apexes = []
     predicted_edges = []
     counts = list(flag_f(delta).dense()) + [0] * ((1 << (n + k)) - (1 << n))
     for p, face in enumerate(maximal, start=1):
         apex = Vertex(n + p, 1)
         apexes.append(apex)
-        faces |= cone(principal_downset(delta, face), apex).faces
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
-        # the cone over the box under F_p: f_{T + apex} = prod_{c in T} F_p[c]
+        # the box under F_p: vertex tuples, and per color set its size
+        choices = [()]
         box = [(0, 1)]
         for color, index in face.vertices:
+            options = [Vertex(color, i) for i in range(1, index + 1)]
+            choices += [choice + (v,) for choice in choices for v in options]
             bit = 1 << (color - 1)
             box += [(mask | bit, size * index) for mask, size in box]
+        tail = (apex,)
+        apex_faces += [Face._raw(choice + tail) for choice in choices]
+        # the cone over the box: f_{T + apex} = prod_{c in T} F_p[c]
         for mask, size in box:
             counts[mask | 1 << (n + p - 1)] = size
-    extended = ColoredComplex._raw(n + k, frozenset(faces))
+    extended = ColoredComplex._raw(n + k, delta.faces.union(apex_faces))
     report = ConstructionReport(
         base_colors=n,
         apex_count=k,
@@ -109,7 +119,8 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         apexes=tuple(apexes),
         predicted_singletons=tuple(range(n + 1, n + k + 1)),
         predicted_edges=tuple(predicted_edges),
-        predicted_flag=FlagVector(n + k, counts),
+        # delta's counts and products of indices: nonnegative, f_0 = 1
+        predicted_flag=FlagVector._of_dense(n + k, counts, "f"),
     )
     return extended, report
 

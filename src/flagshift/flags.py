@@ -98,7 +98,8 @@ class FlagVector:
 
     @classmethod
     def _of_dense(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
-        """Internal: skip the f-semantics check (transform outputs)."""
+        """Internal: skip the f-semantics check (transform outputs and
+        face counts)."""
         for count in counts:
             if abs(count) > _INT64_MAX:
                 raise OverflowError("flag counts are limited to 64-bit range")
@@ -175,10 +176,11 @@ def flag_f(c: ColoredComplex) -> FlagVector:
     counts = [0] * (1 << c.num_colors)
     for face in c.faces:
         mask = 0
-        for color in face.colors:
+        for color, _ in face.vertices:
             mask |= 1 << (color - 1)
         counts[mask] += 1
-    return FlagVector(c.num_colors, counts, "f")
+    # face counts are nonnegative, with at most one empty face
+    return FlagVector._of_dense(c.num_colors, counts, "f")
 
 
 def h_from_f(f: FlagVector) -> FlagVector:

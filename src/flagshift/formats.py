@@ -105,8 +105,22 @@ def complex_to_obj(c: ColoredComplex) -> dict:
 
 
 def emit_complex(c: ColoredComplex) -> str:
-    """Canonical document for a complex: faces in canonical order."""
-    return _dumps(complex_to_obj(c))
+    """Canonical document for a complex: faces in canonical order.
+
+    The bytes are those of _dumps(complex_to_obj(c)), written directly:
+    json's indented encoder runs in pure Python, and a complex's
+    document is only nested lists of integers.
+    """
+    faces = [
+        "    [\n" + ",\n".join(
+            f"      [\n        {color},\n        {index}\n      ]"
+            for color, index in face._vertices
+        ) + "\n    ]"
+        if face._vertices else "    []"
+        for face in c.sorted_faces()
+    ]
+    body = "[\n" + ",\n".join(faces) + "\n  ]" if faces else "[]"
+    return f'{{\n  "faces": {body},\n  "num_colors": {c.num_colors}\n}}\n'
 
 
 def parse_flag_vector(text: str) -> FlagVector:

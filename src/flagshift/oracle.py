@@ -63,6 +63,18 @@ down-sets, so the single-candidate rule above still holds, and a layer
 whose |U| meets its target has only U as its candidate.  A chain layer
 never holds more than its target, so it has a single candidate or none.
 
+When the fixpoint leaves every layer settled (|U(L)| equals L's
+target, as for every cone extension), the walk has one path.  Assign
+the layers in order, each sub-layer's chosen mask being its U: the
+layer's allowed set contains U(L), since the last up sweep cut U(L) to
+the allowed set over the U below and the down sweep after it shrank
+nothing, so allowed & U(L) is U(L), of the target's size.  Each layer
+is then a single candidate, costing one node to open and one to assign,
+and the only complete assignment is every U.  The search returns that
+outcome directly: one witness made of the U, 2 nodes per layer, and a
+budget stop at max_nodes + 1 when that is fewer than 2 per layer, the
+count at which the walk, adding one node at a time, would stop.
+
 One walk (_walk) assigns the layers depth first for the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
 differs.  Every search is budgeted by one rule: one node is one partial-
@@ -405,6 +417,14 @@ def enumerate_color_shifted_with_flag(
     upper = _propagate(layers, f, chosen)
     if upper is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
+    if all(upper[geo.mask].bit_count() == f[geo.mask] for geo in layers):
+        # every layer settled: the walk's outcome, without the walk
+        nodes = 2 * len(layers)
+        if nodes > budget.max_nodes:
+            return SearchOutcome([], False, budget.max_nodes + 1)
+        truncated = budget.max_witnesses == 1
+        witness = _assemble(n, fixed, layers, upper)
+        return SearchOutcome([witness], not truncated, nodes, truncated)
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
         want = f[geo.mask]

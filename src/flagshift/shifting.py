@@ -85,13 +85,25 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     so c is color-shifted exactly when it holds every face's immediate
     predecessors; find_shift_violation runs only to name a violation.
     """
-    covered = {pred for face in c.faces for pred in _immediate_predecessors(face)}
-    if not covered <= c.faces:
+    faces = c.faces
+    have = {face._vertices for face in faces}
+    # Predecessors are collected as vertex tuples; a lowered vertex is a
+    # plain (color, index) pair, which hashes and compares as a Vertex.
+    covered = set()
+    for vertices in have:
+        for j, (color, index) in enumerate(vertices):
+            head, tail = vertices[:j], vertices[j + 1:]
+            covered.add(head + tail)
+            if index > 1:
+                covered.add(head + ((color, index - 1),) + tail)
+    if not covered <= have:
         missing, containing = find_shift_violation(c)
         raise ValueError(
             f"complex is not color-shifted: {containing} present but {missing} missing"
         )
-    return sorted(c.faces - covered, key=shift_max_key)
+    return sorted(
+        (face for face in faces if face._vertices not in covered), key=shift_max_key
+    )
 
 
 def principal_downset(c: ColoredComplex, face: Face) -> ColoredComplex:

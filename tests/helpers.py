@@ -7,9 +7,25 @@ searches and transforms are checked against a second route.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 
-from flagshift import ColoredComplex, EMPTY_FACE, Face, FlagVector, shift_closure
+from flagshift import (
+    ColoredComplex,
+    EMPTY_FACE,
+    MAX_COLORS,
+    ConstructionReport,
+    Face,
+    FlagVector,
+    TooManyColorsError,
+    Vertex,
+    Violation,
+    cone,
+    flag_f,
+    principal_downset,
+    shift_closure,
+)
+from flagshift.formats import complex_to_obj
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -168,3 +184,93 @@ def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
         if ok:
             allowed |= 1 << rank
     return allowed
+
+
+# ===================================================================
+# reference implementations of the fast paths
+# ===================================================================
+
+def reference_cone_extension(delta: ColoredComplex):
+    """The cone extension built face by face: the union of delta and the
+    cone over each maximal face's principal down-set, with the maximal
+    faces found by brute force and the flag vector read off the output."""
+    n = delta.num_colors
+    maximal = sorted(
+        brute_shift_maximal(set(delta.faces)), key=lambda f: (f.colors, f.indices)
+    )
+    k = len(maximal)
+    if n + k > MAX_COLORS:
+        raise TooManyColorsError(
+            f"the extension of a complex with n={n} colors and k={k} shift-maximal "
+            f"faces needs n+k={n + k} colors; flag vectors support at most {MAX_COLORS}"
+        )
+    faces = set(delta.faces)
+    apexes = tuple(Vertex(n + p, 1) for p in range(1, k + 1))
+    for face, apex in zip(maximal, apexes):
+        faces |= cone(principal_downset(delta, face), apex).faces
+    extended = ColoredComplex(n + k, faces)
+    report = ConstructionReport(
+        base_colors=n,
+        apex_count=k,
+        total_colors=n + k,
+        shift_maximal=tuple(maximal),
+        apexes=apexes,
+        predicted_singletons=tuple(range(n + 1, n + k + 1)),
+        predicted_edges=tuple(
+            (v.color, apex.color, v.index)
+            for face, apex in zip(maximal, apexes)
+            for v in face.vertices
+        ),
+        predicted_flag=flag_f(extended),
+    )
+    return extended, report
+
+
+def reference_emit_complex(c: ColoredComplex) -> str:
+    """The canonical complex document through json's indented encoder."""
+    return json.dumps(complex_to_obj(c), indent=2, sort_keys=True) + "\n"
+
+
+def reference_validate_faces(num_colors: int, faces) -> Violation | None:
+    """The first violation by an ordered scan of the faces, each check in
+    turn over the whole family."""
+    face_set = frozenset(faces)
+    if not face_set:
+        return None
+    ordered = sorted(face_set, key=lambda f: f.sort_key)
+    for f in ordered:
+        for c in f.colors:
+            if c > num_colors:
+                return Violation(
+                    "color-range",
+                    f"face {f} uses color {c} but the complex has {num_colors} colors",
+                    face=f,
+                    color=c,
+                )
+    if EMPTY_FACE not in face_set:
+        return Violation("empty-face", "non-empty complex must contain the empty face")
+    for f in ordered:
+        for c in f.colors:
+            sub = f.without_color(c)
+            if sub not in face_set:
+                return Violation(
+                    "closure",
+                    f"face {f} is present but its subset {sub} is missing",
+                    face=f,
+                    missing=sub,
+                )
+    by_color: dict[int, set[int]] = {}
+    for f in face_set:
+        if len(f) == 1:
+            v = f.vertices[0]
+            by_color.setdefault(v.color, set()).add(v.index)
+    for color in sorted(by_color):
+        have = by_color[color]
+        if have != set(range(1, len(have) + 1)):
+            gap = min(set(range(1, max(have) + 1)) - have)
+            return Violation(
+                "saturation",
+                f"color {color} skips vertex index {gap}: indices must be contiguous from 1",
+                color=color,
+            )
+    return None

@@ -20,7 +20,13 @@ from flagshift import (
 )
 from flagshift.flags import flag_f
 
-from helpers import brute_closure, edge2, face, two_color_complex
+from helpers import (
+    brute_closure,
+    edge2,
+    face,
+    reference_validate_faces,
+    two_color_complex,
+)
 
 
 # ===================================================================
@@ -95,6 +101,29 @@ def test_validate_closure_violation_names_the_pair():
 def test_validate_saturation_names_the_color():
     v = validate_faces(2, [EMPTY_FACE, face((1, 2))])
     assert v is not None and v.kind == "saturation" and v.color == 1
+
+
+def test_validate_matches_the_ordered_scan(enumerated_corpus):
+    """The tuple-level check and the canonical scan name the same first
+    violation: none on the corpus, and each mutant's own otherwise.
+    Faces are dropped one at a time from every fifth complex, which
+    reaches every kind of violation and keeps the scan short."""
+    kinds = set()
+    for pos, c in enumerate(enumerated_corpus):
+        n, faces = c.num_colors, c.faces
+        counts = c.vertex_counts()
+        mutants = [
+            faces,
+            *(faces - {f} for f in (faces if pos % 5 == 0 else ())),
+            faces | {face((n + 1, 1))},
+            *(faces | {face((color, count + 2))} for color, count in enumerate(counts, 1)),
+        ]
+        for mutant in mutants:
+            violation = validate_faces(n, mutant)
+            assert violation == reference_validate_faces(n, mutant)
+            kinds.add(violation and violation.kind)
+        assert validate_faces(n, faces) is None
+    assert kinds == {None, "color-range", "empty-face", "closure", "saturation"}
 
 
 def test_constructor_raises_on_violation():

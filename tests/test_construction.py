@@ -23,7 +23,7 @@ from flagshift import (
     verify_cone_extension,
 )
 
-from helpers import edge2, face, staircase
+from helpers import edge2, face, reference_cone_extension, staircase
 
 
 # ===================================================================
@@ -141,13 +141,55 @@ def test_extension_fills_the_color_limit():
 def test_extension_fails_fast_past_the_color_limit(monkeypatch):
     import flagshift.construction as construction
 
-    def no_cone(*_args):
+    def no_face(*_args):
         raise AssertionError("the extension was built before the limit check")
 
-    monkeypatch.setattr(construction, "cone", no_cone)
+    monkeypatch.setattr(construction.Face, "_raw", no_face)
     with pytest.raises(TooManyColorsError, match=r"n=2 .*k=15 .*n\+k=17 .*at most 16$"):
         cone_extension(staircase(15))
     assert issubclass(TooManyColorsError, ValueError)
+
+
+def test_extension_matches_the_face_by_face_reference(enumerated_corpus):
+    """The one-pass extension equals the union of cones over principal
+    down-sets, report and all, on every small complex and staircase."""
+    for c in [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]:
+        got = cone_extension(c)
+        want = reference_cone_extension(c)
+        assert got == want, c
+        assert repr(got[1]) == repr(want[1])
+
+
+def test_extension_builds_only_its_apex_faces(monkeypatch):
+    """Construction stays proportional to the faces: on a complex whose
+    two vertex colors have 600 vertices each, it builds no layer grid,
+    and the only faces it makes are the apex faces of its output."""
+    import flagshift.complexes as complexes
+    import flagshift.oracle as oracle
+
+    def no_grid(*_args):
+        raise AssertionError("a layer grid was built")
+
+    def no_init(*_args):
+        raise AssertionError("a face was built through the validating constructor")
+
+    delta = shift_closure(2, [face((1, 600)), face((2, 600)), edge2(1, 1)])
+    assert len(delta) == 1202
+    made = []
+    raw = complexes.Face._raw
+
+    def counted_raw(cls, vertices):
+        made.append(vertices)
+        return raw(vertices)
+
+    monkeypatch.setattr(oracle, "_layer_geometry", no_grid)
+    monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(complexes.Face, "__init__", no_init)
+    extended, report = cone_extension(delta)
+    monkeypatch.undo()
+    assert report.total_colors == 5
+    assert len(made) == len(extended) - len(delta) == 601 + 601 + 4
+    assert verify_cone_extension(delta, extended, report).ok
 
 
 # ===================================================================

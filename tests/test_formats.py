@@ -23,6 +23,9 @@ from flagshift import (
     parse_complex,
     parse_flag_vector,
 )
+from flagshift.complexes import empty_complex, trivial_complex
+
+from helpers import reference_emit_complex
 
 
 # ===================================================================
@@ -66,6 +69,18 @@ def test_emit_complex_distinct_bytes(corpus):
         text = emit_complex(c)
         assert text not in seen or seen[text] == c
         seen[text] = c
+
+
+def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
+    """The directly written document is byte for byte json's indented,
+    key-sorted encoding of complex_to_obj."""
+    complexes = [
+        *enumerated_corpus,
+        *(cone_extension(c)[0] for c in enumerated_corpus),
+        *(make(n) for make in (empty_complex, trivial_complex) for n in (0, 3)),
+    ]
+    for c in complexes:
+        assert emit_complex(c) == reference_emit_complex(c), c
 
 
 def test_emit_complex_face_order_is_canonical(sample_a):

@@ -245,6 +245,48 @@ def test_propagated_search_matches_brute_force(target):
     _assert_search_matches_brute([dense], _brute_by_flag(num_colors, bounds))
 
 
+@st.composite
+def checked_targets(draw):
+    """A flag target within one of the brute-force bounds that passes the
+    drop and grid checks: a color set has faces only when each of its
+    one-color drops has, and never more than its grid holds."""
+    num_colors, bounds = draw(st.sampled_from(DIFFERENTIAL_BOUNDS))
+    t = [draw(st.integers(1, b)) for b in bounds]
+    dense = [1] + [0] * ((1 << num_colors) - 1)
+    for mask in sorted(range(1, 1 << num_colors), key=int.bit_count):
+        colors = [i for i in range(num_colors) if mask >> i & 1]
+        if len(colors) == 1:
+            dense[mask] = t[colors[0]]
+        elif all(dense[mask ^ (1 << i)] for i in colors):
+            dense[mask] = draw(st.integers(0, prod(t[i] for i in colors)))
+    return num_colors, bounds, tuple(dense)
+
+
+def test_propagated_refutations_match_brute_force(monkeypatch):
+    """Targets that reach bound propagation, some of which it refutes:
+    the search finds exactly the brute-force complexes with the target
+    flag, and none for a refuted target."""
+    propagate = oracle._propagate
+    refuted = []
+
+    def watched(*args):
+        upper = propagate(*args)
+        refuted.append(upper is None)
+        return upper
+
+    monkeypatch.setattr(oracle, "_propagate", watched)
+
+    @seed(20101018)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(checked_targets())
+    def check(target):
+        num_colors, bounds, dense = target
+        _assert_search_matches_brute([dense], _brute_by_flag(num_colors, bounds))
+
+    check()
+    assert any(refuted)
+
+
 @pytest.mark.parametrize("num_colors, bounds", DIFFERENTIAL_BOUNDS)
 def test_propagated_bounds_hold_every_witness(num_colors, bounds):
     """Layer by layer, over every target that fits the grids within the
@@ -284,6 +326,23 @@ def test_staircase_uniqueness_is_settled_by_propagation(k):
     result = verify_uniqueness(staircase(k))
     assert result.unique is True and result.outcome.exhausted
     assert result.outcome.nodes_visited == 6 * k + 2
+
+
+def test_settled_searches_skip_the_walk(monkeypatch, enumerated_corpus):
+    """Bound propagation settles every layer of each corpus extension, so
+    no uniqueness search over the corpus enters the walk, and each costs
+    two nodes per layer of size two or more."""
+
+    def no_walk(*_args):
+        raise AssertionError("the walk ran on a settled search")
+
+    monkeypatch.setattr(oracle, "_walk", no_walk)
+    for c in enumerated_corpus:
+        result = verify_uniqueness(c)
+        assert result.unique is True and result.outcome.exhausted
+        f = flag_f(result.extended).dense()
+        layers = sum(1 for mask, count in enumerate(f) if mask.bit_count() >= 2 and count)
+        assert result.outcome.nodes_visited == max(1, 2 * layers)
 
 
 @pytest.mark.parametrize(
