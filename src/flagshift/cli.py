@@ -23,6 +23,7 @@ from .formats import (
     emit_flag_vector,
     emit_report,
     complex_to_obj,
+    face_to_obj,
     parse_complex,
     parse_flag_vector,
     report_to_obj,
@@ -134,9 +135,7 @@ def _cmd_shift_maximal(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EX_NEGATIVE
-    sys.stdout.write(
-        _dumps([[[v.color, v.index] for v in face.vertices] for face in maximal])
-    )
+    sys.stdout.write(_dumps([face_to_obj(face) for face in maximal]))
     return 0
 
 

@@ -165,28 +165,26 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     Checks, in order: colors within 1..num_colors, presence of the empty
     face (for a non-empty family), closure under dropping one vertex
     (which implies full subset closure), and index contiguity of the
-    singleton faces within each color.
+    singleton faces within each color.  Within a check the canonically
+    smallest offending face is named.
 
-    The invariants are tested on the vertex tuples first: a face's
+    One pass over the vertex tuples collects the offenders: a face's
     colors are sorted, so its last vertex has its largest color, and its
-    one-vertex drops are its tuple with one entry cut out.  Only a
-    family that fails them is scanned in canonical order, to name the
-    first violation.
+    one-vertex drops are its tuple with one entry cut out.
     """
     face_set = frozenset(faces)
     if not face_set:
         return None
     tuples = {face._vertices for face in face_set}
-    valid = () in tuples
+    out_of_range = []
+    unclosed = []  # (face, its first missing one-vertex drop)
     top: dict[int, int] = {}  # color -> largest singleton index
     singletons = 0
     for vertices in tuples:
-        if not valid:
-            break
         if not vertices:
             continue
         if vertices[-1][0] > num_colors:
-            valid = False
+            out_of_range.append(Face._raw(vertices))
         elif len(vertices) == 1:
             color, index = vertices[0]
             if index > top.get(color, 0):
@@ -194,46 +192,40 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
             singletons += 1
         else:
             for j in range(len(vertices)):
-                if vertices[:j] + vertices[j + 1:] not in tuples:
-                    valid = False
+                drop = vertices[:j] + vertices[j + 1:]
+                if drop not in tuples:
+                    unclosed.append((Face._raw(vertices), drop))
                     break
+    if out_of_range:
+        face = min(out_of_range, key=lambda f: f.sort_key)
+        color = next(c for c in face.colors if c > num_colors)
+        return Violation(
+            "color-range",
+            f"face {face} uses color {color} but the complex has {num_colors} colors",
+            face=face,
+            color=color,
+        )
+    if () not in tuples:
+        return Violation("empty-face", "non-empty complex must contain the empty face")
+    if unclosed:
+        face, drop = min(unclosed, key=lambda pair: pair[0].sort_key)
+        missing = Face._raw(drop)
+        return Violation(
+            "closure",
+            f"face {face} is present but its subset {missing} is missing",
+            face=face,
+            missing=missing,
+        )
     # A color's singleton indices are distinct, so they run from 1 without
     # a gap exactly when the largest equals their number; and the largest
     # is never below the number, so the sums agree only if every color's do.
-    if valid and sum(top.values()) == singletons:
+    if sum(top.values()) == singletons:
         return None
-    return _first_violation(num_colors, face_set)
-
-
-def _first_violation(num_colors: int, face_set: frozenset[Face]) -> Violation | None:
-    """The canonical scan behind validate_faces, naming the first violation."""
-    ordered = sorted(face_set, key=lambda f: f.sort_key)
-    for face in ordered:
-        for c in face.colors:
-            if c > num_colors:
-                return Violation(
-                    "color-range",
-                    f"face {face} uses color {c} but the complex has {num_colors} colors",
-                    face=face,
-                    color=c,
-                )
-    if EMPTY_FACE not in face_set:
-        return Violation("empty-face", "non-empty complex must contain the empty face")
-    for face in ordered:
-        for c in face.colors:
-            sub = face.without_color(c)
-            if sub not in face_set:
-                return Violation(
-                    "closure",
-                    f"face {face} is present but its subset {sub} is missing",
-                    face=face,
-                    missing=sub,
-                )
     by_color: dict[int, set[int]] = {}
-    for face in face_set:
-        if len(face) == 1:
-            v = face.vertices[0]
-            by_color.setdefault(v.color, set()).add(v.index)
+    for vertices in tuples:
+        if len(vertices) == 1:
+            color, index = vertices[0]
+            by_color.setdefault(color, set()).add(index)
     for color in sorted(by_color):
         have = by_color[color]
         if have != set(range(1, len(have) + 1)):

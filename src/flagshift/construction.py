@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .complexes import ColoredComplex, Face, Vertex, select_colors
 from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, subset_masks
-from .shifting import find_shift_violation, shift_maximal_faces
+from .shifting import _box, find_shift_violation, shift_maximal_faces
 # unused here, but perfbench's tracer and its tests look the bindings up
 from .complexes import cone, union  # noqa: F401
 from .shifting import principal_downset  # noqa: F401
@@ -63,14 +63,13 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     The face set is assembled in one pass without re-validation, and
     each apex face is built once, straight from its vertex tuple.  A
     face with apex color n+p is the apex joined to a face of the
-    principal down-set of F_p, which is the box of every choice, per
-    color of F_p, of no vertex or one of index 1..F_p's.  Such a choice
-    lists its vertices by increasing base color, and the apex color n+p
-    exceeds every base color, so choice + (apex,) is a Face's sorted
-    vertex tuple.  The result is a valid complex: delta and each cone
-    over a box are closed under taking subsets, and so is their union;
-    it holds the empty face; every apex color n+p has only the vertex 1;
-    and the vertices of the base colors are delta's own.
+    principal down-set of F_p.  `_box` gives that face's vertex tuple
+    sorted by base color, and the apex color n+p exceeds every base
+    color, so choice + (apex,) is a Face's sorted vertex tuple.  The
+    result is a valid complex: delta and each cone over a box are closed
+    under taking subsets, and so is their union; it holds the empty
+    face; every apex color n+p has only the vertex 1; and the vertices
+    of the base colors are delta's own.
 
     The predicted flag f-vector is computed in closed form, not read off
     the output.  The faces on base colors are delta's, and for T within
@@ -97,16 +96,13 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
-        # the box under F_p: vertex tuples, and per color set its size
-        choices = [()]
+        tail = (apex,)
+        apex_faces += [Face._raw(choice + tail) for choice in _box(face._vertices)]
+        # the box's size on each color set T of F_p
         box = [(0, 1)]
         for color, index in face.vertices:
-            options = [Vertex(color, i) for i in range(1, index + 1)]
-            choices += [choice + (v,) for choice in choices for v in options]
             bit = 1 << (color - 1)
             box += [(mask | bit, size * index) for mask, size in box]
-        tail = (apex,)
-        apex_faces += [Face._raw(choice + tail) for choice in choices]
         # the cone over the box: f_{T + apex} = prod_{c in T} F_p[c]
         for mask, size in box:
             counts[mask | 1 << (n + p - 1)] = size

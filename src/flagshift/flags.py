@@ -87,27 +87,26 @@ class FlagVector:
                 raise ValueError(
                     f"dense entries must have length {size}, got {len(counts)}"
                 )
-        for count in counts:
-            if abs(count) > _INT64_MAX:
-                raise OverflowError("flag counts are limited to 64-bit range")
+        self._store(num_colors, counts, kind)
         if kind == "f":
             _check_f_semantics(counts)
-        object.__setattr__(self, "_n", num_colors)
-        object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_counts", tuple(counts))
 
     @classmethod
     def _of_dense(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
         """Internal: skip the f-semantics check (transform outputs and
         face counts)."""
+        obj = object.__new__(cls)
+        obj._store(num_colors, counts, kind)
+        return obj
+
+    def _store(self, num_colors: int, counts: list[int], kind: str) -> None:
+        """Check the 64-bit range, which __init__ runs before the f check."""
         for count in counts:
             if abs(count) > _INT64_MAX:
                 raise OverflowError("flag counts are limited to 64-bit range")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_n", num_colors)
-        object.__setattr__(obj, "_kind", kind)
-        object.__setattr__(obj, "_counts", tuple(counts))
-        return obj
+        object.__setattr__(self, "_n", num_colors)
+        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_counts", tuple(counts))
 
     def __setattr__(self, name, value):
         raise AttributeError("FlagVector is immutable")
@@ -183,32 +182,31 @@ def flag_f(c: ColoredComplex) -> FlagVector:
     return FlagVector._of_dense(c.num_colors, counts, "f")
 
 
-def h_from_f(f: FlagVector) -> FlagVector:
-    """Flag h-vector: h_S = sum_{T subset S} (-1)^(|S|-|T|) f_T."""
-    if f.kind != "f":
-        raise ValueError("h_from_f expects an f-vector")
-    counts = list(f.dense())
-    n = f.num_colors
+def _subset_sums(v: FlagVector, sign: int) -> list[int]:
+    """Counts with each entry S replaced by the sum over T subset of S of
+    sign^(|S|-|T|) v_T, one color at a time."""
+    counts = list(v.dense())
+    n = v.num_colors
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
-                counts[mask] -= counts[mask ^ bit]
-    return FlagVector._of_dense(n, counts, "h")
+                counts[mask] += sign * counts[mask ^ bit]
+    return counts
+
+
+def h_from_f(f: FlagVector) -> FlagVector:
+    """Flag h-vector: h_S = sum_{T subset S} (-1)^(|S|-|T|) f_T."""
+    if f.kind != "f":
+        raise ValueError("h_from_f expects an f-vector")
+    return FlagVector._of_dense(f.num_colors, _subset_sums(f, -1), "h")
 
 
 def f_from_h(h: FlagVector) -> FlagVector:
     """Inverse transform: f_S = sum_{T subset S} h_T."""
     if h.kind != "h":
         raise ValueError("f_from_h expects an h-vector")
-    counts = list(h.dense())
-    n = h.num_colors
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                counts[mask] += counts[mask ^ bit]
-    return FlagVector._of_dense(n, counts, "f")
+    return FlagVector._of_dense(h.num_colors, _subset_sums(h, 1), "f")
 
 
 @dataclass(frozen=True)

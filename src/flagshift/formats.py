@@ -58,17 +58,16 @@ def _expect_int(value: Any, what: str) -> int:
 def _parse_face(entry: Any, pos: int) -> Face:
     if not isinstance(entry, list):
         raise DocumentError(f"face #{pos} must be a list of [color, index] pairs")
-    pairs = []
     for pair in entry:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
         ):
             raise DocumentError(f"face #{pos} holds a malformed vertex: {pair!r}")
-        pairs.append((pair[0], pair[1]))
     try:
-        return Face(pairs)
+        return Face(entry)
     except ValueError as exc:
         raise DocumentError(f"face #{pos}: {exc}") from exc
 
@@ -95,12 +94,15 @@ def parse_complex(text: str) -> ColoredComplex:
     return ColoredComplex(num_colors, faces)
 
 
+def face_to_obj(face: Face) -> list:
+    """A face as its [[color, index], ...] list, by increasing color."""
+    return [[color, index] for color, index in face._vertices]
+
+
 def complex_to_obj(c: ColoredComplex) -> dict:
     return {
         "num_colors": c.num_colors,
-        "faces": [
-            [[v.color, v.index] for v in face.vertices] for face in c.sorted_faces()
-        ],
+        "faces": [face_to_obj(face) for face in c.sorted_faces()],
     }
 
 
@@ -183,10 +185,7 @@ def report_to_obj(report: ConstructionReport) -> dict:
         "base_colors": report.base_colors,
         "apex_count": report.apex_count,
         "total_colors": report.total_colors,
-        "shift_maximal": [
-            [[v.color, v.index] for v in face.vertices]
-            for face in report.shift_maximal
-        ],
+        "shift_maximal": [face_to_obj(face) for face in report.shift_maximal],
         "apexes": [[v.color, v.index] for v in report.apexes],
         "predicted_singletons": [
             {"colors": [color], "count": 1} for color in report.predicted_singletons

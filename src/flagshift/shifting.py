@@ -9,7 +9,6 @@ they generate the complex through their principal down-sets.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator
 
 from .complexes import ColoredComplex, Face, Vertex
@@ -29,21 +28,36 @@ def shift_max_key(face: Face) -> tuple:
     return (face.colors, face.indices)
 
 
+def _box(vertices: tuple[Vertex, ...]) -> list[tuple[Vertex, ...]]:
+    """Vertex tuples of every face dominated by the face with these
+    vertices: per color, no vertex or one of index 1..the face's own.
+    Each lists its vertices by increasing color, as Face stores them."""
+    choices = [()]
+    for color, index in vertices:
+        options = [Vertex(color, i) for i in range(1, index + 1)]
+        choices += [choice + (v,) for choice in choices for v in options]
+    return choices
+
+
 def down_set_faces(face: Face) -> Iterator[Face]:
-    """Every face dominated by `face` (the face itself included)."""
-    options = [
-        [None] + [Vertex(color, i) for i in range(1, index + 1)]
-        for color, index in face.vertices
-    ]
-    for choice in product(*options):
-        yield Face(v for v in choice if v is not None)
+    """Every face dominated by `face` (the face itself included), each
+    once; the order is unspecified."""
+    return map(Face._raw, _box(face._vertices))
 
 
-def _immediate_predecessors(face: Face) -> Iterator[Face]:
-    for color, index in face.vertices:
-        yield face.without_color(color)
-        if index > 1:
-            yield face.with_index(color, index - 1)
+def _covered(tuples: Iterable[tuple]) -> set[tuple]:
+    """Vertex tuples of the immediate predecessors of these faces: one
+    vertex dropped, or one index lowered by one.  Every dominated face is
+    reached by a chain of them.  A lowered vertex is a plain
+    (color, index) pair, which hashes and compares as a Vertex."""
+    covered = set()
+    for vertices in tuples:
+        for j, (color, index) in enumerate(vertices):
+            head, tail = vertices[:j], vertices[j + 1:]
+            covered.add(head + tail)
+            if index > 1:
+                covered.add(head + ((color, index - 1),) + tail)
+    return covered
 
 
 def find_shift_violation(c: ColoredComplex) -> tuple[Face, Face] | None:
@@ -54,14 +68,16 @@ def find_shift_violation(c: ColoredComplex) -> tuple[Face, Face] | None:
     face is the canonically smallest absent member of its down-set.
     """
     faces = c.faces
+    have = {face._vertices for face in faces}
+    if _covered(have) <= have:
+        return None
     for face in c.sorted_faces():
-        if any(pred not in faces for pred in _immediate_predecessors(face)):
+        if not _covered((face._vertices,)) <= have:
             missing = min(
                 (g for g in down_set_faces(face) if g not in faces),
                 key=lambda f: f.sort_key,
             )
             return missing, face
-    return None
 
 
 def is_color_shifted(c: ColoredComplex) -> bool:
@@ -81,21 +97,12 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     predecessor of every vertex, so it is maximal exactly when the
     complex is {empty face}.
 
-    Every dominated face is reached by a chain of immediate predecessors,
-    so c is color-shifted exactly when it holds every face's immediate
+    c is color-shifted exactly when it holds every face's immediate
     predecessors; find_shift_violation runs only to name a violation.
     """
     faces = c.faces
     have = {face._vertices for face in faces}
-    # Predecessors are collected as vertex tuples; a lowered vertex is a
-    # plain (color, index) pair, which hashes and compares as a Vertex.
-    covered = set()
-    for vertices in have:
-        for j, (color, index) in enumerate(vertices):
-            head, tail = vertices[:j], vertices[j + 1:]
-            covered.add(head + tail)
-            if index > 1:
-                covered.add(head + ((color, index - 1),) + tail)
+    covered = _covered(have)
     if not covered <= have:
         missing, containing = find_shift_violation(c)
         raise ValueError(

@@ -71,13 +71,17 @@ def brute_dominance_le(f: Face, g: Face) -> bool:
     return all(v.color in gmap and v.index <= gmap[v.color] for v in f.vertices)
 
 
+def brute_down_set(f: Face) -> set[Face]:
+    """Every face f dominates: per color, no vertex or one of index up to f's."""
+    options = [[None] + [(c, i) for i in range(1, idx + 1)] for c, idx in f.vertices]
+    return {Face(p for p in choice if p is not None) for choice in product(*options)}
+
+
 def brute_is_color_shifted(faces: set[Face]) -> bool:
     """Down-set test by comparing all pairs against the full candidate pool."""
     pool = set()
     for f in faces:
-        options = [[None] + [(c, i) for i in range(1, idx + 1)] for c, idx in f.vertices]
-        for choice in product(*options):
-            pool.add(Face(p for p in choice if p is not None))
+        pool |= brute_down_set(f)
     return pool.issubset(faces)
 
 
@@ -273,4 +277,24 @@ def reference_validate_faces(num_colors: int, faces) -> Violation | None:
                 f"color {color} skips vertex index {gap}: indices must be contiguous from 1",
                 color=color,
             )
+    return None
+
+
+def reference_find_shift_violation(c: ColoredComplex) -> tuple[Face, Face] | None:
+    """Witness that c is not color-shifted, built face by face: the first
+    face in canonical order with an absent immediate predecessor (one
+    color dropped, or one index lowered by one), and the canonically
+    smallest absent face of its down-set."""
+    faces = c.faces
+    for f in c.sorted_faces():
+        predecessors = []
+        for color, index in f.vertices:
+            predecessors.append(f.without_color(color))
+            if index > 1:
+                predecessors.append(f.with_index(color, index - 1))
+        if any(g not in faces for g in predecessors):
+            missing = min(
+                (g for g in brute_down_set(f) if g not in faces), key=lambda g: g.sort_key
+            )
+            return missing, f
     return None

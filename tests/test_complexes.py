@@ -104,7 +104,7 @@ def test_validate_saturation_names_the_color():
 
 
 def test_validate_matches_the_ordered_scan(enumerated_corpus):
-    """The tuple-level check and the canonical scan name the same first
+    """The one-pass check and the canonical scan name the same first
     violation: none on the corpus, and each mutant's own otherwise.
     Faces are dropped one at a time from every fifth complex, which
     reaches every kind of violation and keeps the scan short."""
@@ -116,6 +116,7 @@ def test_validate_matches_the_ordered_scan(enumerated_corpus):
             faces,
             *(faces - {f} for f in (faces if pos % 5 == 0 else ())),
             faces | {face((n + 1, 1))},
+            faces | {face((n + 1, 1)), face((n + 2, 1))},
             *(faces | {face((color, count + 2))} for color, count in enumerate(counts, 1)),
         ]
         for mutant in mutants:

@@ -9,15 +9,18 @@ import pytest
 from flagshift import (
     ColoredComplex,
     EMPTY_FACE,
+    Face,
     FlagVector,
     MAX_COLORS,
     TooManyColorsError,
     Vertex,
     cone_extension,
+    down_set_faces,
     flag_f,
     is_color_shifted,
     select_colors,
     shift_closure,
+    shift_maximal_faces,
     trivial_complex,
     union,
     verify_cone_extension,
@@ -144,9 +147,10 @@ def test_extension_fails_fast_past_the_color_limit(monkeypatch):
     def no_face(*_args):
         raise AssertionError("the extension was built before the limit check")
 
+    delta = staircase(15)
     monkeypatch.setattr(construction.Face, "_raw", no_face)
     with pytest.raises(TooManyColorsError, match=r"n=2 .*k=15 .*n\+k=17 .*at most 16$"):
-        cone_extension(staircase(15))
+        cone_extension(delta)
     assert issubclass(TooManyColorsError, ValueError)
 
 
@@ -158,6 +162,28 @@ def test_extension_matches_the_face_by_face_reference(enumerated_corpus):
         want = reference_cone_extension(c)
         assert got == want, c
         assert repr(got[1]) == repr(want[1])
+
+
+def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
+    """Every face that cone_extension, down_set_faces and shift_closure
+    build without validation holds Vertex values and equals the validated
+    Face of its vertices, on every small complex and staircase."""
+
+    def check(faces):
+        for f in faces:
+            assert all(type(v) is Vertex for v in f.vertices), f.vertices
+            assert f == Face(f.vertices), f.vertices
+
+    for c in [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]:
+        check(c.faces)
+        extended, _ = cone_extension(c)
+        check(extended.faces)
+        maximal = shift_maximal_faces(extended)
+        for m in maximal:
+            check(down_set_faces(m))
+        closure = shift_closure(extended.num_colors, maximal)
+        check(closure.faces)
+        assert closure == extended
 
 
 def test_extension_builds_only_its_apex_faces(monkeypatch):

@@ -88,6 +88,11 @@ def test_f_kind_semantics_enforced():
 def test_flag_vector_rejects_overflow():
     with pytest.raises(OverflowError):
         FlagVector(1, {(): 1, (1,): 2**63}, kind="f")
+    # the range check runs before the f-vector check
+    with pytest.raises(OverflowError):
+        FlagVector(1, [-2**64, 0])
+    with pytest.raises(OverflowError):
+        FlagVector(1, {(): 2, (1,): 2**64}, kind="f")
 
 
 def test_flag_vector_equality_and_kind():

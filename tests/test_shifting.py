@@ -17,14 +17,17 @@ from flagshift import (
     shift_closure,
     shift_maximal_faces,
     trivial_complex,
+    validate_faces,
 )
 
 from helpers import (
+    all_candidate_faces,
     brute_dominance_le,
     brute_is_color_shifted,
     brute_shift_maximal,
     edge2,
     face,
+    reference_find_shift_violation,
 )
 
 
@@ -88,12 +91,24 @@ def test_down_set_of_edge():
     }
 
 
-def test_down_set_is_exactly_the_dominated_pool():
+def test_down_set_is_exactly_the_dominated_pool(enumerated_corpus):
+    """down_set_faces yields each face that f dominates once, and no
+    other: the dominance filter over every face within the vertex counts
+    of f's complex, for every face of the corpus."""
     f = face((1, 2), (3, 2))
     got = set(down_set_faces(f))
     # brute: every subface pattern with indices at most the originals
     assert all(dominance_le(g, f) for g in got)
     assert len(got) == (2 + 1) * (2 + 1)  # (idx options + absent) per color
+    pools = {}
+    for c in enumerated_corpus:
+        key = (c.num_colors, c.vertex_counts())
+        if key not in pools:
+            pools[key] = all_candidate_faces(*key)
+        for f in c.faces:
+            got = list(down_set_faces(f))
+            assert len(got) == len(set(got)), f
+            assert set(got) == {g for g in pools[key] if brute_dominance_le(g, f)}, f
 
 
 def test_down_set_of_empty_face():
@@ -137,6 +152,37 @@ def test_violation_names_a_missing_dominated_face():
 def test_violation_none_for_shifted(shifted_corpus):
     for c in shifted_corpus:
         assert find_shift_violation(c) is None
+
+
+def test_violation_matches_the_face_level_reference(corpus, enumerated_corpus):
+    """find_shift_violation and the error of shift_maximal_faces name the
+    reference's witness on both corpora and on each one-face drop of the
+    enumerated corpus that is still a valid complex, shifted or not."""
+    cases = list(corpus)
+    for c in enumerated_corpus:
+        cases.append(c)
+        drops = (c.faces - {f} for f in c.faces)
+        cases += (
+            ColoredComplex._raw(c.num_colors, d)
+            for d in drops
+            if validate_faces(c.num_colors, d) is None
+        )
+    unshifted = 0
+    for m in cases:
+        want = reference_find_shift_violation(m)
+        assert find_shift_violation(m) == want, m
+        if want is None:
+            shift_maximal_faces(m)
+            continue
+        missing, containing = want
+        with pytest.raises(ValueError) as exc:
+            shift_maximal_faces(m)
+        assert str(exc.value) == (
+            f"complex is not color-shifted: {containing} present but {missing} missing"
+        )
+        unshifted += 1
+    # 6,625 valid drops, 2,687 of them not shifted; corpus adds 5 unshifted
+    assert (len(cases) - len(corpus) - len(enumerated_corpus), unshifted) == (6625, 2692)
 
 
 def test_is_color_shifted_matches_brute_force(corpus):
