@@ -27,6 +27,21 @@ class Vertex(NamedTuple):
         return f"v_{self.index}^{self.color}"
 
 
+def _vertex_tuple(pairs: list) -> tuple[Vertex, ...]:
+    """The Vertex tuple of sorted integer (color, index) pairs.
+
+    Raises ValueError naming the first pair with a component below 1,
+    and only then the first color held twice.
+    """
+    for c, i in pairs:
+        if c < 1 or i < 1:
+            raise ValueError(f"vertex components must be >= 1, got ({c}, {i})")
+    for (c1, _), (c2, _) in zip(pairs, pairs[1:]):
+        if c1 == c2:
+            raise ValueError(f"face holds two vertices of color {c1}")
+    return tuple(Vertex(c, i) for c, i in pairs)
+
+
 class Face:
     """A set of vertices with pairwise distinct colors, sorted by color.
 
@@ -38,13 +53,7 @@ class Face:
 
     def __init__(self, vertices: Iterable[tuple[int, int]] = ()):
         pairs = sorted((int(c), int(i)) for c, i in vertices)
-        for c, i in pairs:
-            if c < 1 or i < 1:
-                raise ValueError(f"vertex components must be >= 1, got ({c}, {i})")
-        for (c1, _), (c2, _) in zip(pairs, pairs[1:]):
-            if c1 == c2:
-                raise ValueError(f"face holds two vertices of color {c1}")
-        object.__setattr__(self, "_vertices", tuple(Vertex(c, i) for c, i in pairs))
+        object.__setattr__(self, "_vertices", _vertex_tuple(pairs))
 
     @classmethod
     def _raw(cls, vertices: tuple[Vertex, ...]) -> "Face":
@@ -247,7 +256,7 @@ class ColoredComplex:
     it explicitly.
     """
 
-    __slots__ = ("_num_colors", "_faces")
+    __slots__ = ("_num_colors", "_faces", "_counted")
 
     def __init__(self, num_colors: int, faces: Iterable[Face] = ()):
         num_colors = int(num_colors)
@@ -259,13 +268,31 @@ class ColoredComplex:
             raise InvalidComplexError(violation)
         object.__setattr__(self, "_num_colors", num_colors)
         object.__setattr__(self, "_faces", face_set)
+        object.__setattr__(self, "_counted", None)
 
     @classmethod
-    def _raw(cls, num_colors: int, faces: frozenset[Face]) -> "ColoredComplex":
-        """Internal fast path: the caller guarantees the invariants."""
+    def _raw(
+        cls,
+        num_colors: int,
+        faces: frozenset[Face],
+        chosen: dict[int, int] | None = None,
+    ) -> "ColoredComplex":
+        """Internal fast path: the caller guarantees the invariants.
+
+        `chosen`, when given, maps every color-set mask with faces to a
+        bitmask holding one bit per face of exactly that color set; the
+        complex keeps it as two flat tuples, the color-set masks and
+        their bitmasks, and flag_f reads the counts from it instead of
+        walking the faces.  Equality, hashing and repr ignore it.
+        """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
         object.__setattr__(obj, "_faces", faces)
+        object.__setattr__(
+            obj,
+            "_counted",
+            None if chosen is None else (tuple(chosen), tuple(chosen.values())),
+        )
         return obj
 
     def __setattr__(self, name, value):

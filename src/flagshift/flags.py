@@ -94,9 +94,18 @@ class FlagVector:
     @classmethod
     def _of_dense(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
         """Internal: skip the f-semantics check (transform outputs and
-        face counts)."""
+        predicted face counts)."""
         obj = object.__new__(cls)
         obj._store(num_colors, counts, kind)
+        return obj
+
+    @classmethod
+    def _of_face_counts(cls, num_colors: int, counts: list[int]) -> "FlagVector":
+        """Internal: the f-vector of an in-memory complex, whose face
+        counts are nonnegative, count the empty face at most once and are
+        far below 2^63, so no check applies."""
+        obj = object.__new__(cls)
+        obj._set(num_colors, counts, "f")
         return obj
 
     def _store(self, num_colors: int, counts: list[int], kind: str) -> None:
@@ -104,6 +113,9 @@ class FlagVector:
         for count in counts:
             if abs(count) > _INT64_MAX:
                 raise OverflowError("flag counts are limited to 64-bit range")
+        self._set(num_colors, counts, kind)
+
+    def _set(self, num_colors: int, counts: list[int], kind: str) -> None:
         object.__setattr__(self, "_n", num_colors)
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_counts", tuple(counts))
@@ -169,17 +181,27 @@ def _check_f_semantics(counts: list[int]) -> None:
 
 
 def flag_f(c: ColoredComplex) -> FlagVector:
-    """Flag f-vector of a complex: faces counted by exact color set."""
-    if c.num_colors > MAX_COLORS:
+    """Flag f-vector of a complex: faces counted by exact color set.
+
+    A complex built by the layered walk carries its counts, one bitmask
+    of faces per color set (see ColoredComplex._raw); any other is
+    counted face by face.
+    """
+    n = c._num_colors
+    if n > MAX_COLORS:
         raise ValueError(f"flag vectors support at most {MAX_COLORS} colors")
-    counts = [0] * (1 << c.num_colors)
-    for face in c.faces:
-        mask = 0
-        for color, _ in face.vertices:
-            mask |= 1 << (color - 1)
-        counts[mask] += 1
-    # face counts are nonnegative, with at most one empty face
-    return FlagVector._of_dense(c.num_colors, counts, "f")
+    counts = [0] * (1 << n)
+    if c._counted is None:
+        for face in c._faces:
+            mask = 0
+            for color, _ in face._vertices:
+                mask |= 1 << (color - 1)
+            counts[mask] += 1
+    else:
+        masks, chosen = c._counted
+        for mask, points in zip(masks, chosen):
+            counts[mask] = points.bit_count()
+    return FlagVector._of_face_counts(n, counts)
 
 
 def _subset_sums(v: FlagVector, sign: int) -> list[int]:
@@ -251,6 +273,6 @@ def two_color_realizable(f: FlagVector) -> bool:
     if f.num_colors != 2:
         raise ValueError("two_color_realizable expects exactly 2 colors")
     d = f.dense()
-    if any(x < 0 for x in d):
+    if min(d) < 0:
         raise ValueError("flag counts must be nonnegative")
     return d[0b00] == 1 and d[0b01] * d[0b10] >= d[0b11]

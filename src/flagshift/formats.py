@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .complexes import ColoredComplex, Face, from_generators
+from .complexes import ColoredComplex, Face, _vertex_tuple, from_generators
 from .construction import ConstructionReport
 from .flags import CoarseFVector, FlagVector
 
@@ -66,8 +66,9 @@ def _parse_face(entry: Any, pos: int) -> Face:
             and type(pair[1]) is int
         ):
             raise DocumentError(f"face #{pos} holds a malformed vertex: {pair!r}")
+    # the pairs are exact integers, so Face's conversion would change nothing
     try:
-        return Face(entry)
+        return Face._raw(_vertex_tuple(sorted(entry)))
     except ValueError as exc:
         raise DocumentError(f"face #{pos}: {exc}") from exc
 

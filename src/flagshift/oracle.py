@@ -254,16 +254,24 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
 def _assemble(
     num_colors: int, fixed: frozenset[Face], layers, chosen: dict[int, int]
 ) -> ColoredComplex:
-    """The complex made of the fixed faces and each layer's chosen points."""
-    faces = set(fixed)
+    """The complex made of the fixed faces and each layer's chosen points.
+
+    The complex carries `chosen` as its flag counts.  Every chosen point
+    of a layer is one face whose color set is exactly the layer's mask,
+    and _start records the empty face as chosen[0] = 1 and the t[i]
+    vertices of color i + 1 as (1 << t[i]) - 1, the faces of `fixed`; so
+    the number of faces with color set S is the popcount of chosen[S],
+    and a color set without an entry has no face.
+    """
+    faces = []
     for geo in layers:
         faces_of = geo.faces
         m = chosen[geo.mask]
         while m:
             low = m & -m
-            faces.add(faces_of[low.bit_length() - 1])
+            faces.append(faces_of[low.bit_length() - 1])
             m ^= low
-    return ColoredComplex._raw(num_colors, frozenset(faces))
+    return ColoredComplex._raw(num_colors, fixed.union(faces), chosen)
 
 
 @lru_cache(maxsize=256)

@@ -34,6 +34,8 @@ from flagshift import (
     verify_uniqueness,
 )
 
+from helpers import brute_flag_f
+
 
 VERDICTS: list[str] = []
 
@@ -185,6 +187,7 @@ def _assert_witness_found(source: ColoredComplex) -> None:
     witness = outcome.witnesses[0]
     assert is_color_shifted(witness)
     assert flag_f(witness) == flag_f(source), source
+    assert brute_flag_f(witness) == brute_flag_f(source), source
 
 
 def test_criterion_8_witness_for_every_flag_vector():

@@ -134,6 +134,19 @@ def test_flag_f_matches_brute_force(corpus):
             assert count == expected.get(colors, 0), (c, colors)
 
 
+def test_carried_counts_match_a_recount(enumerated_corpus):
+    """Complexes built by the layered walk carry their flag counts; they
+    must equal a face-by-face recount, over all 74,963 two-color
+    complexes within 4 x 4 vertices and the 1,230-complex corpus."""
+    from flagshift import enumerate_all_colored_complexes
+
+    every = list(enumerate_all_colored_complexes(2, [4, 4]))
+    assert len(every) == 74_963
+    for c in [*every, *enumerated_corpus]:
+        assert c._counted is not None
+        assert dict(flag_f(c).nonzero_items()) == brute_flag_f(c), c
+
+
 def test_flag_f_total_is_face_count(corpus):
     for c in corpus:
         assert flag_f(c).total() == len(c)
@@ -253,6 +266,14 @@ def test_coarse_validates_entries():
 def test_two_color_realizable_cases(dense, expected):
     fv = FlagVector(2, dense, kind="f")
     assert two_color_realizable(fv) is expected
+
+
+def test_two_color_realizable_rejects_negative_counts():
+    # f_from_h skips the f-kind checks, so its output can hold f_1 = -2
+    fv = f_from_h(FlagVector(2, (1, -3, 0, 0), kind="h"))
+    assert fv.kind == "f" and fv.dense() == (1, -2, 1, -2)
+    with pytest.raises(ValueError, match="^flag counts must be nonnegative$"):
+        two_color_realizable(fv)
 
 
 def test_two_color_realizable_rejects_wrong_shape():

@@ -23,7 +23,7 @@ from flagshift import (
     parse_complex,
     parse_flag_vector,
 )
-from flagshift.complexes import empty_complex, trivial_complex
+from flagshift.complexes import Face, Vertex, empty_complex, trivial_complex
 
 from helpers import reference_emit_complex
 
@@ -118,6 +118,30 @@ def test_emit_complex_face_order_is_canonical(sample_a):
 def test_parse_complex_rejections(text, fragment):
     with pytest.raises(DocumentError, match=fragment):
         parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    "faces,message",
+    [
+        ("[[], [[1, 0]]]", "face #1: vertex components must be >= 1, got (1, 0)"),
+        ("[[], [[1, 1], [1, 2]]]", "face #1: face holds two vertices of color 1"),
+        # both faults: the components are checked first, on the sorted pairs
+        ("[[], [[2, 0], [1, 1], [1, 2]]]", "face #1: vertex components must be >= 1, got (2, 0)"),
+        ("[[[1, 2], [1, 0]]]", "face #0: vertex components must be >= 1, got (1, 0)"),
+    ],
+)
+def test_parse_complex_vertex_errors(faces, message):
+    with pytest.raises(DocumentError) as info:
+        parse_complex(f'{{"num_colors": 2, "faces": {faces}}}')
+    assert str(info.value) == message
+
+
+def test_parsed_faces_are_canonical():
+    c = parse_complex('{"num_colors": 2, "faces": [[], [[1, 1]], [[2, 1]], [[2, 1], [1, 1]]]}')
+    assert c == ColoredComplex(2, [Face(), Face([(1, 1)]), Face([(2, 1)]), Face([(1, 1), (2, 1)])])
+    top = max(c.faces, key=len)
+    assert top.vertices == ((1, 1), (2, 1))
+    assert all(type(v) is Vertex for v in top.vertices)
 
 
 def test_parse_complex_invalid_complex_raised():

@@ -17,6 +17,7 @@ from flagshift import (
     SearchBudget,
     cone_extension,
     count_two_color_shifted_by_edges,
+    emit_complex,
     enumerate_all_colored_complexes,
     enumerate_color_shifted_complexes,
     enumerate_color_shifted_with_flag,
@@ -32,6 +33,7 @@ from flagshift import oracle
 from helpers import (
     brute_all_color_shifted,
     brute_allowed_mask,
+    brute_flag_f,
     brute_partitions,
     staircase,
 )
@@ -95,6 +97,7 @@ def test_search_counts_witnesses_without_cap():
     assert len(outcome.witnesses) == 1
     w = outcome.witnesses[0]
     assert flag_f(w) == fv and is_color_shifted(w)
+    assert brute_flag_f(w) == dict(fv.nonzero_items())
 
 
 def test_search_short_circuits_impossible_projections():
@@ -424,6 +427,7 @@ def test_forced_layer_budget_boundary():
     enough = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=2))
     assert enough.exhausted and enough.nodes_visited == 2
     assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
+    assert brute_flag_f(enough.witnesses[0]) == dict(fv.nonzero_items())
 
 
 def test_chain_layer_budget_boundary():
@@ -436,6 +440,7 @@ def test_chain_layer_budget_boundary():
     enough = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=2))
     assert enough.exhausted and enough.nodes_visited == 2
     assert len(enough.witnesses) == 1 and flag_f(enough.witnesses[0]) == fv
+    assert brute_flag_f(enough.witnesses[0]) == dict(fv.nonzero_items())
 
 
 SWEEP_TARGETS = [
@@ -544,6 +549,7 @@ def test_find_matches_flag_of_any_source(corpus):
         assert outcome.witnesses, c
         for w in outcome.witnesses:
             assert flag_f(w) == flag_f(c)
+            assert brute_flag_f(w) == brute_flag_f(c)
             assert is_color_shifted(w)
 
 
@@ -566,8 +572,35 @@ def test_search_agrees_with_plain_enumeration():
             fv, SearchBudget(max_witnesses=len(group) + 5)
         )
         assert outcome.exhausted
+        for w in outcome.witnesses:
+            assert brute_flag_f(w) == dict(fv.nonzero_items())
+            _assert_same_as_validated(w)
         got = {w.faces for w in outcome.witnesses if w.num_colors == 2}
         assert got == group, dense
+
+
+def _assert_same_as_validated(w: ColoredComplex) -> None:
+    """A walk-built complex equals the validated complex of its faces,
+    with the same hash, document bytes and flag vector."""
+    rebuilt = ColoredComplex(w.num_colors, w.faces)
+    assert w == rebuilt and hash(w) == hash(rebuilt)
+    assert emit_complex(w) == emit_complex(rebuilt)
+    assert flag_f(w) == flag_f(rebuilt)
+
+
+def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
+    """Enumerated complexes and settled-search witnesses match their
+    validated rebuilds; every corpus extension, built by cone_extension
+    with no carried counts, has the face count its report predicts."""
+    for delta in enumerated_corpus:
+        extended, report = cone_extension(delta)
+        assert extended._counted is None
+        assert flag_f(extended) == report.predicted_flag
+        assert brute_flag_f(extended) == dict(report.predicted_flag.nonzero_items())
+        outcome = enumerate_color_shifted_with_flag(report.predicted_flag)
+        assert outcome.witnesses == [extended]
+        _assert_same_as_validated(delta)
+        _assert_same_as_validated(outcome.witnesses[0])
 
 
 # ===================================================================
