@@ -87,44 +87,17 @@ class Face:
         colors, indices = zip(*vertices)
         return (len(vertices), colors, indices)
 
-    def index_of(self, color: int) -> int:
-        """Index of this face's vertex of the given color; KeyError if absent."""
-        for v in self._vertices:
-            if v.color == color:
-                return v.index
-        raise KeyError(color)
-
     def get(self, color: int) -> int | None:
         for v in self._vertices:
             if v.color == color:
                 return v.index
         return None
 
-    def with_vertex(self, vertex: tuple[int, int]) -> "Face":
-        """This face plus one vertex of a color it does not use yet."""
-        return Face((*self._vertices, vertex))
-
-    def with_index(self, color: int, index: int) -> "Face":
-        """This face with the vertex of `color` moved to `index`."""
-        return Face(
-            (c, index if c == color else i) for c, i in self._vertices
-        )
-
-    def without_color(self, color: int) -> "Face":
-        return Face(v for v in self._vertices if v.color != color)
-
-    def restrict_colors(self, colors: Iterable[int]) -> "Face":
-        keep = set(colors)
-        return Face(v for v in self._vertices if v.color in keep)
-
-    def relabel_colors(self, mapping: dict[int, int]) -> "Face":
-        return Face((mapping[c], i) for c, i in self._vertices)
-
     def subfaces(self) -> Iterator["Face"]:
         """All subsets of this face, itself and the empty face included."""
         for size in range(len(self._vertices) + 1):
             for combo in combinations(self._vertices, size):
-                yield Face(combo)
+                yield Face._raw(combo)
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -281,18 +254,13 @@ class ColoredComplex:
 
         `chosen`, when given, maps every color-set mask with faces to a
         bitmask holding one bit per face of exactly that color set; the
-        complex keeps it as two flat tuples, the color-set masks and
-        their bitmasks, and flag_f reads the counts from it instead of
-        walking the faces.  Equality, hashing and repr ignore it.
+        complex keeps a copy, and flag_f reads the counts from it instead
+        of walking the faces.  Equality, hashing and repr ignore it.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
         object.__setattr__(obj, "_faces", faces)
-        object.__setattr__(
-            obj,
-            "_counted",
-            None if chosen is None else (tuple(chosen), tuple(chosen.values())),
-        )
+        object.__setattr__(obj, "_counted", None if chosen is None else dict(chosen))
         return obj
 
     def __setattr__(self, name, value):
@@ -379,8 +347,9 @@ def select_colors(c: ColoredComplex, colors: Iterable[int]) -> ColoredComplex:
         raise ValueError(f"selected colors must lie in 1..{c.num_colors}")
     keep = set(selected)
     mapping = {old: new for new, old in enumerate(selected, start=1)}
+    # the renumbering preserves order, so each vertex tuple stays sorted
     faces = frozenset(
-        face.relabel_colors(mapping)
+        Face._raw(tuple(Vertex(mapping[c], i) for c, i in face._vertices))
         for face in c.faces
         if keep.issuperset(face.colors)
     )
@@ -394,7 +363,7 @@ def cone(c: ColoredComplex, apex: tuple[int, int]) -> ColoredComplex:
     c, so the result stays saturated.  The result has twice as many
     faces as c.
     """
-    apex = Vertex(*apex)
+    apex = Vertex(*map(int, apex))
     if apex.index != 1:
         raise ValueError(f"apex must be the first vertex of its color, got index {apex.index}")
     if apex.color < 1:
@@ -402,17 +371,23 @@ def cone(c: ColoredComplex, apex: tuple[int, int]) -> ColoredComplex:
     for face in c.faces:
         if apex.color in face.colors:
             raise ValueError(f"apex color {apex.color} already used by face {face}")
-    lifted = frozenset(face.with_vertex(apex) for face in c.faces)
+    # no face uses the apex color, so sorting places the apex among
+    # distinct colors
+    lifted = frozenset(
+        Face._raw(tuple(sorted(face._vertices + (apex,)))) for face in c.faces
+    )
     return ColoredComplex._raw(
         max(c.num_colors, apex.color), c.faces | lifted
     )
 
 
 def union(a: ColoredComplex, b: ColoredComplex) -> ColoredComplex:
-    """Union of two complexes; vertices are identified by their labels."""
-    num_colors = max(a.num_colors, b.num_colors)
-    faces = a.faces | b.faces
-    violation = validate_faces(num_colors, faces)
-    if violation is not None:
-        raise InvalidComplexError(violation)
-    return ColoredComplex._raw(num_colors, faces)
+    """Union of two complexes; vertices are identified by their labels.
+
+    The union of two valid complexes is valid, so it is not re-checked:
+    a subset of a face of either is in that one; the empty face is in
+    any non-empty one; a color's singleton indices run from 1 to the
+    larger of its two counts without a gap; and every color lies within
+    max(num_colors).
+    """
+    return ColoredComplex._raw(max(a.num_colors, b.num_colors), a.faces | b.faces)

@@ -115,8 +115,9 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         apexes=tuple(apexes),
         predicted_singletons=tuple(range(n + 1, n + k + 1)),
         predicted_edges=tuple(predicted_edges),
-        # delta's counts and products of indices: nonnegative, f_0 = 1
-        predicted_flag=FlagVector._of_dense(n + k, counts, "f"),
+        # delta's counts and the box sizes, each a number of faces held in
+        # memory: nonnegative, f_0 = 1 and far below 2^63
+        predicted_flag=FlagVector._raw(n + k, counts, "f"),
     )
     return extended, report
 

@@ -11,13 +11,15 @@ aggregates by cardinality: f_{i-1} = sum over |S| = i of f_S.
 
 Vectors are stored densely over all 2^n color sets, encoded as bitmasks
 (bit i-1 stands for color i), with n capped so the tables stay at desk
-scale.  Counts are validated to stay within signed 64-bit range.
+scale.  Counts stay within signed 64-bit range, which
+FlagVector.__init__ and the two transforms check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .complexes import ColoredComplex
@@ -53,8 +55,10 @@ def colors_of_mask(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def subset_masks(num_colors: int) -> tuple[int, ...]:
     """All color-set bitmasks in canonical order: size, then lexicographic."""
-    masks = range(1 << num_colors)
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), colors_of_mask(m))))
+    bits = [1 << i for i in range(num_colors)]
+    return tuple(
+        sum(combo) for size in range(num_colors + 1) for combo in combinations(bits, size)
+    )
 
 
 class FlagVector:
@@ -87,38 +91,23 @@ class FlagVector:
                 raise ValueError(
                     f"dense entries must have length {size}, got {len(counts)}"
                 )
-        self._store(num_colors, counts, kind)
+        _check_range(counts)
         if kind == "f":
             _check_f_semantics(counts)
-
-    @classmethod
-    def _of_dense(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
-        """Internal: skip the f-semantics check (transform outputs and
-        predicted face counts)."""
-        obj = object.__new__(cls)
-        obj._store(num_colors, counts, kind)
-        return obj
-
-    @classmethod
-    def _of_face_counts(cls, num_colors: int, counts: list[int]) -> "FlagVector":
-        """Internal: the f-vector of an in-memory complex, whose face
-        counts are nonnegative, count the empty face at most once and are
-        far below 2^63, so no check applies."""
-        obj = object.__new__(cls)
-        obj._set(num_colors, counts, "f")
-        return obj
-
-    def _store(self, num_colors: int, counts: list[int], kind: str) -> None:
-        """Check the 64-bit range, which __init__ runs before the f check."""
-        for count in counts:
-            if abs(count) > _INT64_MAX:
-                raise OverflowError("flag counts are limited to 64-bit range")
-        self._set(num_colors, counts, kind)
-
-    def _set(self, num_colors: int, counts: list[int], kind: str) -> None:
         object.__setattr__(self, "_n", num_colors)
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_counts", tuple(counts))
+
+    @classmethod
+    def _raw(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
+        """Internal fast path: the caller guarantees 2^num_colors counts
+        within 64-bit range.  No f check runs, so f_from_h may return an
+        f-vector with negative counts, as two_color_realizable expects."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_n", num_colors)
+        object.__setattr__(obj, "_kind", kind)
+        object.__setattr__(obj, "_counts", tuple(counts))
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("FlagVector is immutable")
@@ -172,6 +161,12 @@ class FlagVector:
         return f"FlagVector(n={self._n}, kind={self._kind!r}, {shown})"
 
 
+def _check_range(counts: list[int]) -> None:
+    for count in counts:
+        if abs(count) > _INT64_MAX:
+            raise OverflowError("flag counts are limited to 64-bit range")
+
+
 def _check_f_semantics(counts: list[int]) -> None:
     for count in counts:
         if count < 0:
@@ -198,10 +193,11 @@ def flag_f(c: ColoredComplex) -> FlagVector:
                 mask |= 1 << (color - 1)
             counts[mask] += 1
     else:
-        masks, chosen = c._counted
-        for mask, points in zip(masks, chosen):
+        for mask, points in c._counted.items():
             counts[mask] = points.bit_count()
-    return FlagVector._of_face_counts(n, counts)
+    # face counts of a complex in memory: nonnegative, f_emptyset <= 1,
+    # and far below 2^63
+    return FlagVector._raw(n, counts, "f")
 
 
 def _subset_sums(v: FlagVector, sign: int) -> list[int]:
@@ -221,14 +217,18 @@ def h_from_f(f: FlagVector) -> FlagVector:
     """Flag h-vector: h_S = sum_{T subset S} (-1)^(|S|-|T|) f_T."""
     if f.kind != "f":
         raise ValueError("h_from_f expects an f-vector")
-    return FlagVector._of_dense(f.num_colors, _subset_sums(f, -1), "h")
+    counts = _subset_sums(f, -1)
+    _check_range(counts)
+    return FlagVector._raw(f.num_colors, counts, "h")
 
 
 def f_from_h(h: FlagVector) -> FlagVector:
     """Inverse transform: f_S = sum_{T subset S} h_T."""
     if h.kind != "h":
         raise ValueError("f_from_h expects an h-vector")
-    return FlagVector._of_dense(h.num_colors, _subset_sums(h, 1), "f")
+    counts = _subset_sums(h, 1)
+    _check_range(counts)
+    return FlagVector._raw(h.num_colors, counts, "f")
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
-from .complexes import EMPTY_FACE, ColoredComplex, Face
+from .complexes import EMPTY_FACE, ColoredComplex, Face, Vertex
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, colors_of_mask, flag_f, subset_masks
 
@@ -192,8 +192,10 @@ def _layer_geometry(colors: tuple[int, ...], radices: tuple[int, ...]) -> _Geome
     npoints = 1
     for r in radices:
         npoints *= r
+    # colors ascend and indices start at 1: each tuple is a Face's own
     faces = tuple(
-        Face(zip(colors, v)) for v in product(*(range(1, r + 1) for r in radices))
+        Face._raw(tuple(map(Vertex, colors, v)))
+        for v in product(*(range(1, r + 1) for r in radices))
     )
     drops = []
     for c, r, s in zip(colors, radices, _strides(radices)):
@@ -280,7 +282,7 @@ def _vertex_faces(t: tuple[int, ...]) -> frozenset[Face]:
     building faces costs more than a search with forced layers."""
     faces = {EMPTY_FACE}
     for c, count in enumerate(t, start=1):
-        faces.update(Face(((c, i),)) for i in range(1, count + 1))
+        faces.update(Face._raw((Vertex(c, i),)) for i in range(1, count + 1))
     return frozenset(faces)
 
 

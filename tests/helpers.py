@@ -32,6 +32,16 @@ def face(*pairs: tuple[int, int]) -> Face:
     return Face(pairs)
 
 
+def without_color(f: Face, color: int) -> Face:
+    """The face with its vertex of `color` dropped, if it has one."""
+    return Face(v for v in f.vertices if v.color != color)
+
+
+def with_index(f: Face, color: int, index: int) -> Face:
+    """The face with its vertex of `color` moved to `index`."""
+    return Face((c, index if c == color else i) for c, i in f.vertices)
+
+
 def edge2(a: int, b: int) -> Face:
     """Two-color shorthand: edge (a, b) = {v_a^1, v_b^2}."""
     return Face([(1, a), (2, b)])
@@ -255,7 +265,7 @@ def reference_validate_faces(num_colors: int, faces) -> Violation | None:
         return Violation("empty-face", "non-empty complex must contain the empty face")
     for f in ordered:
         for c in f.colors:
-            sub = f.without_color(c)
+            sub = without_color(f, c)
             if sub not in face_set:
                 return Violation(
                     "closure",
@@ -289,9 +299,9 @@ def reference_find_shift_violation(c: ColoredComplex) -> tuple[Face, Face] | Non
     for f in c.sorted_faces():
         predecessors = []
         for color, index in f.vertices:
-            predecessors.append(f.without_color(color))
+            predecessors.append(without_color(f, color))
             if index > 1:
-                predecessors.append(f.with_index(color, index - 1))
+                predecessors.append(with_index(f, color, index - 1))
         if any(g not in faces for g in predecessors):
             missing = min(
                 (g for g in brute_down_set(f) if g not in faces), key=lambda g: g.sort_key

@@ -62,13 +62,7 @@ def test_face_sort_key_orders_by_size_colors_indices():
 
 def test_face_helpers():
     f = face((1, 2), (3, 1))
-    assert f.index_of(3) == 1
     assert f.get(2) is None
-    assert f.without_color(1) == face((3, 1))
-    assert f.with_vertex((2, 5)) == face((1, 2), (2, 5), (3, 1))
-    assert f.with_index(1, 1) == face((1, 1), (3, 1))
-    assert f.restrict_colors([1, 2]) == face((1, 2))
-    assert f.relabel_colors({1: 2, 3: 5}) == face((2, 2), (5, 1))
     assert len(list(f.subfaces())) == 4
 
 

@@ -14,8 +14,12 @@ from flagshift import (
     MAX_COLORS,
     TooManyColorsError,
     Vertex,
+    cone,
     cone_extension,
     down_set_faces,
+    enumerate_all_colored_complexes,
+    enumerate_color_shifted_complexes,
+    find_color_shifted_with_flag,
     flag_f,
     is_color_shifted,
     select_colors,
@@ -24,9 +28,11 @@ from flagshift import (
     trivial_complex,
     union,
     verify_cone_extension,
+    verify_uniqueness,
 )
+from flagshift import oracle
 
-from helpers import edge2, face, reference_cone_extension, staircase
+from helpers import edge2, face, reference_cone_extension, staircase, without_color
 
 
 # ===================================================================
@@ -70,7 +76,7 @@ def test_extension_of_sample_a_face_detail(sample_a):
     # the apex cones the whole principal down-set, nothing else
     for f in extended.faces:
         if apex in f.vertices:
-            assert f.without_color(3) in sample_a.faces
+            assert without_color(f, 3) in sample_a.faces
 
 
 # ===================================================================
@@ -164,26 +170,77 @@ def test_extension_matches_the_face_by_face_reference(enumerated_corpus):
         assert repr(got[1]) == repr(want[1])
 
 
-def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
-    """Every face that cone_extension, down_set_faces and shift_closure
-    build without validation holds Vertex values and equals the validated
-    Face of its vertices, on every small complex and staircase."""
+STAIRCASES = [staircase(k) for k in range(2, 15)]
+# color 2 unused, so an apex of color 2 lies between a face's colors
+GAPPED = shift_closure(3, [face((1, 2), (3, 1))])
 
-    def check(faces):
+
+def _built_internally(small):
+    """Face families the package builds without a validating constructor,
+    over the given small complexes and the staircases k = 2..14: the
+    extension, uniqueness and flag searches, both enumerations, cone,
+    select_colors, union, down_set_faces, shift_closure, subfaces, and
+    the search's layer-grid and vertex faces.  Each item is an iterable
+    of faces.  The staircases' own flag vectors take millions of nodes
+    to reach a second witness, so the flag search runs on `small` only."""
+    for c in small:
+        for w in find_color_shifted_with_flag(c).witnesses:
+            yield w.faces
+    for c in [*small, *STAIRCASES]:
+        n = c.num_colors
+        extended, _ = cone_extension(c)
+        yield extended.faces
+        for w in verify_uniqueness(c).outcome.witnesses:
+            yield w.faces
+        yield cone(c, (n + 1, 1)).faces
+        yield select_colors(extended, range(1, n + 1)).faces
+        yield select_colors(extended, range(2, extended.num_colors + 1)).faces
+        yield union(c, extended).faces
+        maximal = shift_maximal_faces(extended)
+        for m in maximal:
+            yield down_set_faces(m)
+            yield m.subfaces()
+        closure = shift_closure(extended.num_colors, maximal)
+        assert closure == extended
+        yield closure.faces
+    yield cone(GAPPED, (2, 1)).faces
+    for c in enumerate_color_shifted_complexes(2, [3, 3]):
+        yield c.faces
+    for c in enumerate_all_colored_complexes(2, [2, 2]):
+        yield c.faces
+    for t in [(2, 3), (2, 2, 2), (1, 3, 2)]:
+        yield oracle._vertex_faces(t)
+        for geo in oracle._layers_within(len(t), t):
+            yield geo.faces
+
+
+def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
+    """Every face the package builds without validation holds Vertex
+    values and equals the validated Face of its vertices, on every small
+    complex and staircase."""
+    given = [*enumerated_corpus, *STAIRCASES]
+    for faces in [*(c.faces for c in given), *_built_internally(enumerated_corpus)]:
         for f in faces:
             assert all(type(v) is Vertex for v in f.vertices), f.vertices
             assert f == Face(f.vertices), f.vertices
 
-    for c in [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]:
-        check(c.faces)
-        extended, _ = cone_extension(c)
-        check(extended.faces)
-        maximal = shift_maximal_faces(extended)
-        for m in maximal:
-            check(down_set_faces(m))
-        closure = shift_closure(extended.num_colors, maximal)
-        check(closure.faces)
-        assert closure == extended
+
+def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_corpus):
+    """With Face.__init__ and FlagVector.__init__ made to raise, every
+    internal producer still runs: the package validates only what comes
+    from outside.  The search caches are cleared first, so grid and
+    vertex faces are built under the patch."""
+
+    def no_init(*_args, **_kwargs):
+        raise AssertionError("an internal path called a validating constructor")
+
+    oracle._layer_geometry.cache_clear()
+    oracle._vertex_faces.cache_clear()
+    monkeypatch.setattr(Face, "__init__", no_init)
+    monkeypatch.setattr(FlagVector, "__init__", no_init)
+    built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
+    monkeypatch.undo()
+    assert built > 0
 
 
 def test_extension_builds_only_its_apex_faces(monkeypatch):

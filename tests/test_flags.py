@@ -51,6 +51,14 @@ def test_subset_masks_canonical_order():
     assert sizes == sorted(sizes)
 
 
+def test_subset_masks_equal_the_sorted_order():
+    """The masks by size, each size lexicographic in its colors, are all
+    2^n masks sorted by (popcount, colors)."""
+    for n in range(17):
+        want = sorted(range(1 << n), key=lambda m: (m.bit_count(), colors_of_mask(m)))
+        assert subset_masks(n) == tuple(want), n
+
+
 # ===================================================================
 # FlagVector basics
 # ===================================================================
@@ -188,6 +196,18 @@ def test_transforms_match_brute_force(corpus):
         hv = h_from_f(fv)
         assert dict(hv.items()) == brute_h_from_f(fv)
         assert dict(f_from_h(hv).items()) == brute_f_from_h(hv)
+
+
+def test_transforms_reject_overflow():
+    """A transformed count outside signed 64-bit range raises, as the
+    constructor does, though each input count is in range."""
+    big = 2**63 - 1
+    fv = FlagVector(2, (1, big, big, 0), kind="f")
+    with pytest.raises(OverflowError, match="64-bit range"):
+        h_from_f(fv)  # h_12 = 1 - 2 * big
+    hv = FlagVector(2, (1, big, big, 0), kind="h")
+    with pytest.raises(OverflowError, match="64-bit range"):
+        f_from_h(hv)  # f_12 = 1 + 2 * big
 
 
 def test_transform_kind_checks():

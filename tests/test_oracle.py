@@ -36,6 +36,7 @@ from helpers import (
     brute_flag_f,
     brute_partitions,
     staircase,
+    without_color,
 )
 
 
@@ -408,7 +409,7 @@ def test_projection_matches_faces():
             sub = oracle._layer_geometry(colors[:j] + colors[j + 1:], radices[:j] + radices[j + 1:])
             assert sub.mask == sub_mask
             rank = {face: r for r, face in enumerate(sub.faces)}
-            image = [1 << rank[face.without_color(colors[j])] for face in geo.faces]
+            image = [1 << rank[without_color(face, colors[j])] for face in geo.faces]
             for points in range(1 << len(geo.faces)):
                 want = 0
                 for r, bit in enumerate(image):
@@ -759,8 +760,8 @@ def test_diagram_count_witnesses_by_edges():
             # the diagram count pins the vertex chains to the edge shape:
             # every vertex must lie under some edge
             t1, t2 = c.vertex_counts()
-            rows = max((f.index_of(1) or 0 for f in c.faces if len(f) == 2), default=0)
-            cols = max((f.index_of(2) or 0 for f in c.faces if len(f) == 2), default=0)
+            rows = max((f.get(1) or 0 for f in c.faces if len(f) == 2), default=0)
+            cols = max((f.get(2) or 0 for f in c.faces if len(f) == 2), default=0)
             if (t1, t2) == (rows, cols) or (e == 0 and (t1, t2) == (0, 0)):
                 seen += 1
         assert seen == want, e
