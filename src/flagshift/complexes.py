@@ -229,7 +229,7 @@ class ColoredComplex:
     it explicitly.
     """
 
-    __slots__ = ("_num_colors", "_faces", "_counted")
+    __slots__ = ("_num_colors", "_faces", "_record")
 
     def __init__(self, num_colors: int, faces: Iterable[Face] = ()):
         num_colors = int(num_colors)
@@ -241,26 +241,29 @@ class ColoredComplex:
             raise InvalidComplexError(violation)
         object.__setattr__(self, "_num_colors", num_colors)
         object.__setattr__(self, "_faces", face_set)
-        object.__setattr__(self, "_counted", None)
+        object.__setattr__(self, "_record", None)
 
     @classmethod
     def _raw(
         cls,
         num_colors: int,
-        faces: frozenset[Face],
-        chosen: dict[int, int] | None = None,
+        faces: frozenset[Face] | None,
+        record: tuple | None = None,
     ) -> "ColoredComplex":
         """Internal fast path: the caller guarantees the invariants.
 
-        `chosen`, when given, maps every color-set mask with faces to a
-        bitmask holding one bit per face of exactly that color set; the
-        complex keeps a copy, and flag_f reads the counts from it instead
-        of walking the faces.  Equality, hashing and repr ignore it.
+        The layered walk passes faces=None and a record (chosen, fixed,
+        layers) that nobody changes after: per color-set mask with faces
+        a bitmask with one bit per face of exactly that color set, fixed
+        faces, and layers, each with a `mask` and its `faces` in rank
+        order.  The faces are `fixed` plus each layer's faces at the bits
+        of chosen[mask]; `faces` builds them on first use, and flag_f
+        and len read the counts from `chosen` instead.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
         object.__setattr__(obj, "_faces", faces)
-        object.__setattr__(obj, "_counted", None if chosen is None else dict(chosen))
+        object.__setattr__(obj, "_record", record)
         return obj
 
     def __setattr__(self, name, value):
@@ -272,41 +275,59 @@ class ColoredComplex:
 
     @property
     def faces(self) -> frozenset[Face]:
-        return self._faces
+        faces = self._faces
+        if faces is None:
+            # two threads racing here build equal sets
+            chosen, fixed, layers = self._record
+            built = []
+            for layer in layers:
+                faces_of = layer.faces
+                m = chosen[layer.mask]
+                while m:
+                    low = m & -m
+                    built.append(faces_of[low.bit_length() - 1])
+                    m ^= low
+            faces = fixed.union(built)
+            object.__setattr__(self, "_faces", faces)
+        return faces
 
     def sorted_faces(self) -> list[Face]:
         """Faces in canonical order: cardinality, then colors, then indices."""
-        return sorted(self._faces, key=lambda f: f.sort_key)
+        return sorted(self.faces, key=lambda f: f.sort_key)
 
     def vertex_counts(self) -> tuple[int, ...]:
         """Number of vertices of each color 1..num_colors."""
         counts = [0] * self._num_colors
-        for face in self._faces:
+        for face in self.faces:
             if len(face) == 1:
                 counts[face.vertices[0].color - 1] += 1
         return tuple(counts)
 
     def validate(self) -> Violation | None:
-        return validate_faces(self._num_colors, self._faces)
+        return validate_faces(self._num_colors, self.faces)
 
     def __len__(self) -> int:
+        if self._faces is None:
+            # one bit per face: oracle._start puts the empty face and the
+            # vertices in `chosen`, and the walk each layer's faces
+            return sum(m.bit_count() for m in self._record[0].values())
         return len(self._faces)
 
     def __contains__(self, face: Face) -> bool:
-        return face in self._faces
+        return face in self.faces
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredComplex)
             and self._num_colors == other._num_colors
-            and self._faces == other._faces
+            and self.faces == other.faces
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_colors, self._faces))
+        return hash((self._num_colors, self.faces))
 
     def __repr__(self) -> str:
-        return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self._faces)}>)"
+        return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self)}>)"
 
 
 def trivial_complex(num_colors: int) -> ColoredComplex:

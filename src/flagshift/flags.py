@@ -179,21 +179,21 @@ def flag_f(c: ColoredComplex) -> FlagVector:
     """Flag f-vector of a complex: faces counted by exact color set.
 
     A complex built by the layered walk carries its counts, one bitmask
-    of faces per color set (see ColoredComplex._raw); any other is
-    counted face by face.
+    of faces per color set (see ColoredComplex._raw), and is counted
+    without building its faces; any other is counted face by face.
     """
     n = c._num_colors
     if n > MAX_COLORS:
         raise ValueError(f"flag vectors support at most {MAX_COLORS} colors")
     counts = [0] * (1 << n)
-    if c._counted is None:
-        for face in c._faces:
+    if c._record is None:
+        for face in c.faces:
             mask = 0
             for color, _ in face._vertices:
                 mask |= 1 << (color - 1)
             counts[mask] += 1
     else:
-        for mask, points in c._counted.items():
+        for mask, points in c._record[0].items():
             counts[mask] = points.bit_count()
     # face counts of a complex in memory: nonnegative, f_emptyset <= 1,
     # and far below 2^63

@@ -55,8 +55,13 @@ grow R, so any order that applies each until none changes anything
 reaches the same fixpoint.  _propagate runs rounds of two sweeps: up in
 canonical order, computing each U from the U below it, then down in
 reverse, where each layer's R is complete before it is checked and
-projected.  After a down sweep that shrinks no U, every U still matches
-the U below it and every R was read whole, so no step changes anything.
+projected.  After the first up sweep, a layer's U is recomputed only
+when the U of one of its one-color drops changed since it was last
+computed: from an unchanged U below it would get its own U back, and R
+already holds it if it meets its target.  So a down-sweep cut that
+leaves U below its target is refuted at once.  After a down sweep that
+shrinks no U, every U still matches the U below it and every R was read
+whole, so no step changes anything.
 
 The walk then intersects each layer's allowed set with U(L); both are
 down-sets, so the single-candidate rule above still holds, and a layer
@@ -66,14 +71,15 @@ never holds more than its target, so it has a single candidate or none.
 When the fixpoint leaves every layer settled (|U(L)| equals L's
 target, as for every cone extension), the walk has one path.  Assign
 the layers in order, each sub-layer's chosen mask being its U: the
-layer's allowed set contains U(L), since the last up sweep cut U(L) to
-the allowed set over the U below and the down sweep after it shrank
-nothing, so allowed & U(L) is U(L), of the target's size.  Each layer
-is then a single candidate, costing one node to open and one to assign,
-and the only complete assignment is every U.  The search returns that
-outcome directly: one witness made of the U, 2 nodes per layer, and a
-budget stop at max_nodes + 1 when that is fewer than 2 per layer, the
-count at which the walk, adding one node at a time, would stop.
+layer's allowed set contains U(L), since U(L) was last cut to the
+allowed set over the U below, no U below changed after, and the final
+down sweep shrank nothing, so allowed & U(L) is U(L), of the target's
+size.  Each layer is then a single candidate, costing one node to open
+and one to assign, and the only complete assignment is every U.  The
+search returns that outcome directly: one witness made of the U, 2
+nodes per layer, and a budget stop at max_nodes + 1 when that is fewer
+than 2 per layer, the count at which the walk, adding one node at a
+time, would stop.
 
 One walk (_walk) assigns the layers depth first for the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
@@ -256,24 +262,18 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
 def _assemble(
     num_colors: int, fixed: frozenset[Face], layers, chosen: dict[int, int]
 ) -> ColoredComplex:
-    """The complex made of the fixed faces and each layer's chosen points.
+    """The complex made of the fixed faces and each layer's chosen points,
+    kept as the walk's record (ColoredComplex._raw), which builds the
+    faces on first use and holds the flag counts.
 
-    The complex carries `chosen` as its flag counts.  Every chosen point
-    of a layer is one face whose color set is exactly the layer's mask,
-    and _start records the empty face as chosen[0] = 1 and the t[i]
-    vertices of color i + 1 as (1 << t[i]) - 1, the faces of `fixed`; so
-    the number of faces with color set S is the popcount of chosen[S],
-    and a color set without an entry has no face.
+    Every chosen point of a layer is one face whose color set is exactly
+    the layer's mask, and _start records the empty face as chosen[0] = 1
+    and the t[i] vertices of color i + 1 as (1 << t[i]) - 1, the faces of
+    `fixed`; so the number of faces with color set S is the popcount of
+    chosen[S], and a color set without an entry has no face.  The record
+    holds the geometries, so evicting one from its cache leaves it whole.
     """
-    faces = []
-    for geo in layers:
-        faces_of = geo.faces
-        m = chosen[geo.mask]
-        while m:
-            low = m & -m
-            faces.append(faces_of[low.bit_length() - 1])
-            m ^= low
-    return ColoredComplex._raw(num_colors, fixed.union(faces), chosen)
+    return ColoredComplex._raw(num_colors, None, (dict(chosen), fixed, layers))
 
 
 @lru_cache(maxsize=256)
@@ -348,6 +348,29 @@ def _project(points: int, fibers: tuple[int, ...] | None) -> int:
     return sub
 
 
+def _target_layers(f, t) -> list[_Geometry] | None:
+    """Geometries of the color sets of size >= 2 with faces in the dense
+    target f, in canonical order, or None when a color set with faces has
+    a one-color drop without or more faces than its grid; both are
+    checked before the grid is built."""
+    layers = []
+    for mask in subset_masks(len(t)):
+        if mask.bit_count() < 2 or f[mask] == 0:
+            continue
+        grid = 1
+        m = mask
+        while m:
+            low = m & -m
+            if f[mask ^ low] == 0:
+                return None
+            grid *= t[low.bit_length() - 1]
+            m ^= low
+        if f[mask] > grid:
+            return None
+        layers.append(_geometry(mask, t))
+    return layers
+
+
 def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
     """Upper bound U per color-set mask at the bound-propagation fixpoint
     (module docstring), or None when the target is refuted.
@@ -357,18 +380,29 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
     """
     upper = dict(chosen)
     required = {geo.mask: 0 for geo in layers}
+    # masks whose U changed since the last down sweep began; the fixed
+    # layers count as changed from unbounded, so every layer is computed
+    shrunk = set(chosen)
     while True:
         for geo in layers:  # up: sub-layers first
+            for sub_mask, _, _ in geo.drops:
+                if sub_mask in shrunk:
+                    break
+            else:
+                continue  # its U was computed from the same U below
             want = f[geo.mask]
-            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)  # -1: unbounded
+            old = upper.get(geo.mask, -1)  # -1: unbounded
+            bound = _allowed_mask(geo, upper) & old
             if geo.chain:
                 bound &= (1 << want) - 1
             if bound.bit_count() < want:
                 return None
-            upper[geo.mask] = bound
+            if bound != old:
+                upper[geo.mask] = bound
+                shrunk.add(geo.mask)
             if bound.bit_count() == want:
                 required[geo.mask] |= bound
-        shrunk = False
+        shrunk.clear()
         for geo in reversed(layers):  # down: super-layers first
             want = f[geo.mask]
             need = required[geo.mask]
@@ -376,8 +410,12 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
                 return None
             if need.bit_count() == want:
                 bound = upper[geo.mask]
-                upper[geo.mask] = bound & need
-                shrunk |= upper[geo.mask] != bound
+                if bound & ~need:
+                    bound &= need
+                    if bound.bit_count() < want:
+                        return None
+                    upper[geo.mask] = bound
+                    shrunk.add(geo.mask)
             for sub_mask, _, fibers in geo.drops:
                 if sub_mask in required:
                     required[sub_mask] |= _project(need, fibers)
@@ -402,24 +440,9 @@ def enumerate_color_shifted_with_flag(
         raise ValueError("search target must count the empty face exactly once")
     n = target.num_colors
     t = [f[1 << i] for i in range(n)]
-
-    # A color set with faces needs faces on every one-color drop, and no
-    # layer can exceed its grid; both are checked before the grid is built.
-    layers = []
-    for mask in subset_masks(n):
-        if mask.bit_count() < 2 or f[mask] == 0:
-            continue
-        grid = 1
-        m = mask
-        while m:
-            low = m & -m
-            if f[mask ^ low] == 0:
-                return SearchOutcome([], exhausted=True, nodes_visited=0)
-            grid *= t[low.bit_length() - 1]
-            m ^= low
-        if f[mask] > grid:
-            return SearchOutcome([], exhausted=True, nodes_visited=0)
-        layers.append(_geometry(mask, t))
+    layers = _target_layers(f, t)
+    if layers is None:
+        return SearchOutcome([], exhausted=True, nodes_visited=0)
     chosen, fixed = _start(t)
     if not layers:
         # the empty assignment is the single candidate

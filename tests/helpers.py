@@ -26,6 +26,7 @@ from flagshift import (
     shift_closure,
 )
 from flagshift.formats import complex_to_obj
+from flagshift.oracle import _allowed_mask, _project
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -238,6 +239,40 @@ def reference_cone_extension(delta: ColoredComplex):
         predicted_flag=flag_f(extended),
     )
     return extended, report
+
+
+def reference_propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
+    """The bound-propagation fixpoint by full sweeps: every up sweep
+    recomputes every layer's U, and rounds repeat until a down sweep
+    shrinks no U."""
+    upper = dict(chosen)
+    required = {geo.mask: 0 for geo in layers}
+    while True:
+        for geo in layers:
+            want = f[geo.mask]
+            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)
+            if geo.chain:
+                bound &= (1 << want) - 1
+            if bound.bit_count() < want:
+                return None
+            upper[geo.mask] = bound
+            if bound.bit_count() == want:
+                required[geo.mask] |= bound
+        shrunk = False
+        for geo in reversed(layers):
+            want = f[geo.mask]
+            need = required[geo.mask]
+            if need.bit_count() > want:
+                return None
+            if need.bit_count() == want:
+                bound = upper[geo.mask]
+                upper[geo.mask] = bound & need
+                shrunk |= upper[geo.mask] != bound
+            for sub_mask, _, fibers in geo.drops:
+                if sub_mask in required:
+                    required[sub_mask] |= _project(need, fibers)
+        if not shrunk:
+            return upper
 
 
 def reference_emit_complex(c: ColoredComplex) -> str:

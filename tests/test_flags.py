@@ -151,7 +151,7 @@ def test_carried_counts_match_a_recount(enumerated_corpus):
     every = list(enumerate_all_colored_complexes(2, [4, 4]))
     assert len(every) == 74_963
     for c in [*every, *enumerated_corpus]:
-        assert c._counted is not None
+        assert c._record is not None
         assert dict(flag_f(c).nonzero_items()) == brute_flag_f(c), c
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from collections import Counter
 from math import prod
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 from flagshift import (
     BudgetExhausted,
     ColoredComplex,
+    Face,
     FlagVector,
     SearchBudget,
     cone_extension,
@@ -25,6 +27,7 @@ from flagshift import (
     flag_f,
     is_color_shifted,
     partition_number,
+    two_color_realizable,
     verify_uniqueness,
 )
 
@@ -35,6 +38,7 @@ from helpers import (
     brute_allowed_mask,
     brute_flag_f,
     brute_partitions,
+    reference_propagate,
     staircase,
     without_color,
 )
@@ -400,6 +404,37 @@ def test_reopened_settled_layer_keeps_its_bound():
     assert outcome.nodes_visited == 36
 
 
+def test_propagate_matches_full_sweeps(enumerated_corpus):
+    """The fixpoint that recomputes a layer's U only when a U below it
+    shrank returns the same bounds as full sweeps, or refutes the same
+    targets: on every corpus extension vector, on each of them with one
+    non-zero count moved by one, and on every target within [3, 3, 2]."""
+    targets = set(_grid_targets(3, (3, 3, 2)))
+    for delta in enumerated_corpus:
+        dense = cone_extension(delta)[1].predicted_flag.dense()
+        targets.add(dense)
+        for mask in range(1, len(dense)):
+            if dense[mask]:
+                for count in (dense[mask] - 1, dense[mask] + 1):
+                    targets.add(dense[:mask] + (count,) + dense[mask + 1:])
+    seen = Counter()
+    for dense in targets:
+        t = [dense[1 << i] for i in range(len(dense).bit_length() - 1)]
+        layers = oracle._target_layers(dense, t)
+        if not layers:
+            continue
+        chosen, _ = oracle._start(t)
+        upper = oracle._propagate(layers, dense, chosen)
+        assert upper == reference_propagate(layers, dense, chosen), dense
+        if upper is None:
+            seen["refuted"] += 1
+        elif all(upper[geo.mask].bit_count() == dense[geo.mask] for geo in layers):
+            seen["settled"] += 1
+        else:
+            seen["open"] += 1
+    assert min(seen["refuted"], seen["settled"], seen["open"]) > 1000, seen
+
+
 def test_projection_matches_faces():
     """_project sends each layer point to the sub-layer point its face
     drops to along each color, and a set of points to the union."""
@@ -580,28 +615,123 @@ def test_search_agrees_with_plain_enumeration():
         assert got == group, dense
 
 
-def _assert_same_as_validated(w: ColoredComplex) -> None:
-    """A walk-built complex equals the validated complex of its faces,
-    with the same hash, document bytes and flag vector."""
-    rebuilt = ColoredComplex(w.num_colors, w.faces)
-    assert w == rebuilt and hash(w) == hash(rebuilt)
-    assert emit_complex(w) == emit_complex(rebuilt)
-    assert flag_f(w) == flag_f(rebuilt)
+def _assert_same_as_validated(
+    w: ColoredComplex, first: int = 0, every_check: bool = True
+) -> None:
+    """A walk-built complex behaves as the validated complex of its faces:
+    ==, hash, len, in, canonical order, document bytes, flag vector and
+    repr agree.  len, flag_f and repr run before the checks that build
+    w's face set and again after them; `first` picks which of those
+    checks runs first and so builds it.  Without `every_check`, the
+    canonical order and the document, which read nothing but the face
+    set, are checked only when `first` picks them."""
+    twin = ColoredComplex._raw(w.num_colors, None, w._record)
+    rebuilt = ColoredComplex(w.num_colors, twin.faces)
+    lazy = (len, flag_f, repr)
+    expected = [op(rebuilt) for op in lazy]
+    outside = Face([(w.num_colors + 1, 1)])
+    building = (
+        lambda c: c == rebuilt and rebuilt == c,
+        lambda c: hash(c) == hash(rebuilt),
+        lambda c: all(face in c for face in rebuilt.faces) and outside not in c,
+        lambda c: c.sorted_faces() == rebuilt.sorted_faces(),
+        lambda c: emit_complex(c) == emit_complex(rebuilt),
+    )
+    trigger = building[first % len(building)]
+    assert [op(w) for op in lazy] == expected, w
+    assert trigger(w) and w._faces is not None, w
+    for check in building if every_check else building[:3]:
+        assert check is trigger or check(w), w
+    assert [op(w) for op in lazy] == expected, w
+
+
+def _unbuilt(complexes: list[ColoredComplex]) -> list[ColoredComplex]:
+    assert all(c._record is not None and c._faces is None for c in complexes)
+    return complexes
+
+
+def _corpus_and_witnesses() -> list[ColoredComplex]:
+    """Fresh walk-built complexes: the enumerated corpus, the witness of
+    each corpus extension's settled search, and the 3 witnesses of a
+    branching search."""
+    corpus = [
+        *enumerate_color_shifted_complexes(2, [4, 4]),
+        *enumerate_color_shifted_complexes(3, [2, 2, 2]),
+    ]
+    settled = [
+        w
+        for vector in {cone_extension(delta)[1].predicted_flag for delta in corpus}
+        for w in enumerate_color_shifted_with_flag(vector).witnesses
+    ]
+    branching = enumerate_color_shifted_with_flag(
+        FlagVector(2, (1, 3, 3, 4)), SearchBudget(max_witnesses=10)
+    ).witnesses
+    assert len(branching) == 3
+    # cone_extension built the faces of these corpus objects; enumerate anew
+    corpus = [
+        *enumerate_color_shifted_complexes(2, [4, 4]),
+        *enumerate_color_shifted_complexes(3, [2, 2, 2]),
+    ]
+    return _unbuilt([*corpus, *settled, *branching])
 
 
 def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
-    """Enumerated complexes and settled-search witnesses match their
-    validated rebuilds; every corpus extension, built by cone_extension
-    with no carried counts, has the face count its report predicts."""
+    """Enumerated complexes and search witnesses match their validated
+    rebuilds before their face sets are built and after; every corpus
+    extension, built by cone_extension with no walk record, has the face
+    count its report predicts."""
     for delta in enumerated_corpus:
         extended, report = cone_extension(delta)
-        assert extended._counted is None
+        assert extended._record is None
         assert flag_f(extended) == report.predicted_flag
         assert brute_flag_f(extended) == dict(report.predicted_flag.nonzero_items())
         outcome = enumerate_color_shifted_with_flag(report.predicted_flag)
         assert outcome.witnesses == [extended]
-        _assert_same_as_validated(delta)
-        _assert_same_as_validated(outcome.witnesses[0])
+    for i, c in enumerate(_corpus_and_witnesses()):
+        _assert_same_as_validated(c, i)
+
+
+def test_walk_records_survive_cache_clears():
+    """A walk record holds its layers' geometries, so clearing the
+    geometry and vertex-face caches before the faces are built changes
+    nothing, and complexes built by separate walks compare equal."""
+    complexes = _corpus_and_witnesses()
+    oracle._layer_geometry.cache_clear()
+    oracle._vertex_faces.cache_clear()
+    for i, c in enumerate(complexes):
+        _assert_same_as_validated(c, i)
+    assert _corpus_and_witnesses() == complexes
+
+
+def test_census_complexes_build_their_faces_on_first_use():
+    """All 74,963 two-color complexes within 4 x 4 vertices match their
+    validated rebuilds before their face sets are built and after; each
+    check that builds the faces is the first on a fifth of them."""
+    every = _unbuilt(list(enumerate_all_colored_complexes(2, [4, 4])))
+    assert len(every) == 74_963
+    for i, c in enumerate(every):
+        _assert_same_as_validated(c, i, every_check=False)
+
+
+def test_census_pass_builds_no_face_set():
+    """The benchmark's census pass, the enumeration and one search per
+    flag vector, builds no face set: flag_f, len and repr read the walk's
+    counts, and so does the search's check of its source."""
+    every = list(enumerate_all_colored_complexes(2, [4, 4]))
+    sources = {}
+    for c in every:
+        fv = flag_f(c)
+        assert two_color_realizable(fv)
+        assert len(c) == fv.total() and repr(c).endswith(f"faces=<{len(c)}>)")
+        sources.setdefault(fv.dense(), c)
+    assert len(sources) == 125
+    witnesses = []
+    for source in sources.values():
+        outcome = find_color_shifted_with_flag(source)
+        assert outcome.witnesses
+        witnesses += outcome.witnesses
+    assert len(every) == 74_963
+    assert not [c for c in [*every, *witnesses] if c._faces is not None]
 
 
 # ===================================================================

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from flagshift import (
@@ -14,14 +15,19 @@ from flagshift import (
     enumerate_color_shifted_with_flag,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def test_tracer_targets_exist():
@@ -56,3 +62,18 @@ def test_traced_pass_reaches_every_kernel():
     metrics = tracer.metrics()
     assert metrics["kernels.nodes"] > 0
     assert metrics["kernels.count_nodes"] > 0
+
+
+def test_every_workload_pass_answers_right():
+    """One untraced pass of each benchmark workload judges every answer
+    right, stops no search at the node budget, and spends the node count
+    the benchmark reports; a wrong answer fails here, not only in a
+    benchmark run."""
+    workloads = _load("workloads")
+    nodes = {}
+    for name, workload in workloads.WORKLOADS.items():
+        res = workloads.run_pass(workload, workload.setup(0))
+        assert (res.errors, res.inconclusive) == (0, 0), name
+        assert res.items > 0
+        nodes[name] = res.search_nodes
+    assert nodes == {"uniqueness-corpus": 31_654, "staircase": 280, "census": 1_615}
