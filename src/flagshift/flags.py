@@ -66,8 +66,9 @@ class FlagVector:
 
     kind "f" requires nonnegative counts with f_emptyset in {0, 1}; kind
     "h" allows arbitrary (signed) counts.  Construct from a mapping of
-    color iterables to counts, from a dense sequence of length
-    2^num_colors indexed by color bitmask, or from nothing (all zeros).
+    color iterables to counts (each color set named once), from a dense
+    sequence of length 2^num_colors indexed by color bitmask, or from
+    nothing (all zeros).
     """
 
     __slots__ = ("_n", "_kind", "_counts")
@@ -83,8 +84,13 @@ class FlagVector:
             counts = [0] * size
         elif isinstance(entries, Mapping):
             counts = [0] * size
+            named = set()
             for colors, count in entries.items():
-                counts[mask_of_colors(colors, num_colors)] = int(count)
+                mask = mask_of_colors(colors, num_colors)
+                if mask in named:
+                    raise ValueError(f"color set {list(colors_of_mask(mask))} listed twice")
+                named.add(mask)
+                counts[mask] = int(count)
         else:
             counts = [int(x) for x in entries]
             if len(counts) != size:

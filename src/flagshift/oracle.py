@@ -11,9 +11,15 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
-The allowed set is computed bitwise.  For each dropped color the
-layer's geometry holds one fiber mask per sub-grid point: the layer
-points that project onto it.  A point is allowed when, for every
+A layer's geometry (_layer_geometry) is cached by its color-set
+bitmask and the vertex count of each of its colors, and built in one
+pass over the grid, in row-major rank order: the faces, each point's
+immediate predecessors, and for each dropped color one fiber mask per
+sub-grid point, the layer points that project onto it.  A fiber varies
+the dropped color's index and fixes the others, so it is one column of
+evenly spaced bits, shifted.
+
+The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
 over dropped colors of the OR of the fibers of the chosen sub-points.
 A fully chosen sub-layer constrains nothing and is skipped; when the
@@ -79,7 +85,10 @@ and one to assign, and the only complete assignment is every U.  The
 search returns that outcome directly: one witness made of the U, 2
 nodes per layer, and a budget stop at max_nodes + 1 when that is fewer
 than 2 per layer, the count at which the walk, adding one node at a
-time, would stop.
+time, would stop.  A target with no color set of two or more colors
+has nothing to propagate and is settled: its one path is the empty
+assignment, which costs one node, and the same return applies the
+witness cap to it as to any settled target.
 
 One walk (_walk) assigns the layers depth first for the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
@@ -96,6 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
@@ -168,76 +178,52 @@ class _Geometry(NamedTuple):
     chain: bool  # at most one color has more than one vertex
 
 
-def _strides(radices) -> list[int]:
-    s = [1] * len(radices)
-    for j in range(len(radices) - 2, -1, -1):
-        s[j] = s[j + 1] * radices[j + 1]
-    return s
-
-
-def _grid_preds(radices) -> list[int]:
-    """Immediate-predecessor masks of the index grid, row-major ranks."""
-    strides = _strides(radices)
+@lru_cache(maxsize=256)
+def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
+    """Faces, preds and fibers of the grid of color set `mask` with
+    radices[i] vertices of its i-th color; cached, since searches reopen
+    the same few shapes."""
+    colors = colors_of_mask(mask)
+    strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
+    for j in range(len(radices) - 1, 0, -1):
+        strides[j - 1] = strides[j] * radices[j]
+    faces = []
     preds = []
-    for rank, v in enumerate(product(*(range(r) for r in radices))):
+    # colors ascend and indices start at 1: each tuple is a Face's own
+    for rank, v in enumerate(product(*(range(1, r + 1) for r in radices))):
+        faces.append(Face._raw(tuple(map(Vertex, colors, v))))
         m = 0
-        for j, s in enumerate(strides):
-            if v[j]:
+        for i, s in zip(v, strides):
+            if i > 1:
                 m |= 1 << (rank - s)
         preds.append(m)
-    return preds
-
-
-@lru_cache(maxsize=256)
-def _layer_geometry(colors: tuple[int, ...], radices: tuple[int, ...]) -> _Geometry:
-    """Faces, preds and fibers of the grid with radices[i] vertices of
-    colors[i]; cached, since searches reopen the same few shapes."""
-    mask = 0
-    for c in colors:
-        mask |= 1 << (c - 1)
-    npoints = 1
-    for r in radices:
-        npoints *= r
-    # colors ascend and indices start at 1: each tuple is a Face's own
-    faces = tuple(
-        Face._raw(tuple(map(Vertex, colors, v)))
-        for v in product(*(range(1, r + 1) for r in radices))
-    )
+    npoints = len(faces)
     drops = []
-    for c, r, s in zip(colors, radices, _strides(radices)):
-        sub_points = npoints // r
+    for c, r, s in zip(colors, radices, strides):
         fibers = None
         if r > 1:
-            # rank = hi * r * s + v_j * s + lo  projects to  hi * s + lo
-            fiber_list = [0] * sub_points
-            for rank in range(npoints):
-                fiber_list[rank // (r * s) * s + rank % s] |= 1 << rank
-            fibers = tuple(fiber_list)
-        drops.append((mask ^ (1 << (c - 1)), (1 << sub_points) - 1, fibers))
-    return _Geometry(
-        mask,
-        faces,
-        tuple(_grid_preds(radices)),
-        tuple(drops),
-        sum(r > 1 for r in radices) <= 1,
-    )
-
-
-def _geometry(mask: int, t) -> _Geometry:
-    """Geometry of color set `mask` with t[i] vertices of color i + 1."""
-    colors = colors_of_mask(mask)
-    return _layer_geometry(colors, tuple(t[c - 1] for c in colors))
+            # rank = hi * r * s + (v_j - 1) * s + lo  projects to  hi * s + lo
+            column = sum(1 << (i * s) for i in range(r))
+            fibers = tuple(
+                column << (hi * r * s + lo)
+                for hi in range(npoints // (r * s))
+                for lo in range(s)
+            )
+        drops.append((mask ^ (1 << (c - 1)), (1 << (npoints // r)) - 1, fibers))
+    chain = sum(r > 1 for r in radices) <= 1
+    return _Geometry(mask, tuple(faces), tuple(preds), tuple(drops), chain)
 
 
 def _layers_within(num_colors: int, t) -> list[_Geometry]:
     """Geometries of every color set of size >= 2 whose colors all have
     vertices, in canonical order."""
-    return [
-        _geometry(mask, t)
-        for mask in subset_masks(num_colors)
-        if mask.bit_count() >= 2
-        and all(t[i] > 0 for i in range(num_colors) if mask >> i & 1)
-    ]
+    layers = []
+    for mask in subset_masks(num_colors):
+        if mask.bit_count() >= 2:
+            radices = tuple(t[i] for i in range(num_colors) if mask >> i & 1)
+            if all(radices):
+                layers.append(_layer_geometry(mask, radices))
+    return layers
 
 
 def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
@@ -357,17 +343,17 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     for mask in subset_masks(len(t)):
         if mask.bit_count() < 2 or f[mask] == 0:
             continue
-        grid = 1
+        radices = []
         m = mask
         while m:
             low = m & -m
             if f[mask ^ low] == 0:
                 return None
-            grid *= t[low.bit_length() - 1]
+            radices.append(t[low.bit_length() - 1])
             m ^= low
-        if f[mask] > grid:
+        if f[mask] > prod(radices):
             return None
-        layers.append(_geometry(mask, t))
+        layers.append(_layer_geometry(mask, tuple(radices)))
     return layers
 
 
@@ -444,15 +430,12 @@ def enumerate_color_shifted_with_flag(
     if layers is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
     chosen, fixed = _start(t)
-    if not layers:
-        # the empty assignment is the single candidate
-        return SearchOutcome([_assemble(n, fixed, layers, chosen)], True, 1)
     upper = _propagate(layers, f, chosen)
     if upper is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
     if all(upper[geo.mask].bit_count() == f[geo.mask] for geo in layers):
         # every layer settled: the walk's outcome, without the walk
-        nodes = 2 * len(layers)
+        nodes = 2 * len(layers) or 1
         if nodes > budget.max_nodes:
             return SearchOutcome([], False, budget.max_nodes + 1)
         truncated = budget.max_witnesses == 1
@@ -569,10 +552,14 @@ def enumerate_color_shifted_complexes(
 
 
 def _every_subset(geo: _Geometry, allowed: int, remaining: int):
-    subs = [allowed]
-    s = allowed
-    while s:
-        s = (s - 1) & allowed
+    """The subsets of `allowed`, ascending, in the order the walk tries
+    them.  The walk spends a node on each one it assigns, so it reaches
+    the budget stop before it tries more than remaining + 1 of them;
+    only those are built."""
+    subs = [0]
+    s = 0
+    for _ in range(min(remaining, (1 << allowed.bit_count()) - 1)):
+        s = (s - allowed) & allowed
         subs.append(s)
     return subs, 0, True
 

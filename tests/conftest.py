@@ -4,6 +4,7 @@ the enumerated corpus of small color-shifted complexes."""
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +20,19 @@ from flagshift import (
 from helpers import edge2, face
 
 
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "flagshift"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print the acceptance verdict lines collected during the run."""
+    """Print the acceptance verdict lines collected during the run, and
+    the line count of the package source, which the roadmap tracks."""
     module = sys.modules.get("test_acceptance")
     lines = getattr(module, "VERDICTS", None) if module else None
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in lines:
-            terminalreporter.write_line(line)
+    terminalreporter.section("acceptance criteria")
+    for line in lines or ():
+        terminalreporter.write_line(line)
+    count = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
+    terminalreporter.write_line(f"src/flagshift: {count:,} lines")
 
 
 @pytest.fixture(scope="session")

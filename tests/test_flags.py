@@ -14,6 +14,7 @@ from flagshift import (
     h_from_f,
     two_color_realizable,
 )
+from flagshift.formats import DocumentError, parse_flag_vector
 from flagshift.flags import (
     MAX_COLORS,
     colors_of_mask,
@@ -70,6 +71,21 @@ def test_flag_vector_from_mapping():
     assert fv.count((1, 2)) == 2
     assert fv.dense() == (1, 2, 1, 2)
     assert fv.total() == 6
+
+
+def test_flag_vector_rejects_a_color_set_named_twice():
+    """Two mapping keys naming one color set raise instead of keeping the
+    last count; a document with the same defect keeps its own message."""
+    with pytest.raises(ValueError, match=r"^color set \[1, 2\] listed twice$"):
+        FlagVector(2, {(1, 2): 3, (2, 1): 4})
+    with pytest.raises(ValueError, match=r"^color set \[\] listed twice$"):
+        FlagVector(1, {(): 1, frozenset(): 1})
+    doc = (
+        '{"num_colors": 2, "entries": [{"colors": [1, 2], "count": 3},'
+        ' {"colors": [2, 1], "count": 4}]}'
+    )
+    with pytest.raises(DocumentError, match=r"^duplicate entry for color set \[1, 2\]$"):
+        parse_flag_vector(doc)
 
 
 def test_flag_vector_zero_entries_default():

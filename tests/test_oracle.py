@@ -32,6 +32,7 @@ from flagshift import (
 )
 
 from flagshift import oracle
+from flagshift.flags import colors_of_mask
 
 from helpers import (
     brute_all_color_shifted,
@@ -129,7 +130,7 @@ def test_rejected_targets_build_no_layer(monkeypatch):
     def built(*args):
         raise AssertionError("a layer grid was built")
 
-    monkeypatch.setattr(oracle, "_geometry", built)
+    monkeypatch.setattr(oracle, "_layer_geometry", built)
     for n, dense in [
         (2, (1, 0, 0, 3)),
         (2, (1, 0, 2, 1)),
@@ -161,6 +162,24 @@ def test_search_respects_witness_cap():
     assert capped.truncated and not capped.exhausted
     assert len(capped.witnesses) == 1
     assert capped.witnesses[0] == full.witnesses[0]
+
+
+def test_targets_without_layers_follow_the_witness_cap():
+    """A target with no color set of two or more colors is settled: its
+    one path is the empty assignment, which costs one node, and the
+    witness cap acts on it as on a settled target with layers."""
+    for fv, nodes in [
+        (FlagVector(2, (1, 2, 3, 0)), 1),
+        (FlagVector(0, (1,)), 1),
+        (FlagVector(2, (1, 2, 2, 4)), 2),
+    ]:
+        one = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=1))
+        two = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=2))
+        assert (one.exhausted, one.truncated, one.nodes_visited) == (False, True, nodes)
+        assert (two.exhausted, two.truncated, two.nodes_visited) == (True, False, nodes)
+        assert one.witnesses == two.witnesses and len(two.witnesses) == 1
+        assert flag_f(two.witnesses[0]) == fv
+        assert brute_flag_f(two.witnesses[0]) == dict(fv.nonzero_items())
 
 
 def test_search_budget_inconclusive():
@@ -438,10 +457,11 @@ def test_propagate_matches_full_sweeps(enumerated_corpus):
 def test_projection_matches_faces():
     """_project sends each layer point to the sub-layer point its face
     drops to along each color, and a set of points to the union."""
-    for colors, radices in [((1, 2, 3), (2, 3, 2)), ((1, 2), (3, 1)), ((2, 4, 5), (1, 2, 2))]:
-        geo = oracle._layer_geometry(colors, radices)
+    for mask, radices in [(0b111, (2, 3, 2)), (0b11, (3, 1)), (0b11010, (1, 2, 2))]:
+        geo = oracle._layer_geometry(mask, radices)
+        colors = colors_of_mask(mask)
         for j, (sub_mask, _, fibers) in enumerate(geo.drops):
-            sub = oracle._layer_geometry(colors[:j] + colors[j + 1:], radices[:j] + radices[j + 1:])
+            sub = oracle._layer_geometry(sub_mask, radices[:j] + radices[j + 1:])
             assert sub.mask == sub_mask
             rank = {face: r for r, face in enumerate(sub.faces)}
             image = [1 << rank[without_color(face, colors[j])] for face in geo.faces]
@@ -563,9 +583,46 @@ def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus, enumerated_
     assert len(opened) > 1000 and max(map(len, opened)) >= 4
 
 
+def test_geometry_matches_its_faces():
+    """Each geometry's mask, preds, drops and chain flag agree with its
+    faces, point by point.  The faces run over the index grid in
+    row-major order; preds[r] holds the points one index below point r
+    in one color; a drop's fiber of a sub-point holds the points whose
+    face drops to that sub-point's face, and a drop with no fibers keeps
+    every rank.  The shapes put a one-vertex color in every position."""
+    shapes = [(0b10101, r) for r in product((1, 2, 3), repeat=3)]
+    shapes += [(0b1111, r) for r in product((1, 2), repeat=4)]
+    shapes += [(0b11, (300, 1)), (0b11, (1, 300)), (0b11, (1, 1)), (0b1000, (4,))]
+    for mask, radices in shapes:
+        geo = oracle._layer_geometry(mask, radices)
+        colors = colors_of_mask(mask)
+        grid = list(product(*(range(1, r + 1) for r in radices)))
+        assert [f.vertices for f in geo.faces] == [tuple(zip(colors, v)) for v in grid]
+        assert geo.mask == mask
+        assert geo.chain == (sum(r > 1 for r in radices) <= 1)
+        rank = {v: r for r, v in enumerate(grid)}
+        for r, v in enumerate(grid):
+            below = [v[:j] + (v[j] - 1,) + v[j + 1:] for j in range(len(v)) if v[j] > 1]
+            assert geo.preds[r] == sum(1 << rank[u] for u in below), (mask, radices, v)
+        assert len(geo.drops) == len(colors)
+        for j, (sub_mask, full, fibers) in enumerate(geo.drops):
+            assert sub_mask == mask & ~(1 << (colors[j] - 1))
+            sub_grid = list(product(*(range(1, r + 1) for r in radices[:j] + radices[j + 1:])))
+            assert full == (1 << len(sub_grid)) - 1
+            sub_rank = {u: q for q, u in enumerate(sub_grid)}
+            image = [sub_rank[v[:j] + v[j + 1:]] for v in grid]
+            if radices[j] == 1:
+                assert fibers is None and image == list(range(len(grid))), (mask, radices, j)
+                continue
+            want = [0] * len(sub_grid)
+            for r, q in enumerate(image):
+                want[q] |= 1 << r
+            assert fibers == tuple(want), (mask, radices, j)
+
+
 def test_layer_geometry_cache_is_bounded_and_immutable():
-    geo = oracle._layer_geometry((1, 2, 3), (2, 3, 1))
-    assert oracle._layer_geometry((1, 2, 3), (2, 3, 1)) is geo
+    geo = oracle._layer_geometry(0b111, (2, 3, 1))
+    assert oracle._layer_geometry(0b111, (2, 3, 1)) is geo
     maxsize = oracle._layer_geometry.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 256
     for field in (geo.faces, geo.preds, geo.drops, *geo.drops):
@@ -812,6 +869,63 @@ def test_enumerate_all_budget():
     with pytest.raises(BudgetExhausted):
         for _ in gen:
             pass
+
+
+def test_subset_source_builds_only_reachable_subsets():
+    """_every_subset lists the subsets of `allowed` in ascending order
+    and stops after remaining + 1 of them, the most the walk can try."""
+    allowed = 0b1011010
+    every = [s for s in range(allowed + 1) if s & ~allowed == 0]
+    for remaining in [0, 1, 5, 14, 15, 16, 1000]:
+        subs, used, completed = oracle._every_subset(None, allowed, remaining)
+        assert (subs, used, completed) == (every[:remaining + 1], 0, True), remaining
+    assert oracle._every_subset(None, 0, 3)[0] == [0]
+
+
+def _every_subset_listed(geo, allowed: int, remaining: int):
+    """Every subset of `allowed`, ascending, however few nodes remain."""
+    return [s for s in range(allowed + 1) if s & ~allowed == 0], 0, True
+
+
+def _stream_all(num_colors: int, bounds, max_nodes: int):
+    """The complexes the enumeration yields under max_nodes, and whether
+    it stopped at the budget."""
+    got = []
+    try:
+        for c in enumerate_all_colored_complexes(num_colors, bounds, SearchBudget(max_nodes)):
+            got.append(c)
+    except BudgetExhausted:
+        return got, True
+    return got, False
+
+
+def test_budgeted_enumeration_yields_the_same_prefix(monkeypatch):
+    """With the subset lists cut at remaining + 1, every budget yields the
+    same complexes and stops at the same point as with the full lists; no
+    list holds more than remaining + 1 subsets, and the cut is reached."""
+    budgets = [1, 2, 7, 50, 333, 1_000, 4_000, 10**6]
+    sizes = []
+    cut = oracle._every_subset
+
+    def recorded(geo, allowed, remaining):
+        subs = cut(geo, allowed, remaining)
+        sizes.append((len(subs[0]), remaining))
+        return subs
+
+    monkeypatch.setattr(oracle, "_every_subset", recorded)
+    cut_runs = [_stream_all(2, [3, 4], b) for b in budgets]
+    monkeypatch.setattr(oracle, "_every_subset", _every_subset_listed)
+    full_runs = [_stream_all(2, [3, 4], b) for b in budgets]
+    assert cut_runs == full_runs
+    everything, stopped = full_runs[-1]
+    assert not stopped and len(everything) == sum(
+        2 ** (a * b) for a in range(4) for b in range(5)
+    )
+    assert [stopped for _, stopped in cut_runs] == [True] * 7 + [False]
+    for got, _ in cut_runs:
+        assert got == everything[:len(got)]
+    assert all(n <= remaining + 1 for n, remaining in sizes)
+    assert any(n == remaining + 1 for n, remaining in sizes)
 
 
 # ===================================================================
