@@ -6,6 +6,10 @@ family of faces over colors 1..num_colors that is closed under taking
 subsets.  Within each color the vertex indices present as singletons are
 kept contiguous from 1, so the labeling of a complex is canonical: two
 complexes describe the same object exactly when they compare equal.
+A complex may also carry a record of its faces as one bitmask per color
+set over that color set's index grid (ColoredComplex._raw); a complex
+built by the layered walk holds only that and builds its face set on
+first use.
 
 Every value here is immutable; operations return new objects.
 """
@@ -13,7 +17,8 @@ Every value here is immutable; operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -220,6 +225,20 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     return None
 
 
+@lru_cache(maxsize=256)
+def _grid_faces(mask: int, radices: tuple[int, ...]) -> tuple[Face, ...]:
+    """Every face with exactly the colors of bitmask `mask`, radices[i]
+    vertices of its i-th color, in row-major rank order, which is the
+    canonical order; cached, since walk-built complexes of one shape
+    share them."""
+    colors = [c + 1 for c in range(mask.bit_length()) if mask >> c & 1]
+    # colors ascend and indices start at 1: each tuple is a Face's own
+    return tuple(
+        Face._raw(tuple(map(Vertex, colors, v)))
+        for v in product(*(range(1, r + 1) for r in radices))
+    )
+
+
 class ColoredComplex:
     """An immutable colored simplicial complex.
 
@@ -248,17 +267,20 @@ class ColoredComplex:
         cls,
         num_colors: int,
         faces: frozenset[Face] | None,
-        record: tuple | None = None,
+        record: dict[int, int] | None = None,
     ) -> "ColoredComplex":
         """Internal fast path: the caller guarantees the invariants.
 
-        The layered walk passes faces=None and a record (chosen, fixed,
-        layers) that nobody changes after: per color-set mask with faces
-        a bitmask with one bit per face of exactly that color set, fixed
-        faces, and layers, each with a `mask` and its `faces` in rank
-        order.  The faces are `fixed` plus each layer's faces at the bits
-        of chosen[mask]; `faces` builds them on first use, and flag_f
-        and len read the counts from `chosen` instead.
+        A record, which nobody changes after, maps color-set masks to
+        bitmasks: bit r of record[S] is set exactly when the face of rank
+        r in the grid of S (_grid_faces) is in the complex, the grid of S
+        having as many vertices of each color c as the bit length of
+        record[{c}].  Record[0] is 1 for the empty face, record[{c}] is
+        (1 << t_c) - 1 for the t_c vertices of color c, and a color set
+        without an entry has no face.  A caller may pass faces=None with a
+        record, listed in canonical order (size, then lexicographic):
+        `faces` builds them on first use and `sorted_faces` reads them off
+        in that order.  flag_f and len read the counts from the record.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
@@ -273,27 +295,41 @@ class ColoredComplex:
     def num_colors(self) -> int:
         return self._num_colors
 
+    def _recorded_faces(self) -> list[Face]:
+        """The faces of the record, in the record's order of color sets
+        and rank order within each."""
+        record = self._record
+        built = []
+        for mask, points in record.items():
+            if not points:
+                continue
+            radices = []
+            m = mask
+            while m:
+                low = m & -m
+                radices.append(record[low].bit_length())
+                m ^= low
+            faces_of = _grid_faces(mask, tuple(radices))
+            while points:
+                low = points & -points
+                built.append(faces_of[low.bit_length() - 1])
+                points ^= low
+        return built
+
     @property
     def faces(self) -> frozenset[Face]:
         faces = self._faces
         if faces is None:
             # two threads racing here build equal sets
-            chosen, fixed, layers = self._record
-            built = []
-            for layer in layers:
-                faces_of = layer.faces
-                m = chosen[layer.mask]
-                while m:
-                    low = m & -m
-                    built.append(faces_of[low.bit_length() - 1])
-                    m ^= low
-            faces = fixed.union(built)
+            faces = frozenset(self._recorded_faces())
             object.__setattr__(self, "_faces", faces)
         return faces
 
     def sorted_faces(self) -> list[Face]:
         """Faces in canonical order: cardinality, then colors, then indices."""
-        return sorted(self.faces, key=lambda f: f.sort_key)
+        if self._faces is None:
+            return self._recorded_faces()
+        return sorted(self._faces, key=lambda f: f.sort_key)
 
     def vertex_counts(self) -> tuple[int, ...]:
         """Number of vertices of each color 1..num_colors."""
@@ -308,26 +344,38 @@ class ColoredComplex:
 
     def __len__(self) -> int:
         if self._faces is None:
-            # one bit per face: oracle._start puts the empty face and the
-            # vertices in `chosen`, and the walk each layer's faces
-            return sum(m.bit_count() for m in self._record[0].values())
+            return sum(m.bit_count() for m in self._record.values())
         return len(self._faces)
 
     def __contains__(self, face: Face) -> bool:
         return face in self.faces
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredComplex)
-            and self._num_colors == other._num_colors
-            and self.faces == other.faces
-        )
+        """Equal colors and face sets.  Two complexes that both carry a
+        record compare their non-zero entries instead, which is the same
+        test.  A record's vertex counts are the bit lengths of its vertex
+        entries, and once they are fixed, each (color set, rank) is
+        exactly one face, the point of that rank in the grid of the color
+        set.  So equal non-zero entries give equal faces; and equal faces
+        give equal vertex entries, hence the same grids, and then set the
+        same bits.
+        """
+        if not isinstance(other, ColoredComplex) or self._num_colors != other._num_colors:
+            return False
+        mine, theirs = self._record, other._record
+        if mine is None or theirs is None:
+            return self.faces == other.faces
+        return mine == theirs or _nonzero(mine) == _nonzero(theirs)
 
     def __hash__(self) -> int:
         return hash((self._num_colors, self.faces))
 
     def __repr__(self) -> str:
         return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self)}>)"
+
+
+def _nonzero(record: dict[int, int]) -> dict[int, int]:
+    return {mask: points for mask, points in record.items() if points}
 
 
 def trivial_complex(num_colors: int) -> ColoredComplex:

@@ -75,6 +75,18 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     the output.  The faces on base colors are delta's, and for T within
     the colors of F_p, f_{T + {n+p}} is the product of F_p's indices on
     T; every other color set has no face.
+
+    The output's record (ColoredComplex._raw), the points of each color
+    set in its grid, is computed in closed form too, and no grid is
+    built.  A base color c has as many vertices as the largest index of
+    c among the F_p.  The grid of T + {n+p} is the grid of T with one
+    more index, always 1, so its points are the box of F_p on T at its
+    ranks in the grid of T; and delta is the union of the principal
+    down-sets of its maximal faces, so a base layer T is the OR of the
+    boxes of the F_p on T.  In row-major rank order, putting a color c
+    ahead of T's colors adds (i - 1) * |grid of T| to the rank of index
+    i, so the box grows from the last color down, each color repeating
+    it F_p[c] times at that stride.
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
@@ -86,10 +98,16 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
             f"the extension of a complex with n={n} colors and k={k} shift-maximal "
             f"faces needs n+k={n + k} colors; flag vectors support at most {MAX_COLORS}"
         )
+    radix = [0] * (n + 1)  # radix[c]: delta's vertices of color c
+    for face in maximal:
+        for color, index in face._vertices:
+            if index > radix[color]:
+                radix[color] = index
     apex_faces = []
     apexes = []
     predicted_edges = []
     counts = list(flag_f(delta).dense()) + [0] * ((1 << (n + k)) - (1 << n))
+    chosen: dict[int, int] = {}
     for p, face in enumerate(maximal, start=1):
         apex = Vertex(n + p, 1)
         apexes.append(apex)
@@ -98,15 +116,22 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         )
         tail = (apex,)
         apex_faces += [Face._raw(choice + tail) for choice in _box(face._vertices)]
-        # the box's size on each color set T of F_p
-        box = [(0, 1)]
-        for color, index in face.vertices:
+        # the box on each color set T of F_p: (T, its size, the size of
+        # the grid of T, its points there)
+        box = [(0, 1, 1, 1)]
+        for color, index in reversed(face._vertices):
             bit = 1 << (color - 1)
-            box += [(mask | bit, size * index) for mask, size in box]
+            box += [
+                (mask | bit, size * index, grid * radix[color], points * _repeat(index, grid))
+                for mask, size, grid, points in box
+            ]
         # the cone over the box: f_{T + apex} = prod_{c in T} F_p[c]
-        for mask, size in box:
-            counts[mask | 1 << (n + p - 1)] = size
-    extended = ColoredComplex._raw(n + k, delta.faces.union(apex_faces))
+        apex_bit = 1 << (n + p - 1)
+        for mask, size, _, points in box:
+            counts[mask | apex_bit] = size
+            chosen[mask | apex_bit] = points
+            chosen[mask] = chosen.get(mask, 0) | points
+    extended = ColoredComplex._raw(n + k, delta.faces.union(apex_faces), chosen)
     report = ConstructionReport(
         base_colors=n,
         apex_count=k,
@@ -120,6 +145,11 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_flag=FlagVector._raw(n + k, counts, "f"),
     )
     return extended, report
+
+
+def _repeat(copies: int, stride: int) -> int:
+    """The mask with `copies` bits, `stride` apart from bit 0."""
+    return ((1 << (copies * stride)) - 1) // ((1 << stride) - 1)
 
 
 def _flag_name(colors) -> str:
@@ -147,7 +177,9 @@ def verify_cone_extension(
         return VerificationResult(
             False, "selection", f"selecting colors 1..{n} does not recover the input"
         )
-    fv = flag_f(extended)
+    # counted face by face: a record, like the predictions, is computed
+    # in closed form, and would leave the faces unchecked
+    fv = flag_f(ColoredComplex._raw(extended.num_colors, extended.faces))
     for apex_color in report.predicted_singletons:
         got = fv.count((apex_color,))
         if got != 1:

@@ -184,9 +184,10 @@ def _check_f_semantics(counts: list[int]) -> None:
 def flag_f(c: ColoredComplex) -> FlagVector:
     """Flag f-vector of a complex: faces counted by exact color set.
 
-    A complex built by the layered walk carries its counts, one bitmask
-    of faces per color set (see ColoredComplex._raw), and is counted
-    without building its faces; any other is counted face by face.
+    A complex that carries a record (every walk-built complex and every
+    cone extension) holds one bitmask of faces per color set (see
+    ColoredComplex._raw) and is counted without reading its faces; any
+    other is counted face by face.
     """
     n = c._num_colors
     if n > MAX_COLORS:
@@ -199,7 +200,7 @@ def flag_f(c: ColoredComplex) -> FlagVector:
                 mask |= 1 << (color - 1)
             counts[mask] += 1
     else:
-        for mask, points in c._record[0].items():
+        for mask, points in c._record.items():
             counts[mask] = points.bit_count()
     # face counts of a complex in memory: nonnegative, f_emptyset <= 1,
     # and far below 2^63

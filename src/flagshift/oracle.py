@@ -11,13 +11,17 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
-A layer's geometry (_layer_geometry) is cached by its color-set
-bitmask and the vertex count of each of its colors, and built in one
-pass over the grid, in row-major rank order: the faces, each point's
-immediate predecessors, and for each dropped color one fiber mask per
+A layer's grid depends only on the vertex count of each of its colors,
+its radices.  Its shape (_grid_shape), cached by the radices, is built
+in one pass over the grid in row-major rank order: each point's
+immediate predecessors, and for each color position one fiber mask per
 sub-grid point, the layer points that project onto it.  A fiber varies
-the dropped color's index and fixes the others, so it is one column of
-evenly spaced bits, shifted.
+that color's index and fixes the others, so it is one column of evenly
+spaced bits, shifted.  A layer's geometry (_layer_geometry), cached by
+its color-set bitmask and radices, is its shape plus the mask of each
+one-color drop.  No search builds a face: a witness is the record of
+its chosen masks (_assemble), and verify_uniqueness compares it with
+the cone extension's record, mask by mask (ColoredComplex.__eq__).
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
@@ -109,9 +113,9 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
-from .complexes import EMPTY_FACE, ColoredComplex, Face, Vertex
+from .complexes import ColoredComplex
 from .construction import cone_extension
-from .flags import _INT64_MAX, FlagVector, colors_of_mask, flag_f, subset_masks
+from .flags import _INT64_MAX, FlagVector, flag_f, subset_masks
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -162,44 +166,50 @@ class BudgetExhausted(RuntimeError):
 # layer machinery
 # ===================================================================
 
+class _Shape(NamedTuple):
+    """The color-free shape of a grid with given radices, in rank order.
+
+    Shared through the _grid_shape cache, so every field is a tuple.
+    """
+
+    preds: tuple[int, ...]
+    # Per color position: (full sub-grid mask, fibers), fibers[sub_rank]
+    # being the points projecting onto sub_rank, or None when that color
+    # has one vertex and ranks coincide.
+    drops: tuple[tuple[int, tuple[int, ...] | None], ...]
+    chain: bool  # at most one color has more than one vertex
+
+
 class _Geometry(NamedTuple):
-    """The target-independent shape of one layer grid, in rank order.
+    """One layer grid: a color set's view of its shape.
 
     Shared through the _layer_geometry cache, so every field is a tuple.
     """
 
     mask: int  # color-set bitmask
-    faces: tuple[Face, ...]
     preds: tuple[int, ...]
-    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers),
-    # fibers[sub_rank] being the points projecting onto sub_rank, or
-    # None when the dropped color has one vertex and ranks coincide.
+    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers).
     drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
-    chain: bool  # at most one color has more than one vertex
+    chain: bool
 
 
 @lru_cache(maxsize=256)
-def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
-    """Faces, preds and fibers of the grid of color set `mask` with
-    radices[i] vertices of its i-th color; cached, since searches reopen
-    the same few shapes."""
-    colors = colors_of_mask(mask)
+def _grid_shape(radices: tuple[int, ...]) -> _Shape:
+    """Preds and fibers of the grid with radices[i] vertices of its i-th
+    color; cached, since many color sets share a few shapes."""
     strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
     for j in range(len(radices) - 1, 0, -1):
         strides[j - 1] = strides[j] * radices[j]
-    faces = []
     preds = []
-    # colors ascend and indices start at 1: each tuple is a Face's own
     for rank, v in enumerate(product(*(range(1, r + 1) for r in radices))):
-        faces.append(Face._raw(tuple(map(Vertex, colors, v))))
         m = 0
         for i, s in zip(v, strides):
             if i > 1:
                 m |= 1 << (rank - s)
         preds.append(m)
-    npoints = len(faces)
+    npoints = len(preds)
     drops = []
-    for c, r, s in zip(colors, radices, strides):
+    for r, s in zip(radices, strides):
         fibers = None
         if r > 1:
             # rank = hi * r * s + (v_j - 1) * s + lo  projects to  hi * s + lo
@@ -209,9 +219,24 @@ def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
                 for hi in range(npoints // (r * s))
                 for lo in range(s)
             )
-        drops.append((mask ^ (1 << (c - 1)), (1 << (npoints // r)) - 1, fibers))
+        drops.append(((1 << (npoints // r)) - 1, fibers))
     chain = sum(r > 1 for r in radices) <= 1
-    return _Geometry(mask, tuple(faces), tuple(preds), tuple(drops), chain)
+    return _Shape(tuple(preds), tuple(drops), chain)
+
+
+@lru_cache(maxsize=256)
+def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
+    """The grid of color set `mask` with radices[i] vertices of its i-th
+    color: its shape plus the mask of each one-color drop; cached, since
+    searches reopen the same few layers."""
+    shape = _grid_shape(radices)
+    drops = []
+    m = mask
+    for full, fibers in shape.drops:
+        low = m & -m
+        drops.append((mask ^ low, full, fibers))
+        m ^= low
+    return _Geometry(mask, shape.preds, tuple(drops), shape.chain)
 
 
 def _layers_within(num_colors: int, t) -> list[_Geometry]:
@@ -245,39 +270,29 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     return allowed
 
 
-def _assemble(
-    num_colors: int, fixed: frozenset[Face], layers, chosen: dict[int, int]
-) -> ColoredComplex:
-    """The complex made of the fixed faces and each layer's chosen points,
-    kept as the walk's record (ColoredComplex._raw), which builds the
-    faces on first use and holds the flag counts.
+def _assemble(num_colors: int, chosen: dict[int, int]) -> ColoredComplex:
+    """The complex of the chosen points, kept as its record
+    (ColoredComplex._raw), which builds the faces on first use and holds
+    the flag counts.
 
-    Every chosen point of a layer is one face whose color set is exactly
-    the layer's mask, and _start records the empty face as chosen[0] = 1
-    and the t[i] vertices of color i + 1 as (1 << t[i]) - 1, the faces of
-    `fixed`; so the number of faces with color set S is the popcount of
-    chosen[S], and a color set without an entry has no face.  The record
-    holds the geometries, so evicting one from its cache leaves it whole.
+    Every chosen point of a layer is the face of that rank in the grid
+    of the layer's mask, and _start records the empty face as chosen[0]
+    = 1 and the t[i] vertices of color i + 1 as (1 << t[i]) - 1, so the
+    bit lengths of those entries are the grid's radices.  The entries
+    are in canonical order: _start's come first, and the walk and the
+    fixpoint add the layers' in canonical order.
     """
-    return ColoredComplex._raw(num_colors, None, (dict(chosen), fixed, layers))
+    return ColoredComplex._raw(num_colors, None, dict(chosen))
 
 
-@lru_cache(maxsize=256)
-def _vertex_faces(t: tuple[int, ...]) -> frozenset[Face]:
-    """The empty face and t[i] vertices of color i + 1; cached, since
-    building faces costs more than a search with forced layers."""
-    faces = {EMPTY_FACE}
-    for c, count in enumerate(t, start=1):
-        faces.update(Face._raw((Vertex(c, i),)) for i in range(1, count + 1))
-    return frozenset(faces)
-
-
-def _start(t) -> tuple[dict[int, int], frozenset[Face]]:
-    """Chosen masks of the empty and vertex layers, and their faces."""
+def _start(t) -> dict[int, int]:
+    """Chosen masks of the empty layer and the vertex layers with
+    vertices."""
     chosen = {0: 1}
-    for c, count in enumerate(t, start=1):
-        chosen[1 << (c - 1)] = (1 << count) - 1
-    return chosen, _vertex_faces(tuple(t))
+    for c, count in enumerate(t):
+        if count:
+            chosen[1 << c] = (1 << count) - 1
+    return chosen
 
 
 def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
@@ -429,7 +444,7 @@ def enumerate_color_shifted_with_flag(
     layers = _target_layers(f, t)
     if layers is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
-    chosen, fixed = _start(t)
+    chosen = _start(t)
     upper = _propagate(layers, f, chosen)
     if upper is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
@@ -439,7 +454,7 @@ def enumerate_color_shifted_with_flag(
         if nodes > budget.max_nodes:
             return SearchOutcome([], False, budget.max_nodes + 1)
         truncated = budget.max_witnesses == 1
-        witness = _assemble(n, fixed, layers, upper)
+        witness = _assemble(n, upper)
         return SearchOutcome([witness], not truncated, nodes, truncated)
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
@@ -458,7 +473,7 @@ def enumerate_color_shifted_with_flag(
     try:
         while True:
             nodes = next(walk)
-            witnesses.append(_assemble(n, fixed, layers, chosen))
+            witnesses.append(_assemble(n, chosen))
             if len(witnesses) >= budget.max_witnesses:
                 return SearchOutcome(witnesses, False, nodes, truncated=True)
     except StopIteration as stop:
@@ -520,12 +535,12 @@ def _enumerate(
     nodes = 0
     for t in product(*(range(b + 1) for b in bounds)):
         layers = _layers_within(num_colors, t)
-        chosen, fixed = _start(t)
+        chosen = _start(t)
         walk = _walk(layers, chosen, source, budget.max_nodes - nodes)
         try:
             while True:
                 next(walk)
-                yield _assemble(num_colors, fixed, layers, chosen)
+                yield _assemble(num_colors, chosen)
         except StopIteration as stop:
             nodes += stop.value
         if nodes > budget.max_nodes:

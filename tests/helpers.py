@@ -181,6 +181,24 @@ def brute_partitions(e: int) -> int:
     return rec(e, e) if e >= 0 else 0
 
 
+def brute_record(c: ColoredComplex) -> dict[int, int]:
+    """Per color-set mask with faces, the bitmask of the row-major ranks
+    of those faces in the grid whose radix for each color is its number
+    of vertices."""
+    counts: dict[int, int] = {}
+    for f in c.faces:
+        if len(f) == 1:
+            counts[f.colors[0]] = counts.get(f.colors[0], 0) + 1
+    record: dict[int, int] = {}
+    for f in c.faces:
+        mask = rank = 0
+        for color, index in f.vertices:
+            mask |= 1 << (color - 1)
+            rank = rank * counts[color] + index - 1
+        record[mask] = record.get(mask, 0) | 1 << rank
+    return record
+
+
 def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
     """Layer points whose every one-color-drop projection is chosen,
     tested point by point in row-major rank order."""

@@ -31,8 +31,17 @@ from flagshift import (
     verify_uniqueness,
 )
 from flagshift import oracle
+from flagshift.complexes import _grid_faces
+from flagshift.flags import colors_of_mask, subset_masks
 
-from helpers import edge2, face, reference_cone_extension, staircase, without_color
+from helpers import (
+    brute_record,
+    edge2,
+    face,
+    reference_cone_extension,
+    staircase,
+    without_color,
+)
 
 
 # ===================================================================
@@ -162,15 +171,19 @@ def test_extension_fails_fast_past_the_color_limit(monkeypatch):
 
 def test_extension_matches_the_face_by_face_reference(enumerated_corpus):
     """The one-pass extension equals the union of cones over principal
-    down-sets, report and all, on every small complex and staircase."""
-    for c in [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]:
+    down-sets, report and all, and its closed-form record is the record
+    read off the reference's faces, on every small complex, staircase
+    and the complex with 600 vertices of each of two colors."""
+    for c in [*enumerated_corpus, *(staircase(k) for k in range(2, 15)), WIDE]:
         got = cone_extension(c)
         want = reference_cone_extension(c)
         assert got == want, c
         assert repr(got[1]) == repr(want[1])
+        assert got[0]._record == brute_record(want[0]), c
 
 
 STAIRCASES = [staircase(k) for k in range(2, 15)]
+WIDE = shift_closure(2, [face((1, 600)), face((2, 600)), edge2(1, 1)])
 # color 2 unused, so an apex of color 2 lies between a face's colors
 GAPPED = shift_closure(3, [face((1, 2), (3, 1))])
 
@@ -180,9 +193,10 @@ def _built_internally(small):
     over the given small complexes and the staircases k = 2..14: the
     extension, uniqueness and flag searches, both enumerations, cone,
     select_colors, union, down_set_faces, shift_closure, subfaces, and
-    the search's layer-grid and vertex faces.  Each item is an iterable
-    of faces.  The staircases' own flag vectors take millions of nodes
-    to reach a second witness, so the flag search runs on `small` only."""
+    the grid faces that walk-built complexes read theirs from.  Each
+    item is an iterable of faces.  The staircases' own flag vectors take
+    millions of nodes to reach a second witness, so the flag search runs
+    on `small` only."""
     for c in small:
         for w in find_color_shifted_with_flag(c).witnesses:
             yield w.faces
@@ -209,9 +223,8 @@ def _built_internally(small):
     for c in enumerate_all_colored_complexes(2, [2, 2]):
         yield c.faces
     for t in [(2, 3), (2, 2, 2), (1, 3, 2)]:
-        yield oracle._vertex_faces(t)
-        for geo in oracle._layers_within(len(t), t):
-            yield geo.faces
+        for mask in subset_masks(len(t)):
+            yield _grid_faces(mask, tuple(t[c - 1] for c in colors_of_mask(mask)))
 
 
 def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
@@ -228,14 +241,15 @@ def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
 def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_corpus):
     """With Face.__init__ and FlagVector.__init__ made to raise, every
     internal producer still runs: the package validates only what comes
-    from outside.  The search caches are cleared first, so grid and
-    vertex faces are built under the patch."""
+    from outside.  The grid caches are cleared first, so grid faces are
+    built under the patch."""
 
     def no_init(*_args, **_kwargs):
         raise AssertionError("an internal path called a validating constructor")
 
     oracle._layer_geometry.cache_clear()
-    oracle._vertex_faces.cache_clear()
+    oracle._grid_shape.cache_clear()
+    _grid_faces.cache_clear()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
     built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
@@ -256,7 +270,7 @@ def test_extension_builds_only_its_apex_faces(monkeypatch):
     def no_init(*_args):
         raise AssertionError("a face was built through the validating constructor")
 
-    delta = shift_closure(2, [face((1, 600)), face((2, 600)), edge2(1, 1)])
+    delta = WIDE
     assert len(delta) == 1202
     made = []
     raw = complexes.Face._raw
@@ -266,6 +280,8 @@ def test_extension_builds_only_its_apex_faces(monkeypatch):
         return raw(vertices)
 
     monkeypatch.setattr(oracle, "_layer_geometry", no_grid)
+    monkeypatch.setattr(oracle, "_grid_shape", no_grid)
+    monkeypatch.setattr(complexes, "_grid_faces", no_grid)
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     monkeypatch.setattr(complexes.Face, "__init__", no_init)
     extended, report = cone_extension(delta)

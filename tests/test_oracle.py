@@ -31,7 +31,8 @@ from flagshift import (
     verify_uniqueness,
 )
 
-from flagshift import oracle
+from flagshift import complexes, oracle
+from flagshift.complexes import _grid_faces
 from flagshift.flags import colors_of_mask
 
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
     brute_allowed_mask,
     brute_flag_f,
     brute_partitions,
+    brute_record,
     reference_propagate,
     staircase,
     without_color,
@@ -342,7 +344,9 @@ def test_propagated_bounds_hold_every_witness(num_colors, bounds):
             continue
         for faces in witnesses:
             for geo in layers:
-                points = sum(1 << r for r, face in enumerate(geo.faces) if face in faces)
+                radices = tuple(dense[1 << (c - 1)] for c in colors_of_mask(geo.mask))
+                grid = _grid_faces(geo.mask, radices)
+                points = sum(1 << r for r, face in enumerate(grid) if face in faces)
                 assert points & ~upper[geo.mask] == 0, (dense, geo.mask)
 
 
@@ -442,7 +446,7 @@ def test_propagate_matches_full_sweeps(enumerated_corpus):
         layers = oracle._target_layers(dense, t)
         if not layers:
             continue
-        chosen, _ = oracle._start(t)
+        chosen = oracle._start(t)
         upper = oracle._propagate(layers, dense, chosen)
         assert upper == reference_propagate(layers, dense, chosen), dense
         if upper is None:
@@ -459,13 +463,15 @@ def test_projection_matches_faces():
     drops to along each color, and a set of points to the union."""
     for mask, radices in [(0b111, (2, 3, 2)), (0b11, (3, 1)), (0b11010, (1, 2, 2))]:
         geo = oracle._layer_geometry(mask, radices)
+        grid = _grid_faces(mask, radices)
         colors = colors_of_mask(mask)
         for j, (sub_mask, _, fibers) in enumerate(geo.drops):
-            sub = oracle._layer_geometry(sub_mask, radices[:j] + radices[j + 1:])
+            sub_radices = radices[:j] + radices[j + 1:]
+            sub = oracle._layer_geometry(sub_mask, sub_radices)
             assert sub.mask == sub_mask
-            rank = {face: r for r, face in enumerate(sub.faces)}
-            image = [1 << rank[without_color(face, colors[j])] for face in geo.faces]
-            for points in range(1 << len(geo.faces)):
+            rank = {face: r for r, face in enumerate(_grid_faces(sub_mask, sub_radices))}
+            image = [1 << rank[without_color(face, colors[j])] for face in grid]
+            for points in range(1 << len(grid)):
                 want = 0
                 for r, bit in enumerate(image):
                     if points >> r & 1:
@@ -567,8 +573,8 @@ def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus, enumerated_
 
     def checked(geo, chosen):
         got = fiber_allowed(geo, chosen)
-        colors = tuple(v.color for v in geo.faces[-1].vertices)
-        radices = tuple(v.index for v in geo.faces[-1].vertices)
+        colors = colors_of_mask(geo.mask)
+        radices = tuple(chosen[1 << (c - 1)].bit_length() for c in colors)
         assert got == brute_allowed_mask(colors, radices, chosen), (colors, radices)
         opened.append(colors)
         return got
@@ -585,11 +591,13 @@ def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus, enumerated_
 
 def test_geometry_matches_its_faces():
     """Each geometry's mask, preds, drops and chain flag agree with its
-    faces, point by point.  The faces run over the index grid in
-    row-major order; preds[r] holds the points one index below point r
-    in one color; a drop's fiber of a sub-point holds the points whose
+    grid faces, point by point.  The grid faces run over the index grid
+    in row-major order; preds[r] holds the points one index below point
+    r in one color; a drop's fiber of a sub-point holds the points whose
     face drops to that sub-point's face, and a drop with no fibers keeps
-    every rank.  The shapes put a one-vertex color in every position."""
+    every rank.  The preds, fibers and chain flag are the shape's, shared
+    by every color set with the same radices.  The shapes put a
+    one-vertex color in every position."""
     shapes = [(0b10101, r) for r in product((1, 2, 3), repeat=3)]
     shapes += [(0b1111, r) for r in product((1, 2), repeat=4)]
     shapes += [(0b11, (300, 1)), (0b11, (1, 300)), (0b11, (1, 1)), (0b1000, (4,))]
@@ -597,8 +605,12 @@ def test_geometry_matches_its_faces():
         geo = oracle._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
         grid = list(product(*(range(1, r + 1) for r in radices)))
-        assert [f.vertices for f in geo.faces] == [tuple(zip(colors, v)) for v in grid]
+        faces = _grid_faces(mask, radices)
+        assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
         assert geo.mask == mask
+        shape = oracle._grid_shape(radices)
+        assert geo.preds is shape.preds and geo.chain == shape.chain
+        assert [drop[1:] for drop in geo.drops] == list(shape.drops)
         assert geo.chain == (sum(r > 1 for r in radices) <= 1)
         rank = {v: r for r, v in enumerate(grid)}
         for r, v in enumerate(grid):
@@ -623,9 +635,12 @@ def test_geometry_matches_its_faces():
 def test_layer_geometry_cache_is_bounded_and_immutable():
     geo = oracle._layer_geometry(0b111, (2, 3, 1))
     assert oracle._layer_geometry(0b111, (2, 3, 1)) is geo
-    maxsize = oracle._layer_geometry.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 256
-    for field in (geo.faces, geo.preds, geo.drops, *geo.drops):
+    faces = _grid_faces(0b111, (2, 3, 1))
+    assert _grid_faces(0b111, (2, 3, 1)) is faces
+    for cache in (oracle._layer_geometry, oracle._grid_shape, _grid_faces):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
+    for field in (faces, geo.preds, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
     assert all(fibers is None or isinstance(fibers, tuple) for _, _, fibers in geo.drops)
     with pytest.raises(AttributeError):
@@ -677,11 +692,12 @@ def _assert_same_as_validated(
 ) -> None:
     """A walk-built complex behaves as the validated complex of its faces:
     ==, hash, len, in, canonical order, document bytes, flag vector and
-    repr agree.  len, flag_f and repr run before the checks that build
-    w's face set and again after them; `first` picks which of those
-    checks runs first and so builds it.  Without `every_check`, the
-    canonical order and the document, which read nothing but the face
-    set, are checked only when `first` picks them."""
+    repr agree.  len, flag_f and repr run before the other checks and
+    again after them; `first` picks which of those runs first.  ==, hash
+    and in build w's face set; the canonical order and the document read
+    the record while the face set is unbuilt, and sort it once built.
+    Without `every_check`, those two are checked only when `first` picks
+    them, on the record."""
     twin = ColoredComplex._raw(w.num_colors, None, w._record)
     rebuilt = ColoredComplex(w.num_colors, twin.faces)
     lazy = (len, flag_f, repr)
@@ -695,8 +711,9 @@ def _assert_same_as_validated(
         lambda c: emit_complex(c) == emit_complex(rebuilt),
     )
     trigger = building[first % len(building)]
+    builds = first % len(building) < 3
     assert [op(w) for op in lazy] == expected, w
-    assert trigger(w) and w._faces is not None, w
+    assert trigger(w) and (w._faces is not None) == builds, w
     for check in building if every_check else building[:3]:
         assert check is trigger or check(w), w
     assert [op(w) for op in lazy] == expected, w
@@ -735,11 +752,12 @@ def _corpus_and_witnesses() -> list[ColoredComplex]:
 def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
     """Enumerated complexes and search witnesses match their validated
     rebuilds before their face sets are built and after; every corpus
-    extension, built by cone_extension with no walk record, has the face
-    count its report predicts."""
+    extension, built by cone_extension with its faces and a record read
+    off no walk, has the record of its faces and the face count its
+    report predicts."""
     for delta in enumerated_corpus:
         extended, report = cone_extension(delta)
-        assert extended._record is None
+        assert extended._faces is not None and extended._record == brute_record(extended)
         assert flag_f(extended) == report.predicted_flag
         assert brute_flag_f(extended) == dict(report.predicted_flag.nonzero_items())
         outcome = enumerate_color_shifted_with_flag(report.predicted_flag)
@@ -749,12 +767,14 @@ def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
 
 
 def test_walk_records_survive_cache_clears():
-    """A walk record holds its layers' geometries, so clearing the
-    geometry and vertex-face caches before the faces are built changes
-    nothing, and complexes built by separate walks compare equal."""
+    """A walk record holds only the chosen masks, so clearing the
+    geometry, shape and grid-face caches before the faces are built
+    changes nothing, and complexes built by separate walks compare
+    equal."""
     complexes = _corpus_and_witnesses()
     oracle._layer_geometry.cache_clear()
-    oracle._vertex_faces.cache_clear()
+    oracle._grid_shape.cache_clear()
+    _grid_faces.cache_clear()
     for i, c in enumerate(complexes):
         _assert_same_as_validated(c, i)
     assert _corpus_and_witnesses() == complexes
@@ -789,6 +809,61 @@ def test_census_pass_builds_no_face_set():
         witnesses += outcome.witnesses
     assert len(every) == 74_963
     assert not [c for c in [*every, *witnesses] if c._faces is not None]
+
+
+def test_uniqueness_builds_no_grid_face(monkeypatch, enumerated_corpus):
+    """verify_uniqueness over the corpus and the staircases k = 2..14
+    builds no grid face and no witness's face set: the extension carries
+    its record, and the witness is compared with it record to record.
+    The counterpart of test_census_pass_builds_no_face_set."""
+    deltas = [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]
+    for delta in deltas:
+        delta.faces  # the extension reads its input's faces
+
+    def no_grid(*_args):
+        raise AssertionError("a grid face was built")
+
+    monkeypatch.setattr(complexes, "_grid_faces", no_grid)
+    witnesses = []
+    for delta in deltas:
+        result = verify_uniqueness(delta)
+        assert result.unique is True, delta
+        witnesses += result.outcome.witnesses
+    assert len(witnesses) == len(deltas)
+    assert not [w for w in witnesses if w._faces is not None]
+
+
+def test_record_equality_agrees_with_face_sets():
+    """Within each flag-vector group of the two-color complexes within
+    3 x 3 vertices, for every pair among two separate enumerations, the
+    search witnesses and the validated rebuilds: == holds exactly when
+    the face sets are equal, and equal complexes hash alike.  Pairs of
+    records include empty layers (assigned 0 by the enumeration, absent
+    from a search witness), so both the direct and the non-zero
+    comparison are exercised."""
+    groups: dict[tuple[int, ...], list[ColoredComplex]] = {}
+    for c in [
+        *enumerate_all_colored_complexes(2, [3, 3]),
+        *enumerate_all_colored_complexes(2, [3, 3]),
+    ]:
+        groups.setdefault(flag_f(c).dense(), []).append(c)
+    assert len(groups) == 52
+    pairs = Counter()
+    for dense, group in groups.items():
+        outcome = enumerate_color_shifted_with_flag(
+            FlagVector(2, dense), SearchBudget(max_witnesses=len(group) + 1)
+        )
+        assert outcome.exhausted and outcome.witnesses
+        group += outcome.witnesses
+        group += [ColoredComplex(2, c.faces) for c in group]
+        for a in group:
+            for b in group:
+                equal = a.faces == b.faces
+                assert (a == b) == equal, (a._record, b._record)
+                assert not equal or hash(a) == hash(b)
+                if a._record is not None and b._record is not None:
+                    pairs[equal, a._record == b._record] += 1
+    assert min(pairs[True, True], pairs[True, False], pairs[False, False]) > 0, pairs
 
 
 # ===================================================================
