@@ -7,9 +7,10 @@ subsets.  Within each color the vertex indices present as singletons are
 kept contiguous from 1, so the labeling of a complex is canonical: two
 complexes describe the same object exactly when they compare equal.
 A complex may also carry a record of its faces as one bitmask per color
-set over that color set's index grid (ColoredComplex._raw); a complex
-built by the layered walk holds only that and builds its face set on
-first use.
+set over that color set's index grid (ColoredComplex._raw).  A complex
+built by the layered walk, and a cone extension, holds only that: its
+faces are decoded from the record on first use, point by point and
+shared through a per-grid memo (_grid_memo), so no whole grid is built.
 
 Every value here is immutable; operations return new objects.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -226,17 +227,22 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
 
 
 @lru_cache(maxsize=256)
-def _grid_faces(mask: int, radices: tuple[int, ...]) -> tuple[Face, ...]:
-    """Every face with exactly the colors of bitmask `mask`, radices[i]
-    vertices of its i-th color, in row-major rank order, which is the
-    canonical order; cached, since walk-built complexes of one shape
-    share them."""
-    colors = [c + 1 for c in range(mask.bit_length()) if mask >> c & 1]
-    # colors ascend and indices start at 1: each tuple is a Face's own
-    return tuple(
-        Face._raw(tuple(map(Vertex, colors, v)))
-        for v in product(*(range(1, r + 1) for r in radices))
-    )
+def _grid_memo(mask: int, radices: tuple[int, ...]) -> dict[int, Face]:
+    """Faces decoded so far in the grid of color set `mask` with radices[i]
+    vertices of its i-th color, by row-major rank, filled on demand and
+    shared by the records of one shape."""
+    return {}
+
+
+def _grid_face(colors: list[int], radices: list[int], rank: int) -> Face:
+    """The face of row-major rank `rank` in the grid of `colors`, decoded
+    by mixed radix from the last color."""
+    indices = []
+    for radix in reversed(radices):
+        rank, index = divmod(rank, radix)
+        indices.append(index + 1)
+    # colors ascend and indices start at 1: the tuple is a Face's own
+    return Face._raw(tuple(map(Vertex, colors, reversed(indices))))
 
 
 class ColoredComplex:
@@ -273,14 +279,15 @@ class ColoredComplex:
 
         A record, which nobody changes after, maps color-set masks to
         bitmasks: bit r of record[S] is set exactly when the face of rank
-        r in the grid of S (_grid_faces) is in the complex, the grid of S
+        r in the row-major grid of S is in the complex, the grid of S
         having as many vertices of each color c as the bit length of
         record[{c}].  Record[0] is 1 for the empty face, record[{c}] is
         (1 << t_c) - 1 for the t_c vertices of color c, and a color set
         without an entry has no face.  A caller may pass faces=None with a
-        record, listed in canonical order (size, then lexicographic):
-        `faces` builds them on first use and `sorted_faces` reads them off
-        in that order.  flag_f and len read the counts from the record.
+        record in canonical order (flags.mask_sort_key), as the walk and
+        cone_extension do: `faces` builds them on first use and
+        `sorted_faces` reads them off in that order.  flag_f and len read
+        the counts from the record.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
@@ -303,16 +310,21 @@ class ColoredComplex:
         for mask, points in record.items():
             if not points:
                 continue
-            radices = []
+            colors, radices = [], []
             m = mask
             while m:
                 low = m & -m
+                colors.append(low.bit_length())
                 radices.append(record[low].bit_length())
                 m ^= low
-            faces_of = _grid_faces(mask, tuple(radices))
+            memo = _grid_memo(mask, tuple(radices))
             while points:
                 low = points & -points
-                built.append(faces_of[low.bit_length() - 1])
+                rank = low.bit_length() - 1
+                face = memo.get(rank)
+                if face is None:  # the empty face is falsy
+                    face = memo[rank] = _grid_face(colors, radices, rank)
+                built.append(face)
                 points ^= low
         return built
 

@@ -13,6 +13,9 @@ The bookkeeping that drives the uniqueness argument is recorded in a
 report: each apex color n+p carries exactly one vertex, and for each
 color r used by F_p the number of {r, n+p}-colored edges equals the
 index of F_p's vertex of color r.
+
+The extension is built as its record alone (ColoredComplex._raw), in
+closed form from the F_p: no face is built until one is read.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ColoredComplex, Face, Vertex, select_colors
-from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, subset_masks
-from .shifting import _box, find_shift_violation, shift_maximal_faces
+from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, mask_sort_key, subset_masks
+from .shifting import find_shift_violation, shift_maximal_faces
 # unused here, but perfbench's tracer and its tests look the bindings up
 from .complexes import cone, union  # noqa: F401
 from .shifting import principal_downset  # noqa: F401
@@ -60,26 +63,19 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     it is not color-shifted, and TooManyColorsError, before building
     anything, if the extension would need more than MAX_COLORS colors.
 
-    The face set is assembled in one pass without re-validation, and
-    each apex face is built once, straight from its vertex tuple.  A
-    face with apex color n+p is the apex joined to a face of the
-    principal down-set of F_p.  `_box` gives that face's vertex tuple
-    sorted by base color, and the apex color n+p exceeds every base
-    color, so choice + (apex,) is a Face's sorted vertex tuple.  The
-    result is a valid complex: delta and each cone over a box are closed
-    under taking subsets, and so is their union; it holds the empty
-    face; every apex color n+p has only the vertex 1; and the vertices
-    of the base colors are delta's own.
-
     The predicted flag f-vector is computed in closed form, not read off
     the output.  The faces on base colors are delta's, and for T within
     the colors of F_p, f_{T + {n+p}} is the product of F_p's indices on
     T; every other color set has no face.
 
-    The output's record (ColoredComplex._raw), the points of each color
-    set in its grid, is computed in closed form too, and no grid is
-    built.  A base color c has as many vertices as the largest index of
-    c among the F_p.  The grid of T + {n+p} is the grid of T with one
+    The output is its record alone (ColoredComplex._raw), the points of
+    each color set in its grid, computed in closed form too and listed
+    in canonical order, so no grid and no face is built.  It records a
+    valid complex: delta and each cone over a principal down-set are
+    closed under taking subsets, and so is their union; it holds the
+    empty face; every apex color n+p has only the vertex 1; and the
+    vertices of the base colors are delta's own.  A base color c has as
+    many vertices as the largest index of c among the F_p.  The grid of T + {n+p} is the grid of T with one
     more index, always 1, so its points are the box of F_p on T at its
     ranks in the grid of T; and delta is the union of the principal
     down-sets of its maximal faces, so a base layer T is the OR of the
@@ -103,7 +99,6 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         for color, index in face._vertices:
             if index > radix[color]:
                 radix[color] = index
-    apex_faces = []
     apexes = []
     predicted_edges = []
     counts = list(flag_f(delta).dense()) + [0] * ((1 << (n + k)) - (1 << n))
@@ -114,8 +109,6 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
-        tail = (apex,)
-        apex_faces += [Face._raw(choice + tail) for choice in _box(face._vertices)]
         # the box on each color set T of F_p: (T, its size, the size of
         # the grid of T, its points there)
         box = [(0, 1, 1, 1)]
@@ -131,7 +124,8 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
             counts[mask | apex_bit] = size
             chosen[mask | apex_bit] = points
             chosen[mask] = chosen.get(mask, 0) | points
-    extended = ColoredComplex._raw(n + k, delta.faces.union(apex_faces), chosen)
+    record = {mask: chosen[mask] for mask in sorted(chosen, key=mask_sort_key)}
+    extended = ColoredComplex._raw(n + k, None, record)
     report = ConstructionReport(
         base_colors=n,
         apex_count=k,
@@ -177,8 +171,9 @@ def verify_cone_extension(
         return VerificationResult(
             False, "selection", f"selecting colors 1..{n} does not recover the input"
         )
-    # counted face by face: a record, like the predictions, is computed
-    # in closed form, and would leave the faces unchecked
+    # counted face by face: the faces are decoded from the record, so
+    # this checks the decoding against the closed-form predictions, which
+    # the record's own counts, computed alongside them, would not
     fv = flag_f(ColoredComplex._raw(extended.num_colors, extended.faces))
     for apex_color in report.predicted_singletons:
         got = fv.count((apex_color,))

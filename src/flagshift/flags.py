@@ -52,6 +52,18 @@ def colors_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
+_REVERSED_BYTES = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def mask_sort_key(mask: int) -> int:
+    """Key of a mask of at most MAX_COLORS = 16 colors in canonical order
+    (that of subset_masks).  Reversing the 16 bits puts color 1 on top,
+    so among masks of one size the complement of the reversal ascends
+    lexicographically."""
+    reversal = _REVERSED_BYTES[mask & 255] << 8 | _REVERSED_BYTES[mask >> 8]
+    return mask.bit_count() << 16 | reversal ^ 0xFFFF
+
+
 @lru_cache(maxsize=None)
 def subset_masks(num_colors: int) -> tuple[int, ...]:
     """All color-set bitmasks in canonical order: size, then lexicographic."""

@@ -19,9 +19,11 @@ sub-grid point, the layer points that project onto it.  A fiber varies
 that color's index and fixes the others, so it is one column of evenly
 spaced bits, shifted.  A layer's geometry (_layer_geometry), cached by
 its color-set bitmask and radices, is its shape plus the mask of each
-one-color drop.  No search builds a face: a witness is the record of
-its chosen masks (_assemble), and verify_uniqueness compares it with
-the cone extension's record, mask by mask (ColoredComplex.__eq__).
+one-color drop.  Only the color sets the target gives faces are
+visited (_target_layers).  No search builds a face: a witness is the
+record of its chosen masks (_assemble), and verify_uniqueness compares
+it with the cone extension, itself only a record, mask by mask
+(ColoredComplex.__eq__).
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
@@ -108,14 +110,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
 from .complexes import ColoredComplex
 from .construction import cone_extension
-from .flags import _INT64_MAX, FlagVector, flag_f, subset_masks
+from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -353,11 +355,10 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     """Geometries of the color sets of size >= 2 with faces in the dense
     target f, in canonical order, or None when a color set with faces has
     a one-color drop without or more faces than its grid; both are
-    checked before the grid is built."""
+    checked before the grid is built.  Only non-zero entries are visited."""
     layers = []
-    for mask in subset_masks(len(t)):
-        if mask.bit_count() < 2 or f[mask] == 0:
-            continue
+    masks = [m for m in compress(range(len(f)), f) if m & (m - 1)]
+    for mask in sorted(masks, key=mask_sort_key):
         radices = []
         m = mask
         while m:

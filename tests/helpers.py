@@ -199,6 +199,13 @@ def brute_record(c: ColoredComplex) -> dict[int, int]:
     return record
 
 
+def reference_grid_faces(mask: int, radices) -> list[Face]:
+    """Every face with exactly the colors of bitmask `mask` and radices[i]
+    vertices of its i-th color, the whole grid in row-major rank order."""
+    colors = [c + 1 for c in range(mask.bit_length()) if mask >> c & 1]
+    return [Face(zip(colors, v)) for v in product(*(range(1, r + 1) for r in radices))]
+
+
 def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
     """Layer points whose every one-color-drop projection is chosen,
     tested point by point in row-major rank order."""

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
+from math import prod
 
 import pytest
 
@@ -30,8 +32,8 @@ from flagshift import (
     verify_cone_extension,
     verify_uniqueness,
 )
-from flagshift import oracle
-from flagshift.complexes import _grid_faces
+from flagshift import emit_complex, oracle
+from flagshift.complexes import _grid_memo
 from flagshift.flags import colors_of_mask, subset_masks
 
 from helpers import (
@@ -39,6 +41,7 @@ from helpers import (
     edge2,
     face,
     reference_cone_extension,
+    reference_emit_complex,
     staircase,
     without_color,
 )
@@ -193,7 +196,7 @@ def _built_internally(small):
     over the given small complexes and the staircases k = 2..14: the
     extension, uniqueness and flag searches, both enumerations, cone,
     select_colors, union, down_set_faces, shift_closure, subfaces, and
-    the grid faces that walk-built complexes read theirs from.  Each
+    the decoding of records into faces, over whole grids.  Each
     item is an iterable of faces.  The staircases' own flag vectors take
     millions of nodes to reach a second witness, so the flag search runs
     on `small` only."""
@@ -223,8 +226,12 @@ def _built_internally(small):
     for c in enumerate_all_colored_complexes(2, [2, 2]):
         yield c.faces
     for t in [(2, 3), (2, 2, 2), (1, 3, 2)]:
-        for mask in subset_masks(len(t)):
-            yield _grid_faces(mask, tuple(t[c - 1] for c in colors_of_mask(mask)))
+        # the complex of every rainbow face: each grid full
+        full = {
+            mask: (1 << prod(t[c - 1] for c in colors_of_mask(mask))) - 1
+            for mask in subset_masks(len(t))
+        }
+        yield ColoredComplex._raw(len(t), None, full).sorted_faces()
 
 
 def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
@@ -249,7 +256,7 @@ def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_c
 
     oracle._layer_geometry.cache_clear()
     oracle._grid_shape.cache_clear()
-    _grid_faces.cache_clear()
+    _grid_memo.cache_clear()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
     built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
@@ -257,10 +264,11 @@ def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_c
     assert built > 0
 
 
-def test_extension_builds_only_its_apex_faces(monkeypatch):
-    """Construction stays proportional to the faces: on a complex whose
-    two vertex colors have 600 vertices each, it builds no layer grid,
-    and the only faces it makes are the apex faces of its output."""
+def test_extension_builds_no_face(monkeypatch):
+    """Construction stays proportional to the maximal faces: on a complex
+    whose two vertex colors have 600 vertices each, it builds no layer
+    grid and no face at all; verification reads the faces decoded from
+    its record."""
     import flagshift.complexes as complexes
     import flagshift.oracle as oracle
 
@@ -281,14 +289,66 @@ def test_extension_builds_only_its_apex_faces(monkeypatch):
 
     monkeypatch.setattr(oracle, "_layer_geometry", no_grid)
     monkeypatch.setattr(oracle, "_grid_shape", no_grid)
-    monkeypatch.setattr(complexes, "_grid_faces", no_grid)
+    monkeypatch.setattr(complexes, "_grid_memo", no_grid)
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     monkeypatch.setattr(complexes.Face, "__init__", no_init)
     extended, report = cone_extension(delta)
     monkeypatch.undo()
     assert report.total_colors == 5
-    assert len(made) == len(extended) - len(delta) == 601 + 601 + 4
+    assert made == [] and extended._faces is None
+    assert len(extended) - len(delta) == 601 + 601 + 4
     assert verify_cone_extension(delta, extended, report).ok
+
+
+def test_wide_extension_memory_is_its_faces():
+    """Constructing the 600 x 600 complex's extension, emitting it and
+    comparing it with the face-by-face reference holds a few MiB at
+    peak: its faces are decoded one by one, never a whole grid, whose
+    edge layer alone has 360,000 points."""
+    want, _ = reference_cone_extension(WIDE)
+    want_doc = reference_emit_complex(want)
+    _grid_memo.cache_clear()
+    tracemalloc.start()
+    try:
+        extended, _ = cone_extension(WIDE)
+        assert emit_complex(extended) == want_doc
+        assert extended == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_extension_order_and_bytes(enumerated_corpus):
+    """Every corpus extension and the staircases' k = 2..14 list their
+    faces in canonical order and emit the reference document's bytes,
+    both read off the record before the face set is built."""
+    for delta in [*enumerated_corpus, *STAIRCASES]:
+        extended, _ = cone_extension(delta)
+        listed = extended.sorted_faces()
+        assert emit_complex(extended) == reference_emit_complex(
+            reference_cone_extension(delta)[0]
+        ), delta
+        assert extended._faces is None
+        assert listed == sorted(extended.faces, key=lambda f: f.sort_key), delta
+
+
+def test_uniqueness_reads_no_full_mask_table(monkeypatch):
+    """verify_uniqueness visits only the color sets its target gives
+    faces: with the table of all 2^16 color-set masks made to raise, the
+    16-color extension of staircase(14) is still found unique."""
+    import flagshift.construction as construction
+    import flagshift.flags as flags
+
+    delta = staircase(14)
+
+    def no_table(_num_colors):
+        raise AssertionError("the table of every color-set mask was read")
+
+    for module in (flags, oracle, construction):
+        monkeypatch.setattr(module, "subset_masks", no_table)
+    result = verify_uniqueness(delta)
+    assert result.unique is True and result.extended.num_colors == 16
 
 
 # ===================================================================

@@ -19,6 +19,7 @@ from flagshift.flags import (
     MAX_COLORS,
     colors_of_mask,
     mask_of_colors,
+    mask_sort_key,
     subset_masks,
 )
 
@@ -54,10 +55,11 @@ def test_subset_masks_canonical_order():
 
 def test_subset_masks_equal_the_sorted_order():
     """The masks by size, each size lexicographic in its colors, are all
-    2^n masks sorted by (popcount, colors)."""
+    2^n masks sorted by (popcount, colors), and by mask_sort_key."""
     for n in range(17):
         want = sorted(range(1 << n), key=lambda m: (m.bit_count(), colors_of_mask(m)))
         assert subset_masks(n) == tuple(want), n
+        assert sorted(range(1 << n), key=mask_sort_key) == want, n
 
 
 # ===================================================================

@@ -32,7 +32,6 @@ from flagshift import (
 )
 
 from flagshift import complexes, oracle
-from flagshift.complexes import _grid_faces
 from flagshift.flags import colors_of_mask
 
 from helpers import (
@@ -41,6 +40,8 @@ from helpers import (
     brute_flag_f,
     brute_partitions,
     brute_record,
+    reference_cone_extension,
+    reference_grid_faces,
     reference_propagate,
     staircase,
     without_color,
@@ -345,7 +346,7 @@ def test_propagated_bounds_hold_every_witness(num_colors, bounds):
         for faces in witnesses:
             for geo in layers:
                 radices = tuple(dense[1 << (c - 1)] for c in colors_of_mask(geo.mask))
-                grid = _grid_faces(geo.mask, radices)
+                grid = reference_grid_faces(geo.mask, radices)
                 points = sum(1 << r for r, face in enumerate(grid) if face in faces)
                 assert points & ~upper[geo.mask] == 0, (dense, geo.mask)
 
@@ -463,13 +464,13 @@ def test_projection_matches_faces():
     drops to along each color, and a set of points to the union."""
     for mask, radices in [(0b111, (2, 3, 2)), (0b11, (3, 1)), (0b11010, (1, 2, 2))]:
         geo = oracle._layer_geometry(mask, radices)
-        grid = _grid_faces(mask, radices)
+        grid = reference_grid_faces(mask, radices)
         colors = colors_of_mask(mask)
         for j, (sub_mask, _, fibers) in enumerate(geo.drops):
             sub_radices = radices[:j] + radices[j + 1:]
             sub = oracle._layer_geometry(sub_mask, sub_radices)
             assert sub.mask == sub_mask
-            rank = {face: r for r, face in enumerate(_grid_faces(sub_mask, sub_radices))}
+            rank = {face: r for r, face in enumerate(reference_grid_faces(sub_mask, sub_radices))}
             image = [1 << rank[without_color(face, colors[j])] for face in grid]
             for points in range(1 << len(grid)):
                 want = 0
@@ -605,7 +606,7 @@ def test_geometry_matches_its_faces():
         geo = oracle._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
         grid = list(product(*(range(1, r + 1) for r in radices)))
-        faces = _grid_faces(mask, radices)
+        faces = reference_grid_faces(mask, radices)
         assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
         assert geo.mask == mask
         shape = oracle._grid_shape(radices)
@@ -635,12 +636,12 @@ def test_geometry_matches_its_faces():
 def test_layer_geometry_cache_is_bounded_and_immutable():
     geo = oracle._layer_geometry(0b111, (2, 3, 1))
     assert oracle._layer_geometry(0b111, (2, 3, 1)) is geo
-    faces = _grid_faces(0b111, (2, 3, 1))
-    assert _grid_faces(0b111, (2, 3, 1)) is faces
-    for cache in (oracle._layer_geometry, oracle._grid_shape, _grid_faces):
+    memo = complexes._grid_memo(0b111, (2, 3, 1))
+    assert complexes._grid_memo(0b111, (2, 3, 1)) is memo
+    for cache in (oracle._layer_geometry, oracle._grid_shape, complexes._grid_memo):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
-    for field in (faces, geo.preds, geo.drops, *geo.drops):
+    for field in (geo.preds, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
     assert all(fibers is None or isinstance(fibers, tuple) for _, _, fibers in geo.drops)
     with pytest.raises(AttributeError):
@@ -752,16 +753,19 @@ def _corpus_and_witnesses() -> list[ColoredComplex]:
 def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
     """Enumerated complexes and search witnesses match their validated
     rebuilds before their face sets are built and after; every corpus
-    extension, built by cone_extension with its faces and a record read
-    off no walk, has the record of its faces and the face count its
-    report predicts."""
+    extension, built by cone_extension as a record read off no walk, has
+    the record of the face-by-face reference, keeps its face set unbuilt
+    until its faces are read, and has the face count its report
+    predicts."""
     for delta in enumerated_corpus:
         extended, report = cone_extension(delta)
-        assert extended._faces is not None and extended._record == brute_record(extended)
+        assert extended._record == brute_record(reference_cone_extension(delta)[0])
         assert flag_f(extended) == report.predicted_flag
-        assert brute_flag_f(extended) == dict(report.predicted_flag.nonzero_items())
         outcome = enumerate_color_shifted_with_flag(report.predicted_flag)
         assert outcome.witnesses == [extended]
+        assert extended._faces is None, delta
+        assert brute_flag_f(extended) == dict(report.predicted_flag.nonzero_items())
+        assert extended._faces is not None
     for i, c in enumerate(_corpus_and_witnesses()):
         _assert_same_as_validated(c, i)
 
@@ -771,13 +775,13 @@ def test_walk_records_survive_cache_clears():
     geometry, shape and grid-face caches before the faces are built
     changes nothing, and complexes built by separate walks compare
     equal."""
-    complexes = _corpus_and_witnesses()
+    walked = _corpus_and_witnesses()
     oracle._layer_geometry.cache_clear()
     oracle._grid_shape.cache_clear()
-    _grid_faces.cache_clear()
-    for i, c in enumerate(complexes):
+    complexes._grid_memo.cache_clear()
+    for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
-    assert _corpus_and_witnesses() == complexes
+    assert _corpus_and_witnesses() == walked
 
 
 def test_census_complexes_build_their_faces_on_first_use():
@@ -813,9 +817,10 @@ def test_census_pass_builds_no_face_set():
 
 def test_uniqueness_builds_no_grid_face(monkeypatch, enumerated_corpus):
     """verify_uniqueness over the corpus and the staircases k = 2..14
-    builds no grid face and no witness's face set: the extension carries
-    its record, and the witness is compared with it record to record.
-    The counterpart of test_census_pass_builds_no_face_set."""
+    builds no grid face and neither the extension's nor the witness's
+    face set: the extension is its record, and the witness is compared
+    with it record to record.  The counterpart of
+    test_census_pass_builds_no_face_set."""
     deltas = [*enumerated_corpus, *(staircase(k) for k in range(2, 15))]
     for delta in deltas:
         delta.faces  # the extension reads its input's faces
@@ -823,14 +828,14 @@ def test_uniqueness_builds_no_grid_face(monkeypatch, enumerated_corpus):
     def no_grid(*_args):
         raise AssertionError("a grid face was built")
 
-    monkeypatch.setattr(complexes, "_grid_faces", no_grid)
-    witnesses = []
+    monkeypatch.setattr(complexes, "_grid_face", no_grid)
+    built = []
     for delta in deltas:
         result = verify_uniqueness(delta)
         assert result.unique is True, delta
-        witnesses += result.outcome.witnesses
-    assert len(witnesses) == len(deltas)
-    assert not [w for w in witnesses if w._faces is not None]
+        built += [result.extended, *result.outcome.witnesses]
+    assert len(built) == 2 * len(deltas)
+    assert not [c for c in built if c._faces is not None]
 
 
 def test_record_equality_agrees_with_face_sets():
