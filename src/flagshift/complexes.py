@@ -1,4 +1,4 @@
-"""Colored simplicial complexes stored as explicit face sets.
+"""Colored simplicial complexes, and the index grids their layers live in.
 
 A vertex is a (color, index) pair, both starting at 1.  A face holds at
 most one vertex per color (a "rainbow" set), and a complex is a finite
@@ -6,6 +6,21 @@ family of faces over colors 1..num_colors that is closed under taking
 subsets.  Within each color the vertex indices present as singletons are
 kept contiguous from 1, so the labeling of a complex is canonical: two
 complexes describe the same object exactly when they compare equal.
+
+The faces with exactly the colors S lie in the index grid of S, the
+product over c in S of {1..t_c}, whose radices are the vertex counts.
+A grid point has one rank, row-major with the last color fastest: the
+index v_c of color c adds (v_c - 1) times the product of the later
+colors' radices.  Every grid helper of the package reads that ranking.
+_grid_face decodes a rank by mixed radix, and _boxes writes the points a
+face dominates in closed form.  A grid's shape (_grid_shape), cached by
+its radices, holds each point's immediate predecessors and, for each
+color position, one fiber mask per sub-grid point, the points that
+project onto it.  A fiber varies that color's index and fixes the
+others, so it is one column of evenly spaced bits (_repeat), shifted.
+A layer's geometry (_layer_geometry) adds its color set's one-color
+drops to the shape.
+
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
 built by the layered walk, and a cone extension, holds only that: its
@@ -19,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -243,6 +258,98 @@ def _grid_face(colors: list[int], radices: list[int], rank: int) -> Face:
         indices.append(index + 1)
     # colors ascend and indices start at 1: the tuple is a Face's own
     return Face._raw(tuple(map(Vertex, colors, reversed(indices))))
+
+
+def _repeat(copies: int, stride: int) -> int:
+    """The mask with `copies` bits, `stride` apart from bit 0."""
+    return ((1 << (copies * stride)) - 1) // ((1 << stride) - 1)
+
+
+def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int]]:
+    """Per subset T of a face's colors, T = {} first: (T's bitmask, the
+    size of the box of points the face dominates in the grid of T, the
+    grid's size with radix[c] vertices of each color c, the box).
+
+    Putting a color c ahead of T's colors adds (i - 1) * |grid of T| to
+    the rank of index i, so the box grows from the last color down, each
+    color repeating it as many times as its index, at that stride."""
+    boxes = [(0, 1, 1, 1)]
+    for color, index in reversed(vertices):
+        bit = 1 << (color - 1)
+        boxes += [
+            (mask | bit, size * index, grid * radix[color], points * _repeat(index, grid))
+            for mask, size, grid, points in boxes
+        ]
+    return boxes
+
+
+class _Shape(NamedTuple):
+    """The color-free shape of a grid with given radices, in rank order;
+    shared through the _grid_shape cache, so every field is a tuple."""
+
+    preds: tuple[int, ...]
+    # Per color position: (full sub-grid mask, fibers), fibers[sub_rank]
+    # being the points projecting onto sub_rank, or None when that color
+    # has one vertex and ranks coincide.
+    drops: tuple[tuple[int, tuple[int, ...] | None], ...]
+    chain: bool  # at most one color has more than one vertex
+
+
+class _Geometry(NamedTuple):
+    """One layer grid, a color set's view of its shape; shared through
+    the _layer_geometry cache, so every field is a tuple."""
+
+    mask: int  # color-set bitmask
+    preds: tuple[int, ...]
+    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers).
+    drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
+    chain: bool
+
+
+@lru_cache(maxsize=256)
+def _grid_shape(radices: tuple[int, ...]) -> _Shape:
+    """Preds and fibers of the grid with radices[i] vertices of its i-th
+    color; cached, since many color sets share a few shapes."""
+    strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
+    for j in range(len(radices) - 1, 0, -1):
+        strides[j - 1] = strides[j] * radices[j]
+    preds = []
+    for rank, v in enumerate(product(*(range(1, r + 1) for r in radices))):
+        m = 0
+        for i, s in zip(v, strides):
+            if i > 1:
+                m |= 1 << (rank - s)
+        preds.append(m)
+    npoints = len(preds)
+    drops = []
+    for r, s in zip(radices, strides):
+        fibers = None
+        if r > 1:
+            # rank = hi * r * s + (v_j - 1) * s + lo  projects to  hi * s + lo
+            column = _repeat(r, s)
+            fibers = tuple(
+                column << (hi * r * s + lo)
+                for hi in range(npoints // (r * s))
+                for lo in range(s)
+            )
+        drops.append(((1 << (npoints // r)) - 1, fibers))
+    chain = sum(r > 1 for r in radices) <= 1
+    return _Shape(tuple(preds), tuple(drops), chain)
+
+
+@lru_cache(maxsize=256)
+def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
+    """The grid of color set `mask` with radices[i] vertices of its i-th
+    color: its shape plus the mask of each one-color drop; cached, since
+    searches reopen the same few layers."""
+    shape = _grid_shape(radices)
+    drops = []
+    m = mask
+    for full, fibers in shape.drops:
+        low = m & -m
+        drops.append((mask ^ low, full, fibers))
+        m ^= low
+    return _Geometry(mask, shape.preds, tuple(drops), shape.chain)
 
 
 class ColoredComplex:

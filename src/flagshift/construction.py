@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ColoredComplex, Face, Vertex, select_colors
+from .complexes import ColoredComplex, Face, Vertex, _boxes, select_colors
 from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, mask_sort_key, subset_masks
 from .shifting import find_shift_violation, shift_maximal_faces
 # unused here, but perfbench's tracer and its tests look the bindings up
@@ -75,14 +75,12 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
     closed under taking subsets, and so is their union; it holds the
     empty face; every apex color n+p has only the vertex 1; and the
     vertices of the base colors are delta's own.  A base color c has as
-    many vertices as the largest index of c among the F_p.  The grid of T + {n+p} is the grid of T with one
-    more index, always 1, so its points are the box of F_p on T at its
-    ranks in the grid of T; and delta is the union of the principal
-    down-sets of its maximal faces, so a base layer T is the OR of the
-    boxes of the F_p on T.  In row-major rank order, putting a color c
-    ahead of T's colors adds (i - 1) * |grid of T| to the rank of index
-    i, so the box grows from the last color down, each color repeating
-    it F_p[c] times at that stride.
+    many vertices as the largest index of c among the F_p.  The grid of
+    T + {n+p} is the grid of T with one more index, always 1, so its
+    points are the box of F_p on T (complexes._boxes) at its ranks in the
+    grid of T; and delta is the union of the principal down-sets of its
+    maximal faces, so a base layer T is the OR of the boxes of the F_p
+    on T.
     """
     if len(delta) == 0:
         raise ValueError("cannot extend the empty complex")
@@ -109,18 +107,9 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_edges.extend(
             (color, n + p, index) for color, index in face.vertices
         )
-        # the box on each color set T of F_p: (T, its size, the size of
-        # the grid of T, its points there)
-        box = [(0, 1, 1, 1)]
-        for color, index in reversed(face._vertices):
-            bit = 1 << (color - 1)
-            box += [
-                (mask | bit, size * index, grid * radix[color], points * _repeat(index, grid))
-                for mask, size, grid, points in box
-            ]
-        # the cone over the box: f_{T + apex} = prod_{c in T} F_p[c]
+        # the cone over each box: f_{T + apex} = prod_{c in T} F_p[c]
         apex_bit = 1 << (n + p - 1)
-        for mask, size, _, points in box:
+        for mask, size, _, points in _boxes(face._vertices, radix):
             counts[mask | apex_bit] = size
             chosen[mask | apex_bit] = points
             chosen[mask] = chosen.get(mask, 0) | points
@@ -139,11 +128,6 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
         predicted_flag=FlagVector._raw(n + k, counts, "f"),
     )
     return extended, report
-
-
-def _repeat(copies: int, stride: int) -> int:
-    """The mask with `copies` bits, `stride` apart from bit 0."""
-    return ((1 << (copies * stride)) - 1) // ((1 << stride) - 1)
 
 
 def _flag_name(colors) -> str:

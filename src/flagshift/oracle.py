@@ -11,19 +11,13 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
-A layer's grid depends only on the vertex count of each of its colors,
-its radices.  Its shape (_grid_shape), cached by the radices, is built
-in one pass over the grid in row-major rank order: each point's
-immediate predecessors, and for each color position one fiber mask per
-sub-grid point, the layer points that project onto it.  A fiber varies
-that color's index and fixes the others, so it is one column of evenly
-spaced bits, shifted.  A layer's geometry (_layer_geometry), cached by
-its color-set bitmask and radices, is its shape plus the mask of each
-one-color drop.  Only the color sets the target gives faces are
-visited (_target_layers).  No search builds a face: a witness is the
-record of its chosen masks (_assemble), and verify_uniqueness compares
-it with the cone extension, itself only a record, mask by mask
-(ColoredComplex.__eq__).
+Each layer's grid, with its points' predecessors and its one-color
+drops and their fibers, comes from complexes._layer_geometry, cached by
+its color-set bitmask and radices.  Only the color sets the target
+gives faces are visited (_target_layers).  No search builds a face: a
+witness is the record of its chosen masks (_assemble), and
+verify_uniqueness compares it with the cone extension, itself only a
+record, mask by mask (ColoredComplex.__eq__).
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
@@ -67,13 +61,8 @@ grow R, so any order that applies each until none changes anything
 reaches the same fixpoint.  _propagate runs rounds of two sweeps: up in
 canonical order, computing each U from the U below it, then down in
 reverse, where each layer's R is complete before it is checked and
-projected.  After the first up sweep, a layer's U is recomputed only
-when the U of one of its one-color drops changed since it was last
-computed: from an unchanged U below it would get its own U back, and R
-already holds it if it meets its target.  So a down-sweep cut that
-leaves U below its target is refuted at once.  After a down sweep that
-shrinks no U, every U still matches the U below it and every R was read
-whole, so no step changes anything.
+projected.  After a down sweep that shrinks no U, every U still matches
+the U below it and every R was read whole, so no step changes anything.
 
 The walk then intersects each layer's allowed set with U(L); both are
 down-sets, so the single-candidate rule above still holds, and a layer
@@ -109,13 +98,12 @@ budget" are never conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, product
 from math import prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex
+from .complexes import ColoredComplex, _Geometry, _layer_geometry
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
 
@@ -167,79 +155,6 @@ class BudgetExhausted(RuntimeError):
 # ===================================================================
 # layer machinery
 # ===================================================================
-
-class _Shape(NamedTuple):
-    """The color-free shape of a grid with given radices, in rank order.
-
-    Shared through the _grid_shape cache, so every field is a tuple.
-    """
-
-    preds: tuple[int, ...]
-    # Per color position: (full sub-grid mask, fibers), fibers[sub_rank]
-    # being the points projecting onto sub_rank, or None when that color
-    # has one vertex and ranks coincide.
-    drops: tuple[tuple[int, tuple[int, ...] | None], ...]
-    chain: bool  # at most one color has more than one vertex
-
-
-class _Geometry(NamedTuple):
-    """One layer grid: a color set's view of its shape.
-
-    Shared through the _layer_geometry cache, so every field is a tuple.
-    """
-
-    mask: int  # color-set bitmask
-    preds: tuple[int, ...]
-    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers).
-    drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
-    chain: bool
-
-
-@lru_cache(maxsize=256)
-def _grid_shape(radices: tuple[int, ...]) -> _Shape:
-    """Preds and fibers of the grid with radices[i] vertices of its i-th
-    color; cached, since many color sets share a few shapes."""
-    strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
-    for j in range(len(radices) - 1, 0, -1):
-        strides[j - 1] = strides[j] * radices[j]
-    preds = []
-    for rank, v in enumerate(product(*(range(1, r + 1) for r in radices))):
-        m = 0
-        for i, s in zip(v, strides):
-            if i > 1:
-                m |= 1 << (rank - s)
-        preds.append(m)
-    npoints = len(preds)
-    drops = []
-    for r, s in zip(radices, strides):
-        fibers = None
-        if r > 1:
-            # rank = hi * r * s + (v_j - 1) * s + lo  projects to  hi * s + lo
-            column = sum(1 << (i * s) for i in range(r))
-            fibers = tuple(
-                column << (hi * r * s + lo)
-                for hi in range(npoints // (r * s))
-                for lo in range(s)
-            )
-        drops.append(((1 << (npoints // r)) - 1, fibers))
-    chain = sum(r > 1 for r in radices) <= 1
-    return _Shape(tuple(preds), tuple(drops), chain)
-
-
-@lru_cache(maxsize=256)
-def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
-    """The grid of color set `mask` with radices[i] vertices of its i-th
-    color: its shape plus the mask of each one-color drop; cached, since
-    searches reopen the same few layers."""
-    shape = _grid_shape(radices)
-    drops = []
-    m = mask
-    for full, fibers in shape.drops:
-        low = m & -m
-        drops.append((mask ^ low, full, fibers))
-        m ^= low
-    return _Geometry(mask, shape.preds, tuple(drops), shape.chain)
-
 
 def _layers_within(num_colors: int, t) -> list[_Geometry]:
     """Geometries of every color set of size >= 2 whose colors all have
@@ -382,42 +297,26 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
     """
     upper = dict(chosen)
     required = {geo.mask: 0 for geo in layers}
-    # masks whose U changed since the last down sweep began; the fixed
-    # layers count as changed from unbounded, so every layer is computed
-    shrunk = set(chosen)
     while True:
         for geo in layers:  # up: sub-layers first
-            for sub_mask, _, _ in geo.drops:
-                if sub_mask in shrunk:
-                    break
-            else:
-                continue  # its U was computed from the same U below
             want = f[geo.mask]
-            old = upper.get(geo.mask, -1)  # -1: unbounded
-            bound = _allowed_mask(geo, upper) & old
+            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)  # -1: unbounded
             if geo.chain:
                 bound &= (1 << want) - 1
             if bound.bit_count() < want:
                 return None
-            if bound != old:
-                upper[geo.mask] = bound
-                shrunk.add(geo.mask)
+            upper[geo.mask] = bound
             if bound.bit_count() == want:
                 required[geo.mask] |= bound
-        shrunk.clear()
+        shrunk = False
         for geo in reversed(layers):  # down: super-layers first
             want = f[geo.mask]
             need = required[geo.mask]
             if need.bit_count() > want:
                 return None
-            if need.bit_count() == want:
-                bound = upper[geo.mask]
-                if bound & ~need:
-                    bound &= need
-                    if bound.bit_count() < want:
-                        return None
-                    upper[geo.mask] = bound
-                    shrunk.add(geo.mask)
+            if need.bit_count() == want and upper[geo.mask] & ~need:
+                upper[geo.mask] &= need
+                shrunk = True
             for sub_mask, _, fibers in geo.drops:
                 if sub_mask in required:
                     required[sub_mask] |= _project(need, fibers)
@@ -432,6 +331,10 @@ def enumerate_color_shifted_with_flag(
 
     The target must be an f-vector counting the empty face exactly once.
     Witness vertex counts are forced: color i has target({i}) vertices.
+    f_from_h may return negative counts, which no complex meets: a
+    negative vertex count is refuted before anything is built, any other
+    by the fixpoint, where R, even empty, exceeds it.  The search is then
+    exhausted, with no witness and no node.
     """
     if budget is None:
         budget = SearchBudget()
@@ -442,7 +345,7 @@ def enumerate_color_shifted_with_flag(
         raise ValueError("search target must count the empty face exactly once")
     n = target.num_colors
     t = [f[1 << i] for i in range(n)]
-    layers = _target_layers(f, t)
+    layers = None if min(t, default=0) < 0 else _target_layers(f, t)
     if layers is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
     chosen = _start(t)

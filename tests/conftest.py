@@ -25,14 +25,19 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "flagshift"
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the acceptance verdict lines collected during the run, and
-    the line count of the package source, which the roadmap tracks."""
+    the line count of the package source, which the roadmap tracks,
+    beside each module's, so a move between modules reads differently
+    from a deletion."""
     module = sys.modules.get("test_acceptance")
     lines = getattr(module, "VERDICTS", None) if module else None
     terminalreporter.section("acceptance criteria")
     for line in lines or ():
         terminalreporter.write_line(line)
-    count = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
-    terminalreporter.write_line(f"src/flagshift: {count:,} lines")
+    counts = {
+        path.name: len(path.read_text().splitlines()) for path in sorted(SOURCE.glob("*.py"))
+    }
+    modules = ", ".join(f"{name} {count:,}" for name, count in counts.items())
+    terminalreporter.write_line(f"src/flagshift: {sum(counts.values()):,} lines ({modules})")
 
 
 @pytest.fixture(scope="session")

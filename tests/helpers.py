@@ -227,6 +227,54 @@ def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
 
 
 # ===================================================================
+# conditions stronger than color-shifting
+# ===================================================================
+# Each implies color-shifted and survives selecting colors, which keeps
+# the vertex counts of the selected colors.
+
+def _layers_initial(c: ColoredComplex, key) -> bool:
+    """Each layer, the faces with one color set, is an initial segment of
+    its index grid, whose radices are the vertex counts, ordered by `key`
+    of the index tuples.  An initial segment of an order that extends the
+    componentwise one is down-closed, so c is color-shifted."""
+    counts = c.vertex_counts()
+    layers: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for f in c.faces:
+        layers.setdefault(f.colors, set()).add(f.indices)
+    for colors, points in layers.items():
+        grid = sorted(product(*(range(1, counts[k - 1] + 1) for k in colors)), key=key)
+        if set(grid[: len(points)]) != points:
+            return False
+    return True
+
+
+def is_lex_initial(c: ColoredComplex) -> bool:
+    """Every layer is an initial segment of the lexicographic order."""
+    return _layers_initial(c, lambda v: v)
+
+
+def is_colex_initial(c: ColoredComplex) -> bool:
+    """Every layer is an initial segment of the colexicographic order,
+    which compares the last color first."""
+    return _layers_initial(c, lambda v: v[::-1])
+
+
+def is_swap_invariant_shifted(c: ColoredComplex) -> bool:
+    """c is color-shifted and maps onto itself when any two colors with
+    equal vertex counts swap their vertices."""
+    faces = set(c.faces)
+    if not brute_is_color_shifted(faces):
+        return False
+    counts = c.vertex_counts()
+    for a, b in combinations(range(1, c.num_colors + 1), 2):
+        if counts[a - 1] == counts[b - 1]:
+            swap = {a: b, b: a}
+            if {Face((swap.get(k, k), i) for k, i in f.vertices) for f in faces} != faces:
+                return False
+    return True
+
+
+# ===================================================================
 # reference implementations of the fast paths
 # ===================================================================
 

@@ -15,6 +15,7 @@ from itertools import product
 
 from flagshift import (
     ColoredComplex,
+    Face,
     FlagVector,
     InvalidComplexError,
     coarse_f,
@@ -30,11 +31,17 @@ from flagshift import (
     partition_number,
     principal_downset,
     select_colors,
+    shift_closure,
     shift_maximal_faces,
     verify_uniqueness,
 )
 
-from helpers import brute_flag_f
+from helpers import (
+    brute_flag_f,
+    is_colex_initial,
+    is_lex_initial,
+    is_swap_invariant_shifted,
+)
 
 
 VERDICTS: list[str] = []
@@ -221,3 +228,60 @@ def test_criterion_9_shift_maximal_equivalence(shifted_corpus):
                 else:
                     removable = is_color_shifted(smaller)
                 assert (face in maximal) == removable, (c, face)
+
+
+# ===================================================================
+# criterion 10: no condition stronger than color-shifting keeps the
+# flag f-vectors
+# ===================================================================
+
+def _smallest_failing(corpus, prop):
+    """The canonically smallest complex of `corpus` without `prop`: by
+    colors, then number of faces, then sorted face keys; None if every
+    complex has it."""
+    failing = [c for c in corpus if not prop(c)]
+    return min(
+        failing,
+        key=lambda c: (c.num_colors, len(c), [f.sort_key for f in c.sorted_faces()]),
+        default=None,
+    )
+
+
+def test_criterion_10_no_stronger_condition(enumerated_corpus):
+    """For a property P that implies color-shifted and survives color
+    selection, a color-shifted delta without P has a cone extension E
+    without P, since selecting E's base colors gives delta back.  E is the
+    only color-shifted complex with f(E), so no complex with P has f(E),
+    a flag f-vector all the same.  Checked here for three properties, the
+    last step independently: every colored complex on E's vertex counts
+    is enumerated, and none with f(E) has P."""
+    with verdict(10, "no stronger condition than color-shifting"):
+        # negative control: color-shifting itself finds no delta
+        assert _smallest_failing(enumerated_corpus, is_color_shifted) is None
+        properties = [is_lex_initial, is_colex_initial, is_swap_invariant_shifted]
+        deltas = [_smallest_failing(enumerated_corpus, prop) for prop in properties]
+        # lex: the closure of the edge {(1,2),(2,1)} and the vertex (2,2),
+        # whose edge layer, the points (1,1) and (2,1), is not lex-initial
+        assert deltas[0] == shift_closure(2, [Face([(1, 2), (2, 1)]), Face([(2, 2)])])
+        extensions = []
+        for prop, delta in zip(properties, deltas):
+            result = verify_uniqueness(delta)
+            assert result.unique is True and result.outcome.exhausted, prop.__name__
+            assert not prop(result.extended), prop.__name__
+            extensions.append(result.extended)
+        assert {e.vertex_counts() for e in extensions} == {(2, 2, 1, 1)}
+        matching: dict[tuple[int, ...], list[ColoredComplex]] = {
+            flag_f(e).dense(): [] for e in extensions
+        }
+        total = 0
+        for c in enumerate_all_colored_complexes(4, (2, 2, 1, 1)):
+            total += 1
+            fv = flag_f(c).dense()
+            if fv in matching:
+                matching[fv].append(c)
+        assert total == 74_773
+        assert len(matching[flag_f(extensions[0]).dense()]) == 2
+        for prop, extended in zip(properties, extensions):
+            same_flag = matching[flag_f(extended).dense()]
+            assert extended in same_flag
+            assert not any(prop(c) for c in same_flag), prop.__name__

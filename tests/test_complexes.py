@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import combinations, product
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,12 +21,15 @@ from flagshift import (
     union,
     validate_faces,
 )
+from flagshift.complexes import _boxes
 from flagshift.flags import flag_f
 
 from helpers import (
     brute_closure,
+    brute_dominance_le,
     edge2,
     face,
+    reference_grid_faces,
     reference_validate_faces,
     two_color_complex,
 )
@@ -266,6 +272,36 @@ def test_equality_is_labeled(sample_a):
     assert padded != sample_a
     assert padded.faces == sample_a.faces
     assert two_color_complex(2, 1, [(1, 1), (2, 1)]) == sample_a
+
+
+# ===================================================================
+# index grids
+# ===================================================================
+
+def test_boxes_match_dominated_grid_points():
+    """For each subset T of a face's colors, _boxes gives the points of
+    the grid of T that the face dominates, their number, the product of
+    the face's indices on T, and the grid's size: checked point by point
+    on every face over colors with gaps, radices 1..3, up to 4 colors."""
+    for colors in [(), (2,), (1, 3), (1, 3, 5), (1, 2, 4, 5)]:
+        for radices in product(range(1, 4), repeat=len(colors)):
+            radix = [0] * 6
+            for c, r in zip(colors, radices):
+                radix[c] = r
+            for indices in product(*(range(1, r + 1) for r in radices)):
+                f = Face(zip(colors, indices))
+                boxes = _boxes(f.vertices, radix)
+                got = {mask: (size, grid, points) for mask, size, grid, points in boxes}
+                assert len(got) == len(boxes) == 1 << len(colors)
+                for size in range(len(colors) + 1):
+                    for sub in combinations(range(len(colors)), size):
+                        mask = sum(1 << (colors[j] - 1) for j in sub)
+                        grid = reference_grid_faces(mask, [radices[j] for j in sub])
+                        points = sum(
+                            1 << rank for rank, g in enumerate(grid) if brute_dominance_le(g, f)
+                        )
+                        want = (prod(indices[j] for j in sub), len(grid), points)
+                        assert got[mask] == want, (f, radices, sub)
 
 
 # ===================================================================

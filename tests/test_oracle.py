@@ -155,6 +155,25 @@ def test_search_rejects_bad_targets():
         enumerate_color_shifted_with_flag(hv)
 
 
+def test_search_refutes_negative_counts():
+    """f_from_h may return f-vectors with negative counts.  A negative
+    vertex count is refuted before anything is built, and a negative
+    count of a larger color set by propagation: exhausted, no witness,
+    no node."""
+    from flagshift import f_from_h
+
+    for n, h, f in [
+        (1, [1, -5], (1, -4)),
+        (2, [1, 2, -3, 0], (1, 3, -2, 0)),
+        (2, [1, -2, -3, 6], (1, -1, -2, 2)),
+        (2, [1, 1, 1, -5], (1, 2, 2, -2)),
+    ]:
+        target = f_from_h(FlagVector(n, h, "h"))
+        assert target.dense() == f
+        outcome = enumerate_color_shifted_with_flag(target)
+        assert (outcome.witnesses, outcome.exhausted, outcome.nodes_visited) == ([], True, 0), f
+
+
 def test_search_respects_witness_cap():
     # f = (1, 2, 1) over one color twice... use a 2-color flag with two witnesses
     fv = FlagVector(2, (1, 2, 2, 2), kind="f")
@@ -463,12 +482,12 @@ def test_projection_matches_faces():
     """_project sends each layer point to the sub-layer point its face
     drops to along each color, and a set of points to the union."""
     for mask, radices in [(0b111, (2, 3, 2)), (0b11, (3, 1)), (0b11010, (1, 2, 2))]:
-        geo = oracle._layer_geometry(mask, radices)
+        geo = complexes._layer_geometry(mask, radices)
         grid = reference_grid_faces(mask, radices)
         colors = colors_of_mask(mask)
         for j, (sub_mask, _, fibers) in enumerate(geo.drops):
             sub_radices = radices[:j] + radices[j + 1:]
-            sub = oracle._layer_geometry(sub_mask, sub_radices)
+            sub = complexes._layer_geometry(sub_mask, sub_radices)
             assert sub.mask == sub_mask
             rank = {face: r for r, face in enumerate(reference_grid_faces(sub_mask, sub_radices))}
             image = [1 << rank[without_color(face, colors[j])] for face in grid]
@@ -603,13 +622,13 @@ def test_geometry_matches_its_faces():
     shapes += [(0b1111, r) for r in product((1, 2), repeat=4)]
     shapes += [(0b11, (300, 1)), (0b11, (1, 300)), (0b11, (1, 1)), (0b1000, (4,))]
     for mask, radices in shapes:
-        geo = oracle._layer_geometry(mask, radices)
+        geo = complexes._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
         grid = list(product(*(range(1, r + 1) for r in radices)))
         faces = reference_grid_faces(mask, radices)
         assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
         assert geo.mask == mask
-        shape = oracle._grid_shape(radices)
+        shape = complexes._grid_shape(radices)
         assert geo.preds is shape.preds and geo.chain == shape.chain
         assert [drop[1:] for drop in geo.drops] == list(shape.drops)
         assert geo.chain == (sum(r > 1 for r in radices) <= 1)
@@ -634,11 +653,11 @@ def test_geometry_matches_its_faces():
 
 
 def test_layer_geometry_cache_is_bounded_and_immutable():
-    geo = oracle._layer_geometry(0b111, (2, 3, 1))
-    assert oracle._layer_geometry(0b111, (2, 3, 1)) is geo
+    geo = complexes._layer_geometry(0b111, (2, 3, 1))
+    assert complexes._layer_geometry(0b111, (2, 3, 1)) is geo
     memo = complexes._grid_memo(0b111, (2, 3, 1))
     assert complexes._grid_memo(0b111, (2, 3, 1)) is memo
-    for cache in (oracle._layer_geometry, oracle._grid_shape, complexes._grid_memo):
+    for cache in (complexes._layer_geometry, complexes._grid_shape, complexes._grid_memo):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
     for field in (geo.preds, geo.drops, *geo.drops):
@@ -776,8 +795,8 @@ def test_walk_records_survive_cache_clears():
     changes nothing, and complexes built by separate walks compare
     equal."""
     walked = _corpus_and_witnesses()
-    oracle._layer_geometry.cache_clear()
-    oracle._grid_shape.cache_clear()
+    complexes._layer_geometry.cache_clear()
+    complexes._grid_shape.cache_clear()
     complexes._grid_memo.cache_clear()
     for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
