@@ -3,11 +3,11 @@
 Callers look these names up on the module at call time, so a wrapper
 bound here is seen by every caller.
 
-A poset is given as a sequence `preds`: preds[i] is the bitmask of the
-immediate predecessors of point i, and points must be listed in a linear
-extension (every predecessor before its successor).  A down-set is a
-subset containing all predecessors of each member.  Masks are plain
-Python integers, so any number of points works.
+A poset is given by its up-sets: ups[i] is the bitmask of point i and
+every point above it, and points must be listed in a linear extension
+(every point before the points above it, so ups[i] has no bit below i).
+A down-set is a subset containing every point below each member.  Masks
+are plain Python integers, so any number of points works.
 
 One visited state is one node; when the node budget runs out a kernel
 stops and reports completed=False with whatever it found so far.
@@ -16,12 +16,13 @@ All three kernels drain one walk, `_down_sets`, over an up-set-pruned
 include/exclude tree.  Each state carries `avail`: the allowed points
 that are undecided and lie above no excluded and no non-allowed point.
 Invariant: every point below the lowest bit of `avail` is decided, and
-every predecessor of a point in `avail` is chosen.  A predecessor p < i
+every point below a point in `avail` is chosen.  A point p below i
 that is not chosen was either excluded or not allowed, and then the
 up-set of p, which holds i, was cleared from `avail`; or p lies above
 such a point q, whose up-set holds p's and so i too.  Hence
   - including the lowest point of `avail` always keeps a down-set, so
-    the walk branches on that point alone and never tests preds;
+    the walk branches on that point alone and never tests the points
+    below it;
   - excluding point i forbids every point above it, so its up-set
     leaves `avail` at once;
   - a down-set that extends the current state can only add points of
@@ -32,37 +33,20 @@ such a point q, whose up-set holds p's and so i too.  Hence
     `allowed` starts inside `avail`, and is reached by including the
     lowest point of `avail` exactly when it is in D: excluding a point
     outside D clears only points above it, none of them in D.  Two
-    leaves differ at the branch that split them.  So the leaves are the L down-sets, once
-    each, every other state has two children, and the any-size walk
-    visits exactly 2L - 1 nodes.
+    leaves differ at the branch that split them.  So the leaves are the
+    L down-sets, once each, every other state has two children, and the
+    any-size walk visits exactly 2L - 1 nodes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _ANY_SIZE = -1  # no count equals it and none falls below it
 
 
-@lru_cache(maxsize=256)
-def _up_sets(preds: tuple[int, ...]) -> tuple[int, ...]:
-    """ups[i]: point i and every point above it; cached per poset, since
-    the enumerations and searches walk the same few grids again and again."""
-    ups = [1 << i for i in range(len(preds))]
-    for i in range(len(preds) - 1, -1, -1):
-        up = ups[i]
-        m = preds[i]
-        while m:
-            low = m & -m
-            ups[low.bit_length() - 1] |= up
-            m ^= low
-    return tuple(ups)
-
-
-def _initial_avail(preds, allowed: int, ups: tuple[int, ...]) -> int:
+def _initial_avail(ups, allowed: int) -> int:
     """Allowed points above no non-allowed point."""
     avail = allowed
-    blocked = ((1 << len(preds)) - 1) & ~allowed
+    blocked = ((1 << len(ups)) - 1) & ~allowed
     while blocked:
         low = blocked & -blocked
         avail &= ~ups[low.bit_length() - 1]
@@ -70,12 +54,11 @@ def _initial_avail(preds, allowed: int, ups: tuple[int, ...]) -> int:
     return avail
 
 
-def _down_sets(preds, allowed: int, size: int, max_nodes: int):
+def _down_sets(ups, allowed: int, size: int, max_nodes: int):
     """Yield the down-sets of `allowed` with `size` points (any size for
     _ANY_SIZE); return (nodes_visited, completed)."""
-    ups = _up_sets(tuple(preds))
     nodes = 0
-    stack = [(_initial_avail(preds, allowed, ups), 0, 0)]  # (avail, chosen, count)
+    stack = [(_initial_avail(ups, allowed), 0, 0)]  # (avail, chosen, count)
     while stack:
         avail, chosen, count = stack.pop()
         nodes += 1
@@ -111,24 +94,24 @@ def _drain(walk, keep: bool):
 
 
 def ideals_of_size(
-    preds, allowed: int, size: int, max_nodes: int
+    ups, allowed: int, size: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
     """All down-sets of `allowed` with exactly `size` points.
 
     Returns (masks, nodes_visited, completed).
     """
-    return _drain(_down_sets(preds, allowed, size, max_nodes), True)
+    return _drain(_down_sets(ups, allowed, size, max_nodes), True)
 
 
 def count_ideals_of_size(
-    preds, allowed: int, size: int, max_nodes: int
+    ups, allowed: int, size: int, max_nodes: int
 ) -> tuple[int, int, bool]:
     """Like ideals_of_size but only counts the down-sets."""
-    return _drain(_down_sets(preds, allowed, size, max_nodes), False)
+    return _drain(_down_sets(ups, allowed, size, max_nodes), False)
 
 
 def all_ideals(
-    preds, allowed: int, max_nodes: int
+    ups, allowed: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
     """Every down-set of `allowed`, any size (the empty set included)."""
-    return _drain(_down_sets(preds, allowed, _ANY_SIZE, max_nodes), True)
+    return _drain(_down_sets(ups, allowed, _ANY_SIZE, max_nodes), True)

@@ -14,12 +14,15 @@ index v_c of color c adds (v_c - 1) times the product of the later
 colors' radices.  Every grid helper of the package reads that ranking.
 _grid_face decodes a rank by mixed radix, and _boxes writes the points a
 face dominates in closed form.  A grid's shape (_grid_shape), cached by
-its radices, holds each point's immediate predecessors and, for each
-color position, one fiber mask per sub-grid point, the points that
-project onto it.  A fiber varies that color's index and fixes the
-others, so it is one column of evenly spaced bits (_repeat), shifted.
-A layer's geometry (_layer_geometry) adds its color set's one-color
-drops to the shape.
+its radices, holds its number of points and, for each color position,
+one fiber mask per sub-grid point, the points that project onto it.  A
+fiber varies that color's index and fixes the others, so it is one
+column of evenly spaced bits (_repeat), shifted.  A layer's geometry
+(_layer_geometry) adds its color set's one-color drops to the shape.
+Only a layer that reaches a down-set kernel needs the grid's order,
+given as the up-set of every point (_grid_ups, cached by radices and
+built on that first use): the points at or above v are a box, like the
+points a face dominates, written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
@@ -34,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -285,9 +289,9 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
 
 class _Shape(NamedTuple):
     """The color-free shape of a grid with given radices, in rank order;
-    shared through the _grid_shape cache, so every field is a tuple."""
+    shared through the _grid_shape cache, so every field is immutable."""
 
-    preds: tuple[int, ...]
+    size: int  # number of points
     # Per color position: (full sub-grid mask, fibers), fibers[sub_rank]
     # being the points projecting onto sub_rank, or None when that color
     # has one vertex and ranks coincide.
@@ -297,10 +301,11 @@ class _Shape(NamedTuple):
 
 class _Geometry(NamedTuple):
     """One layer grid, a color set's view of its shape; shared through
-    the _layer_geometry cache, so every field is a tuple."""
+    the _layer_geometry cache, so every field is immutable."""
 
     mask: int  # color-set bitmask
-    preds: tuple[int, ...]
+    radices: tuple[int, ...]
+    size: int
     # Per dropped color: (sub-layer mask, full sub-layer mask, fibers).
     drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
     chain: bool
@@ -308,19 +313,12 @@ class _Geometry(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _grid_shape(radices: tuple[int, ...]) -> _Shape:
-    """Preds and fibers of the grid with radices[i] vertices of its i-th
+    """Size and fibers of the grid with radices[i] vertices of its i-th
     color; cached, since many color sets share a few shapes."""
     strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
     for j in range(len(radices) - 1, 0, -1):
         strides[j - 1] = strides[j] * radices[j]
-    preds = []
-    for rank, v in enumerate(product(*(range(1, r + 1) for r in radices))):
-        m = 0
-        for i, s in zip(v, strides):
-            if i > 1:
-                m |= 1 << (rank - s)
-        preds.append(m)
-    npoints = len(preds)
+    npoints = prod(radices)
     drops = []
     for r, s in zip(radices, strides):
         fibers = None
@@ -334,7 +332,27 @@ def _grid_shape(radices: tuple[int, ...]) -> _Shape:
             )
         drops.append(((1 << (npoints // r)) - 1, fibers))
     chain = sum(r > 1 for r in radices) <= 1
-    return _Shape(tuple(preds), tuple(drops), chain)
+    return _Shape(npoints, tuple(drops), chain)
+
+
+@lru_cache(maxsize=256)
+def _grid_ups(radices: tuple[int, ...]) -> tuple[int, ...]:
+    """ups[rank]: the points at or above that point in the grid with
+    radices[i] vertices of its i-th color; cached, since the kernels walk
+    the same few grids again and again.
+
+    The points u >= v form the box with r_c - v_c + 1 indices in each
+    color c, at v's rank.  Putting a color with r vertices ahead of a
+    grid of `stride` points, the point of index i + 1 in it over point q
+    has rank i * stride + q, and its box is q's repeated r - i times at
+    the stride, from i * stride on, as in _boxes."""
+    ups = [1]
+    stride = 1
+    for r in reversed(radices):
+        columns = [_repeat(r - i, stride) << (i * stride) for i in range(r)]
+        ups = [column * up for column in columns for up in ups]
+        stride *= r
+    return tuple(ups)
 
 
 @lru_cache(maxsize=256)
@@ -349,7 +367,7 @@ def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
         low = m & -m
         drops.append((mask ^ low, full, fibers))
         m ^= low
-    return _Geometry(mask, shape.preds, tuple(drops), shape.chain)
+    return _Geometry(mask, radices, shape.size, tuple(drops), shape.chain)
 
 
 class ColoredComplex:
@@ -451,7 +469,11 @@ class ColoredComplex:
         return sorted(self._faces, key=lambda f: f.sort_key)
 
     def vertex_counts(self) -> tuple[int, ...]:
-        """Number of vertices of each color 1..num_colors."""
+        """Number of vertices of each color 1..num_colors: a record's are
+        the bit lengths of its vertex entries, read without its faces."""
+        record = self._record
+        if record is not None:
+            return tuple(record.get(1 << c, 0).bit_length() for c in range(self._num_colors))
         counts = [0] * self._num_colors
         for face in self.faces:
             if len(face) == 1:

@@ -11,13 +11,15 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
-Each layer's grid, with its points' predecessors and its one-color
-drops and their fibers, comes from complexes._layer_geometry, cached by
-its color-set bitmask and radices.  Only the color sets the target
-gives faces are visited (_target_layers).  No search builds a face: a
-witness is the record of its chosen masks (_assemble), and
-verify_uniqueness compares it with the cone extension, itself only a
-record, mask by mask (ColoredComplex.__eq__).
+Each layer's grid, with its one-color drops and their fibers, comes
+from complexes._layer_geometry, cached by its color-set bitmask and
+radices; a layer that reaches a kernel reads its grid's order, the
+up-set of each point, from complexes._grid_ups, which builds it then.
+Only the color sets the target gives faces are visited
+(_target_layers).  No search builds a face: a witness is the record of
+its chosen masks (_assemble), and verify_uniqueness compares it with the
+cone extension, itself only a record, mask by mask
+(ColoredComplex.__eq__).
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
@@ -103,7 +105,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _layer_geometry
+from .complexes import ColoredComplex, _Geometry, _grid_ups, _layer_geometry
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
 
@@ -170,7 +172,7 @@ def _layers_within(num_colors: int, t) -> list[_Geometry]:
 
 def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     """Points whose every one-color-drop projection was chosen below."""
-    allowed = (1 << len(geo.preds)) - 1
+    allowed = (1 << geo.size) - 1
     for sub_mask, full, fibers in geo.drops:
         sub = chosen[sub_mask]
         if sub == full:
@@ -370,7 +372,7 @@ def enumerate_color_shifted_with_flag(
         if size == want:
             # the single candidate (module docstring)
             return [allowed], 1, True
-        return _kernels.ideals_of_size(geo.preds, allowed, want, remaining)
+        return _kernels.ideals_of_size(_grid_ups(geo.radices), allowed, want, remaining)
 
     witnesses: list[ColoredComplex] = []
     walk = _walk(layers, chosen, candidates, budget.max_nodes)
@@ -452,7 +454,7 @@ def _enumerate(
 
 
 def _every_ideal(geo: _Geometry, allowed: int, remaining: int):
-    return _kernels.all_ideals(geo.preds, allowed, remaining)
+    return _kernels.all_ideals(_grid_ups(geo.radices), allowed, remaining)
 
 
 def enumerate_color_shifted_complexes(
@@ -529,24 +531,6 @@ def partition_number(e: int) -> int:
     return p[e]
 
 
-def _diagram_preds(e: int) -> list[int]:
-    """Immediate-predecessor masks of the cells (i, j) with i * j <= e,
-    row by row: a Young diagram with e cells holds the i x j rectangle
-    under each of its cells, so no other cell of the e x e grid can be
-    in one."""
-    preds: list[int] = []
-    above = 0  # rank of the first cell of the row above
-    for i in range(1, e + 1):
-        first = len(preds)
-        for j in range(e // i):
-            m = 1 << (first + j - 1) if j else 0
-            if i > 1:
-                m |= 1 << (above + j)
-            preds.append(m)
-        above = first
-    return preds
-
-
 def count_two_color_shifted_by_edges(
     e: int, budget: SearchBudget | None = None
 ) -> int:
@@ -572,9 +556,11 @@ def count_two_color_shifted_by_edges(
     except OverflowError:
         certain = True
     if not certain:
-        preds = _diagram_preds(e)
+        # a Young diagram with e cells holds the i x j rectangle under
+        # each of its cells, so it lies within the cells with i * j <= e
+        allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
         count, _used, completed = _kernels.count_ideals_of_size(
-            preds, (1 << len(preds)) - 1, e, budget.max_nodes
+            _grid_ups((e, e)), allowed, e, budget.max_nodes
         )
         if completed:
             return count

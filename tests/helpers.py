@@ -26,7 +26,6 @@ from flagshift import (
     shift_closure,
 )
 from flagshift.formats import complex_to_obj
-from flagshift.oracle import _allowed_mask, _project
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -206,6 +205,19 @@ def reference_grid_faces(mask: int, radices) -> list[Face]:
     return [Face(zip(colors, v)) for v in product(*(range(1, r + 1) for r in radices))]
 
 
+def reference_up_sets(preds) -> list[int]:
+    """ups[i]: point i and every point above it, in the poset whose
+    immediate predecessors of point i are the bits of preds[i], by the
+    transitive closure of the order (Warshall), read column by column."""
+    n = len(preds)
+    below = [preds[i] | 1 << i for i in range(n)]  # below[i]: the points <= i
+    for k in range(n):
+        for i in range(n):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    return [sum(1 << i for i in range(n) if below[i] >> j & 1) for j in range(n)]
+
+
 def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
     """Layer points whose every one-color-drop projection is chosen,
     tested point by point in row-major rank order."""
@@ -312,40 +324,6 @@ def reference_cone_extension(delta: ColoredComplex):
         predicted_flag=flag_f(extended),
     )
     return extended, report
-
-
-def reference_propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
-    """The bound-propagation fixpoint by full sweeps: every up sweep
-    recomputes every layer's U, and rounds repeat until a down sweep
-    shrinks no U."""
-    upper = dict(chosen)
-    required = {geo.mask: 0 for geo in layers}
-    while True:
-        for geo in layers:
-            want = f[geo.mask]
-            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)
-            if geo.chain:
-                bound &= (1 << want) - 1
-            if bound.bit_count() < want:
-                return None
-            upper[geo.mask] = bound
-            if bound.bit_count() == want:
-                required[geo.mask] |= bound
-        shrunk = False
-        for geo in reversed(layers):
-            want = f[geo.mask]
-            need = required[geo.mask]
-            if need.bit_count() > want:
-                return None
-            if need.bit_count() == want:
-                bound = upper[geo.mask]
-                upper[geo.mask] = bound & need
-                shrunk |= upper[geo.mask] != bound
-            for sub_mask, _, fibers in geo.drops:
-                if sub_mask in required:
-                    required[sub_mask] |= _project(need, fibers)
-        if not shrunk:
-            return upper
 
 
 def reference_emit_complex(c: ColoredComplex) -> str:

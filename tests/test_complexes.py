@@ -15,11 +15,14 @@ from flagshift import (
     InvalidComplexError,
     Vertex,
     cone,
+    cone_extension,
     from_generators,
     select_colors,
+    shift_closure,
     trivial_complex,
     union,
     validate_faces,
+    verify_uniqueness,
 )
 from flagshift.complexes import _boxes
 from flagshift.flags import flag_f
@@ -176,6 +179,26 @@ def test_from_generators_rejects_color_out_of_range():
 def test_vertex_counts(sample_a, sample_b):
     assert sample_a.vertex_counts() == (2, 1)
     assert sample_b.vertex_counts() == (2, 2)
+
+
+def test_record_vertex_counts_build_no_faces(enumerated_corpus):
+    """A complex that carries a record reads its vertex counts off the
+    record without building its faces, and they are the numbers of its
+    singleton faces: on the walk-built corpus complexes (some with a
+    color without vertices), their cone extensions and a search
+    witness."""
+    delta = shift_closure(2, [Face([(1, 2), (2, 1)])])
+    extension = cone_extension(delta)[0]
+    assert extension.vertex_counts() == (2, 1, 1) and extension._faces is None
+    [witness] = verify_uniqueness(delta).outcome.witnesses
+    assert witness.vertex_counts() == (2, 1, 1) and witness._faces is None
+    records = [*enumerated_corpus, *(cone_extension(c)[0] for c in enumerated_corpus)]
+    for c in records:
+        unbuilt = ColoredComplex._raw(c.num_colors, None, c._record)
+        counts = unbuilt.vertex_counts()
+        assert unbuilt._faces is None
+        singles = [f.colors[0] for f in c.faces if len(f) == 1]
+        assert counts == tuple(map(singles.count, range(1, c.num_colors + 1))), c
 
 
 # ===================================================================

@@ -1,4 +1,8 @@
-"""Bitmask down-set kernels: brute-force parity and node accounting."""
+"""Bitmask down-set kernels: brute-force parity and node accounting.
+
+Posets are built as immediate-predecessor masks, which the brute-force
+filter reads, and reach the kernels as their up-sets, by transitive
+closure (helpers.reference_up_sets)."""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import _kernels
 from flagshift import _kernels as ideals_py
+
+from helpers import reference_up_sets
 
 HUGE = 1 << 40
 
@@ -56,20 +62,20 @@ def antichain(n):
 # ===================================================================
 
 def test_ideals_of_chain():
-    preds = chain(4)
+    ups = reference_up_sets(chain(4))
     full = (1 << 4) - 1
     for size in range(5):
-        got, _, done = ideals_py.ideals_of_size(preds, full, size, HUGE)
+        got, _, done = ideals_py.ideals_of_size(ups, full, size, HUGE)
         assert done
         # a chain has exactly one down-set per size: the prefix
         assert got == [(1 << size) - 1]
 
 
 def test_ideals_of_antichain_count():
-    preds = antichain(5)
+    ups = reference_up_sets(antichain(5))
     full = (1 << 5) - 1
     for size in range(6):
-        count, _, done = ideals_py.count_ideals_of_size(preds, full, size, HUGE)
+        count, _, done = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
         assert done
         from math import comb
 
@@ -78,9 +84,10 @@ def test_ideals_of_antichain_count():
 
 def test_ideals_of_grid_match_brute():
     preds = grid(3, 3)
+    ups = reference_up_sets(preds)
     full = (1 << 9) - 1
     for size in range(10):
-        got, _, done = ideals_py.ideals_of_size(preds, full, size, HUGE)
+        got, _, done = ideals_py.ideals_of_size(ups, full, size, HUGE)
         assert done
         assert sorted(got) == brute_ideals(preds, full, size)
 
@@ -88,23 +95,23 @@ def test_ideals_of_grid_match_brute():
 def test_all_ideals_match_brute():
     preds = grid(2, 3)
     full = (1 << 6) - 1
-    got, _, done = ideals_py.all_ideals(preds, full, HUGE)
+    got, _, done = ideals_py.all_ideals(reference_up_sets(preds), full, HUGE)
     assert done
     assert sorted(got) == brute_ideals(preds, full)
 
 
 def test_allowed_mask_restricts():
-    preds = antichain(4)
     allowed = 0b0101
-    got, _, done = ideals_py.all_ideals(preds, allowed, HUGE)
+    got, _, done = ideals_py.all_ideals(reference_up_sets(antichain(4)), allowed, HUGE)
     assert done
     assert sorted(got) == [0b0000, 0b0001, 0b0100, 0b0101]
 
 
 def test_allowed_mask_blocks_successors():
     # 0 < 1, but 0 is disallowed: only the empty down-set survives
-    preds = [0, 0b1]
-    got, _, done = ideals_py.all_ideals(preds, 0b10, HUGE)
+    ups = reference_up_sets([0, 0b1])
+    assert ups == [0b11, 0b10]
+    got, _, done = ideals_py.all_ideals(ups, 0b10, HUGE)
     assert done
     assert got == [0]
 
@@ -116,11 +123,11 @@ def test_zero_points():
 
 
 def test_budget_stops_early():
-    preds = antichain(10)
+    ups = reference_up_sets(antichain(10))
     full = (1 << 10) - 1
-    all_got, total_nodes, done = ideals_py.all_ideals(preds, full, HUGE)
+    all_got, total_nodes, done = ideals_py.all_ideals(ups, full, HUGE)
     assert done and len(all_got) == 1024
-    partial, nodes, done = ideals_py.all_ideals(preds, full, total_nodes // 2)
+    partial, nodes, done = ideals_py.all_ideals(ups, full, total_nodes // 2)
     assert not done
     assert nodes == total_nodes // 2 + 1
     assert len(partial) < 1024
@@ -128,21 +135,21 @@ def test_budget_stops_early():
 
 
 def test_counts_are_size_partitioned():
-    preds = grid(2, 4)
+    ups = reference_up_sets(grid(2, 4))
     full = (1 << 8) - 1
-    total, _, _ = ideals_py.all_ideals(preds, full, HUGE)
+    total, _, _ = ideals_py.all_ideals(ups, full, HUGE)
     by_size = 0
     for size in range(9):
-        n, _, done = ideals_py.count_ideals_of_size(preds, full, size, HUGE)
+        n, _, done = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
         assert done
         by_size += n
     assert by_size == len(total)
 
 
 def test_kernels_take_more_than_64_points():
-    preds = antichain(65)
+    ups = reference_up_sets(antichain(65))
     full = (1 << 65) - 1
-    count, _, done = _kernels.count_ideals_of_size(preds, full, 1, HUGE)
+    count, _, done = _kernels.count_ideals_of_size(ups, full, 1, HUGE)
     assert done and count == 65
 
 
@@ -153,12 +160,13 @@ def test_kernels_take_more_than_64_points():
 def test_upset_walk_nodes_on_chains():
     # per included point one node, plus one pruned exclude sibling
     for n in range(9):
+        ups = reference_up_sets(chain(n))
         full = (1 << n) - 1
         for size in range(n + 1):
-            got, nodes, done = ideals_py.ideals_of_size(chain(n), full, size, HUGE)
+            got, nodes, done = ideals_py.ideals_of_size(ups, full, size, HUGE)
             assert done and got == [(1 << size) - 1]
             assert nodes == 2 * size + 1
-            assert ideals_py.count_ideals_of_size(chain(n), full, size, HUGE) == (
+            assert ideals_py.count_ideals_of_size(ups, full, size, HUGE) == (
                 1, nodes, True,
             )
 
@@ -171,25 +179,25 @@ GRID_NODES = {
 
 def test_upset_walk_nodes_on_grids():
     for (rows, cols), by_size in GRID_NODES.items():
-        preds = grid(rows, cols)
+        ups = reference_up_sets(grid(rows, cols))
         full = (1 << (rows * cols)) - 1
         for size, want in enumerate(by_size):
-            got, nodes, done = ideals_py.ideals_of_size(preds, full, size, HUGE)
+            got, nodes, done = ideals_py.ideals_of_size(ups, full, size, HUGE)
             assert done and nodes == want, (rows, cols, size)
-            count = ideals_py.count_ideals_of_size(preds, full, size, HUGE)
+            count = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
             assert count == (len(got), want, True)
 
 
 def test_upset_walk_budget_stop_is_a_prefix():
-    preds = grid(3, 4)
+    ups = reference_up_sets(grid(3, 4))
     full = (1 << 12) - 1
-    every, total, done = ideals_py.ideals_of_size(preds, full, 5, HUGE)
+    every, total, done = ideals_py.ideals_of_size(ups, full, 5, HUGE)
     assert done
     for budget in [1, 7, 20, total - 1]:
-        partial, nodes, done = ideals_py.ideals_of_size(preds, full, 5, budget)
+        partial, nodes, done = ideals_py.ideals_of_size(ups, full, 5, budget)
         assert not done and nodes == budget + 1
         assert partial == every[: len(partial)]
-        count, nodes, done = ideals_py.count_ideals_of_size(preds, full, 5, budget)
+        count, nodes, done = ideals_py.count_ideals_of_size(ups, full, 5, budget)
         assert not done and nodes == budget + 1 and count == len(partial)
 
 
@@ -200,7 +208,7 @@ def test_upset_walk_budget_stop_is_a_prefix():
 def assert_two_nodes_per_down_set(preds, allowed):
     """The any-size walk's leaves are its L down-sets and every other
     state branches in two, so it visits exactly 2L - 1 nodes."""
-    got, nodes, done = ideals_py.all_ideals(preds, allowed, HUGE)
+    got, nodes, done = ideals_py.all_ideals(reference_up_sets(preds), allowed, HUGE)
     assert done and nodes == 2 * len(got) - 1
     return len(got), nodes
 
@@ -239,7 +247,7 @@ def random_posets(draw):
 @given(random_posets())
 def test_all_ideals_property(args):
     preds, allowed = args
-    got, _, done = ideals_py.all_ideals(preds, allowed, HUGE)
+    got, _, done = ideals_py.all_ideals(reference_up_sets(preds), allowed, HUGE)
     assert done
     assert sorted(got) == brute_ideals(preds, allowed)
     assert_two_nodes_per_down_set(preds, allowed)
@@ -249,10 +257,11 @@ def test_all_ideals_property(args):
 @given(random_posets(), st.integers(0, 8))
 def test_sized_ideals_property(args, size):
     preds, allowed = args
-    got, _, done = ideals_py.ideals_of_size(preds, allowed, size, HUGE)
+    ups = reference_up_sets(preds)
+    got, _, done = ideals_py.ideals_of_size(ups, allowed, size, HUGE)
     assert done
     assert sorted(got) == brute_ideals(preds, allowed, size)
-    count, _, done = ideals_py.count_ideals_of_size(preds, allowed, size, HUGE)
+    count, _, done = ideals_py.count_ideals_of_size(ups, allowed, size, HUGE)
     assert done and count == len(got)
 
 
@@ -273,32 +282,10 @@ def posets_with_gaps(draw):
 @given(st.one_of(random_posets(), posets_with_gaps()), st.integers(0, 8))
 def test_upset_walk_matches_brute(args, size):
     preds, allowed = args
-    got, nodes, done = ideals_py.ideals_of_size(preds, allowed, size, HUGE)
+    ups = reference_up_sets(preds)
+    got, nodes, done = ideals_py.ideals_of_size(ups, allowed, size, HUGE)
     assert done
     assert sorted(got) == brute_ideals(preds, allowed, size)
-    count, count_nodes, done = ideals_py.count_ideals_of_size(
-        preds, allowed, size, HUGE
-    )
+    count, count_nodes, done = ideals_py.count_ideals_of_size(ups, allowed, size, HUGE)
     assert done and count == len(got) and count_nodes == nodes
 
-
-def test_up_sets_are_cached_per_poset():
-    """The up-sets of a poset are built once and shared by every walk
-    over it, whether its preds come as a list or a tuple; the cache is
-    bounded and its entries cannot be changed."""
-    preds = grid(3, 4)
-    ups = _kernels._up_sets(tuple(preds))
-    assert _kernels._up_sets(tuple(grid(3, 4))) is ups
-    assert isinstance(ups, tuple)
-    maxsize = _kernels._up_sets.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 256
-    # ups[i] is i and every point with i among its ancestors
-    for i in range(len(preds)):
-        above = {i}
-        for j in range(len(preds)):
-            if preds[j] & sum(1 << a for a in above):
-                above.add(j)
-        assert ups[i] == sum(1 << a for a in above), i
-    before = _kernels._up_sets.cache_info().hits
-    assert _kernels.ideals_of_size(preds, (1 << 12) - 1, 5, HUGE)[2]
-    assert _kernels._up_sets.cache_info().hits == before + 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import cache
 from itertools import product
 from collections import Counter
@@ -27,6 +28,7 @@ from flagshift import (
     flag_f,
     is_color_shifted,
     partition_number,
+    shift_closure,
     two_color_realizable,
     verify_uniqueness,
 )
@@ -40,9 +42,10 @@ from helpers import (
     brute_flag_f,
     brute_partitions,
     brute_record,
+    edge2,
+    face,
     reference_cone_extension,
     reference_grid_faces,
-    reference_propagate,
     staircase,
     without_color,
 )
@@ -447,34 +450,48 @@ def test_reopened_settled_layer_keeps_its_bound():
     assert outcome.nodes_visited == 36
 
 
-def test_propagate_matches_full_sweeps(enumerated_corpus):
-    """The fixpoint that recomputes a layer's U only when a U below it
-    shrank returns the same bounds as full sweeps, or refutes the same
-    targets: on every corpus extension vector, on each of them with one
-    non-zero count moved by one, and on every target within [3, 3, 2]."""
+def test_propagate_matches_enumeration(enumerated_corpus):
+    """The fixpoint against the complexes it bounds, enumerated without
+    propagation.  For every target within [3, 3, 2]: a refuted target has
+    no complex; otherwise every complex with that flag vector has each
+    layer inside its U; and a settled target has exactly one complex,
+    whose layers are the U.  On every corpus extension vector the
+    fixpoint settles, and its U are the extension's closed-form record,
+    layer by layer."""
+    by_flag: dict[tuple[int, ...], list[ColoredComplex]] = {}
+    for c in enumerate_color_shifted_complexes(3, [3, 3, 2]):
+        by_flag.setdefault(flag_f(c).dense(), []).append(c)
     targets = set(_grid_targets(3, (3, 3, 2)))
+    extensions = {}
     for delta in enumerated_corpus:
-        dense = cone_extension(delta)[1].predicted_flag.dense()
-        targets.add(dense)
-        for mask in range(1, len(dense)):
-            if dense[mask]:
-                for count in (dense[mask] - 1, dense[mask] + 1):
-                    targets.add(dense[:mask] + (count,) + dense[mask + 1:])
+        extended, report = cone_extension(delta)
+        extensions[report.predicted_flag.dense()] = extended._record
     seen = Counter()
-    for dense in targets:
+    for dense in targets | extensions.keys():
         t = [dense[1 << i] for i in range(len(dense).bit_length() - 1)]
         layers = oracle._target_layers(dense, t)
         if not layers:
             continue
-        chosen = oracle._start(t)
-        upper = oracle._propagate(layers, dense, chosen)
-        assert upper == reference_propagate(layers, dense, chosen), dense
+        upper = oracle._propagate(layers, dense, oracle._start(t))
+        settled = upper is not None and all(
+            upper[geo.mask].bit_count() == dense[geo.mask] for geo in layers
+        )
+        seen["refuted" if upper is None else "settled" if settled else "open"] += 1
+        if dense in extensions:
+            assert settled, dense
+            record = extensions[dense]
+            assert all(upper[geo.mask] == record[geo.mask] for geo in layers), dense
+        if dense not in targets:
+            continue
+        found = by_flag.get(dense, [])
         if upper is None:
-            seen["refuted"] += 1
-        elif all(upper[geo.mask].bit_count() == dense[geo.mask] for geo in layers):
-            seen["settled"] += 1
-        else:
-            seen["open"] += 1
+            assert not found, dense
+            continue
+        for c in found:
+            assert all(c._record[geo.mask] & ~upper[geo.mask] == 0 for geo in layers), dense
+        if settled:
+            [c] = found
+            assert all(c._record[geo.mask] == upper[geo.mask] for geo in layers), dense
     assert min(seen["refuted"], seen["settled"], seen["open"]) > 1000, seen
 
 
@@ -609,33 +626,33 @@ def test_fiber_allowed_mask_matches_projections(monkeypatch, corpus, enumerated_
     assert len(opened) > 1000 and max(map(len, opened)) >= 4
 
 
+# Layer grids that put a one-vertex color in every position.
+GRID_SHAPES = [
+    *((0b10101, r) for r in product((1, 2, 3), repeat=3)),
+    *((0b1111, r) for r in product((1, 2), repeat=4)),
+    (0b11, (300, 1)), (0b11, (1, 300)), (0b11, (1, 1)), (0b1000, (4,)),
+]
+
+
 def test_geometry_matches_its_faces():
-    """Each geometry's mask, preds, drops and chain flag agree with its
-    grid faces, point by point.  The grid faces run over the index grid
-    in row-major order; preds[r] holds the points one index below point
-    r in one color; a drop's fiber of a sub-point holds the points whose
-    face drops to that sub-point's face, and a drop with no fibers keeps
-    every rank.  The preds, fibers and chain flag are the shape's, shared
-    by every color set with the same radices.  The shapes put a
-    one-vertex color in every position."""
-    shapes = [(0b10101, r) for r in product((1, 2, 3), repeat=3)]
-    shapes += [(0b1111, r) for r in product((1, 2), repeat=4)]
-    shapes += [(0b11, (300, 1)), (0b11, (1, 300)), (0b11, (1, 1)), (0b1000, (4,))]
-    for mask, radices in shapes:
+    """Each geometry's mask, radices, size, drops and chain flag agree
+    with its grid faces, point by point, on GRID_SHAPES.  The grid faces
+    run over the index grid in row-major order; a drop's fiber of a
+    sub-point holds the points whose face drops to that sub-point's face,
+    and a drop with no fibers keeps every rank.  The size, fibers and
+    chain flag are the shape's, shared by every color set with the same
+    radices."""
+    for mask, radices in GRID_SHAPES:
         geo = complexes._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
         grid = list(product(*(range(1, r + 1) for r in radices)))
         faces = reference_grid_faces(mask, radices)
         assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
-        assert geo.mask == mask
+        assert (geo.mask, geo.radices, geo.size) == (mask, radices, len(grid))
         shape = complexes._grid_shape(radices)
-        assert geo.preds is shape.preds and geo.chain == shape.chain
+        assert geo.size == shape.size and geo.chain == shape.chain
         assert [drop[1:] for drop in geo.drops] == list(shape.drops)
         assert geo.chain == (sum(r > 1 for r in radices) <= 1)
-        rank = {v: r for r, v in enumerate(grid)}
-        for r, v in enumerate(grid):
-            below = [v[:j] + (v[j] - 1,) + v[j + 1:] for j in range(len(v)) if v[j] > 1]
-            assert geo.preds[r] == sum(1 << rank[u] for u in below), (mask, radices, v)
         assert len(geo.drops) == len(colors)
         for j, (sub_mask, full, fibers) in enumerate(geo.drops):
             assert sub_mask == mask & ~(1 << (colors[j] - 1))
@@ -660,13 +677,68 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     for cache in (complexes._layer_geometry, complexes._grid_shape, complexes._grid_memo):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
-    for field in (geo.preds, geo.drops, *geo.drops):
+    for field in (geo.radices, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
     assert all(fibers is None or isinstance(fibers, tuple) for _, _, fibers in geo.drops)
     with pytest.raises(AttributeError):
-        geo.preds = ()
+        geo.drops = ()
     with pytest.raises(TypeError):
-        geo.preds[0] = 1
+        geo.drops[0] = 1
+
+
+def test_grid_ups_are_the_points_above():
+    """_grid_ups(radices)[r] holds exactly the points u >= v of the point
+    v of rank r, on GRID_SHAPES.  The table is cached per radices,
+    bounded and immutable.  A search whose every layer is settled builds
+    none; a search that reaches the kernel on a grid reads its table from
+    the cache."""
+    for _, radices in GRID_SHAPES:
+        grid = list(product(*(range(1, r + 1) for r in radices)))
+        ups = complexes._grid_ups(radices)
+        assert complexes._grid_ups(radices) is ups and isinstance(ups, tuple)
+        for v, up in zip(grid, ups, strict=True):
+            above = [q for q, u in enumerate(grid) if all(map(int.__ge__, u, v))]
+            assert up == sum(1 << q for q in above), (radices, v)
+    maxsize = complexes._grid_ups.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+    with pytest.raises(TypeError):
+        ups[0] = 1
+    complexes._grid_ups.cache_clear()
+    assert verify_uniqueness(staircase(5)).unique is True
+    assert complexes._grid_ups.cache_info().currsize == 0
+    complexes._grid_ups((3, 4))
+    before = complexes._grid_ups.cache_info()
+    outcome = enumerate_color_shifted_with_flag(FlagVector(2, (1, 3, 4, 5)))
+    assert len(outcome.witnesses) == 2
+    after = complexes._grid_ups.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize(
+    "generators, nodes",
+    [
+        ([face((1, 200)), face((2, 200)), edge2(1, 1)], 12),
+        ([face((1, 1), (2, 200)), face((1, 200))], 10),
+    ],
+    ids=["vertices", "row"],
+)
+def test_uniqueness_memory_follows_the_target(generators, nodes):
+    """Two-color complexes with 200 vertices per color whose extensions'
+    base layers hold one or 200 edges of the 40,000-point grid: with the
+    grid caches cleared, verify_uniqueness answers with a traced peak
+    under 30 MiB.  Any table that spends a grid-wide mask on every point
+    of that grid takes 200 MiB here."""
+    delta = shift_closure(2, generators)
+    for cache in (complexes._layer_geometry, complexes._grid_shape, complexes._grid_ups):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        result = verify_uniqueness(delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.unique is True and result.outcome.nodes_visited == nodes
+    assert peak < 30 * 2**20, peak
 
 
 def test_find_matches_flag_of_any_source(corpus):
