@@ -13,16 +13,17 @@ A grid point has one rank, row-major with the last color fastest: the
 index v_c of color c adds (v_c - 1) times the product of the later
 colors' radices.  Every grid helper of the package reads that ranking.
 _grid_face decodes a rank by mixed radix, and _boxes writes the points a
-face dominates in closed form.  A grid's shape (_grid_shape), cached by
-its radices, holds its number of points and, for each color position,
-one fiber mask per sub-grid point, the points that project onto it.  A
-fiber varies that color's index and fixes the others, so it is one
-column of evenly spaced bits (_repeat), shifted.  A layer's geometry
-(_layer_geometry) adds its color set's one-color drops to the shape.
-Only a layer that reaches a down-set kernel needs the grid's order,
-given as the up-set of every point (_grid_ups, cached by radices and
-built on that first use): the points at or above v are a box, like the
-points a face dominates, written at v's rank.
+face dominates in closed form.  Dropping a color of radix r and stride s
+(the product of the later radices) sends rank hi * r * s + i * s + lo,
+i < r and lo < s, to sub-rank hi * s + lo, so the fiber of a sub-point,
+the points projecting onto it, is a column of r bits s apart (_repeat),
+shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
+stride and column, from which _project and the search's fiber unions
+are computed; no per-point table is kept.  Only a layer that reaches a
+down-set kernel needs the grid's order, given as the up-set of every
+point (_grid_ups, cached by radices and built on that first use): the
+points at or above v are a box, like the points a face dominates,
+written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
@@ -287,52 +288,17 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
     return boxes
 
 
-class _Shape(NamedTuple):
-    """The color-free shape of a grid with given radices, in rank order;
-    shared through the _grid_shape cache, so every field is immutable."""
-
-    size: int  # number of points
-    # Per color position: (full sub-grid mask, fibers), fibers[sub_rank]
-    # being the points projecting onto sub_rank, or None when that color
-    # has one vertex and ranks coincide.
-    drops: tuple[tuple[int, tuple[int, ...] | None], ...]
-    chain: bool  # at most one color has more than one vertex
-
-
 class _Geometry(NamedTuple):
-    """One layer grid, a color set's view of its shape; shared through
-    the _layer_geometry cache, so every field is immutable."""
+    """One layer grid; shared through the _layer_geometry cache, so every
+    field is immutable."""
 
     mask: int  # color-set bitmask
     radices: tuple[int, ...]
-    size: int
-    # Per dropped color: (sub-layer mask, full sub-layer mask, fibers).
-    drops: tuple[tuple[int, int, tuple[int, ...] | None], ...]
-    chain: bool
-
-
-@lru_cache(maxsize=256)
-def _grid_shape(radices: tuple[int, ...]) -> _Shape:
-    """Size and fibers of the grid with radices[i] vertices of its i-th
-    color; cached, since many color sets share a few shapes."""
-    strides = [1] * len(radices)  # rank = sum over j of (v_j - 1) * strides[j]
-    for j in range(len(radices) - 1, 0, -1):
-        strides[j - 1] = strides[j] * radices[j]
-    npoints = prod(radices)
-    drops = []
-    for r, s in zip(radices, strides):
-        fibers = None
-        if r > 1:
-            # rank = hi * r * s + (v_j - 1) * s + lo  projects to  hi * s + lo
-            column = _repeat(r, s)
-            fibers = tuple(
-                column << (hi * r * s + lo)
-                for hi in range(npoints // (r * s))
-                for lo in range(s)
-            )
-        drops.append(((1 << (npoints // r)) - 1, fibers))
-    chain = sum(r > 1 for r in radices) <= 1
-    return _Shape(npoints, tuple(drops), chain)
+    size: int  # number of points
+    # Per dropped color, in color order: (sub-layer mask, full sub-layer
+    # mask, the color's radix r, its stride s, the column _repeat(r, s)).
+    drops: tuple[tuple[int, int, int, int, int], ...]
+    chain: bool  # at most one color has more than one vertex
 
 
 @lru_cache(maxsize=256)
@@ -358,16 +324,48 @@ def _grid_ups(radices: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
     """The grid of color set `mask` with radices[i] vertices of its i-th
-    color: its shape plus the mask of each one-color drop; cached, since
-    searches reopen the same few layers."""
-    shape = _grid_shape(radices)
+    color, with the radix, stride and column of each one-color drop;
+    cached, since searches reopen the same few layers."""
+    size = prod(radices)
     drops = []
     m = mask
-    for full, fibers in shape.drops:
+    s = size
+    for r in radices:
+        s //= r
         low = m & -m
-        drops.append((mask ^ low, full, fibers))
+        drops.append((mask ^ low, (1 << (size // r)) - 1, r, s, _repeat(r, s)))
         m ^= low
-    return _Geometry(mask, radices, shape.size, tuple(drops), shape.chain)
+    chain = sum(r > 1 for r in radices) <= 1
+    return _Geometry(mask, radices, size, tuple(drops), chain)
+
+
+def _project(points: int, r: int, s: int) -> int:
+    """The sub-layer points that `points` project onto along the drop of
+    a color with radix r and stride s.
+
+    The point of rank hi * r * s + i * s + lo, lo < s and i < r, drops to
+    the sub-point of rank hi * s + lo.  Folding ORs the r copies of
+    `points` shifted down by 0, s, ..., (r - 1) * s, doubling the copies
+    each step and overlapping the last, so bit hi * r * s + lo of the
+    fold is set when some point of that sub-point's fiber is.  The
+    gather then takes the low s bits of each r * s-bit block."""
+    if r == 1:
+        return points
+    folded = points
+    copies = 1
+    while 2 * copies <= r:
+        folded |= folded >> (copies * s)
+        copies *= 2
+    if copies < r:
+        folded |= folded >> ((r - copies) * s)
+    block = (1 << s) - 1
+    sub = 0
+    shift = 0
+    while folded:
+        sub |= (folded & block) << shift
+        folded >>= r * s
+        shift += s
+    return sub
 
 
 class ColoredComplex:

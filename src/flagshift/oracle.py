@@ -11,9 +11,9 @@ itself down-closed, so the per-layer candidates are exactly the order
 ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
-Each layer's grid, with its one-color drops and their fibers, comes
-from complexes._layer_geometry, cached by its color-set bitmask and
-radices; a layer that reaches a kernel reads its grid's order, the
+Each layer's grid, with each one-color drop's radix, stride and column,
+comes from complexes._layer_geometry, cached by its color-set bitmask
+and radices; a layer that reaches a kernel reads its grid's order, the
 up-set of each point, from complexes._grid_ups, which builds it then.
 Only the color sets the target gives faces are visited
 (_target_layers).  No search builds a face: a witness is the record of
@@ -23,10 +23,11 @@ cone extension, itself only a record, mask by mask
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
-over dropped colors of the OR of the fibers of the chosen sub-points.
-A fully chosen sub-layer constrains nothing and is skipped; when the
-dropped color has one vertex, projection keeps the rank, so the fiber
-union is the chosen sub-mask itself.
+over dropped colors of the OR of the fibers of the chosen sub-points,
+formed from the drop's stride and column (_allowed_mask).  A fully
+chosen sub-layer constrains nothing and is skipped; when the dropped
+color has one vertex, projection keeps the rank, so the fiber union is
+the chosen sub-mask itself.
 
 The allowed set is down-closed: if v is allowed and u <= v, each
 one-color-drop projection of u is dominated by the matching projection
@@ -105,7 +106,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _grid_ups, _layer_geometry
+from .complexes import ColoredComplex, _Geometry, _grid_ups, _layer_geometry, _project
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
 
@@ -171,21 +172,30 @@ def _layers_within(num_colors: int, t) -> list[_Geometry]:
 
 
 def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
-    """Points whose every one-color-drop projection was chosen below."""
+    """Points whose every one-color-drop projection was chosen below.
+
+    Along the drop of a color with radix r and stride s, the fiber of
+    sub-point hi * s + lo is the column shifted to hi * r * s + lo.  So
+    the union of the chosen sub-points' fibers is the chosen mask with
+    each s-bit block moved r * s bits apart, times the column: the
+    column's copies fall in distinct bits, so the product carries
+    nothing and is their OR."""
     allowed = (1 << geo.size) - 1
-    for sub_mask, full, fibers in geo.drops:
+    for sub_mask, full, r, s, column in geo.drops:
         sub = chosen[sub_mask]
         if sub == full:
             continue
-        if fibers is None:
+        if r == 1:
             allowed &= sub
             continue
-        union = 0
+        block = (1 << s) - 1
+        spread = 0
+        shift = 0
         while sub:
-            low = sub & -sub
-            union |= fibers[low.bit_length() - 1]
-            sub ^= low
-        allowed &= union
+            spread |= (sub & block) << shift
+            sub >>= s
+            shift += r * s
+        allowed &= spread * column
     return allowed
 
 
@@ -257,17 +267,6 @@ def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
 # prescribed-flag search
 # ===================================================================
 
-def _project(points: int, fibers: tuple[int, ...] | None) -> int:
-    """The sub-layer points that `points` project onto along one drop."""
-    if fibers is None:
-        return points
-    sub = 0
-    for rank, fiber in enumerate(fibers):
-        if fiber & points:
-            sub |= 1 << rank
-    return sub
-
-
 def _target_layers(f, t) -> list[_Geometry] | None:
     """Geometries of the color sets of size >= 2 with faces in the dense
     target f, in canonical order, or None when a color set with faces has
@@ -319,9 +318,9 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
             if need.bit_count() == want and upper[geo.mask] & ~need:
                 upper[geo.mask] &= need
                 shrunk = True
-            for sub_mask, _, fibers in geo.drops:
+            for sub_mask, _, r, s, _ in geo.drops:
                 if sub_mask in required:
-                    required[sub_mask] |= _project(need, fibers)
+                    required[sub_mask] |= _project(need, r, s)
         if not shrunk:
             return upper
 

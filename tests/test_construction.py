@@ -33,7 +33,7 @@ from flagshift import (
     verify_uniqueness,
 )
 from flagshift import emit_complex, oracle
-from flagshift.complexes import _grid_memo, _grid_shape, _layer_geometry
+from flagshift.complexes import _grid_memo, _layer_geometry
 from flagshift.flags import colors_of_mask, subset_masks
 
 from helpers import (
@@ -255,7 +255,6 @@ def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_c
         raise AssertionError("an internal path called a validating constructor")
 
     _layer_geometry.cache_clear()
-    _grid_shape.cache_clear()
     _grid_memo.cache_clear()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
@@ -287,7 +286,6 @@ def test_extension_builds_no_face(monkeypatch):
         return raw(vertices)
 
     monkeypatch.setattr(complexes, "_layer_geometry", no_grid)
-    monkeypatch.setattr(complexes, "_grid_shape", no_grid)
     monkeypatch.setattr(complexes, "_grid_memo", no_grid)
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     monkeypatch.setattr(complexes.Face, "__init__", no_init)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from functools import cache
 from itertools import product
@@ -495,27 +496,6 @@ def test_propagate_matches_enumeration(enumerated_corpus):
     assert min(seen["refuted"], seen["settled"], seen["open"]) > 1000, seen
 
 
-def test_projection_matches_faces():
-    """_project sends each layer point to the sub-layer point its face
-    drops to along each color, and a set of points to the union."""
-    for mask, radices in [(0b111, (2, 3, 2)), (0b11, (3, 1)), (0b11010, (1, 2, 2))]:
-        geo = complexes._layer_geometry(mask, radices)
-        grid = reference_grid_faces(mask, radices)
-        colors = colors_of_mask(mask)
-        for j, (sub_mask, _, fibers) in enumerate(geo.drops):
-            sub_radices = radices[:j] + radices[j + 1:]
-            sub = complexes._layer_geometry(sub_mask, sub_radices)
-            assert sub.mask == sub_mask
-            rank = {face: r for r, face in enumerate(reference_grid_faces(sub_mask, sub_radices))}
-            image = [1 << rank[without_color(face, colors[j])] for face in grid]
-            for points in range(1 << len(grid)):
-                want = 0
-                for r, bit in enumerate(image):
-                    if points >> r & 1:
-                        want |= bit
-                assert oracle._project(points, fibers) == want, (colors, radices, j, points)
-
-
 def test_forced_layer_budget_boundary():
     # 4 edges on a 2x2 grid: the edge layer is forced, one node to open
     # it and one to assign it
@@ -637,11 +617,13 @@ GRID_SHAPES = [
 def test_geometry_matches_its_faces():
     """Each geometry's mask, radices, size, drops and chain flag agree
     with its grid faces, point by point, on GRID_SHAPES.  The grid faces
-    run over the index grid in row-major order; a drop's fiber of a
-    sub-point holds the points whose face drops to that sub-point's face,
-    and a drop with no fibers keeps every rank.  The size, fibers and
-    chain flag are the shape's, shared by every color set with the same
-    radices."""
+    run over the index grid in row-major order.  Along a drop of radix r
+    and stride s, the fiber of a sub-point, the points whose face drops
+    to that sub-point's face, is the drop's column shifted by the
+    sub-point's rank q plus (q // s) * (r - 1) * s; a drop of radix 1
+    keeps every rank.  The size, drops but their masks, and chain flag
+    depend only on the radices, so a color set with the same radices
+    shares them."""
     for mask, radices in GRID_SHAPES:
         geo = complexes._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
@@ -649,24 +631,63 @@ def test_geometry_matches_its_faces():
         faces = reference_grid_faces(mask, radices)
         assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
         assert (geo.mask, geo.radices, geo.size) == (mask, radices, len(grid))
-        shape = complexes._grid_shape(radices)
-        assert geo.size == shape.size and geo.chain == shape.chain
-        assert [drop[1:] for drop in geo.drops] == list(shape.drops)
+        shifted = complexes._layer_geometry(mask << 1, radices)
+        assert geo.size == shifted.size and geo.chain == shifted.chain
+        assert [drop[1:] for drop in geo.drops] == [drop[1:] for drop in shifted.drops]
         assert geo.chain == (sum(r > 1 for r in radices) <= 1)
         assert len(geo.drops) == len(colors)
-        for j, (sub_mask, full, fibers) in enumerate(geo.drops):
+        for j, (sub_mask, full, r, s, column) in enumerate(geo.drops):
             assert sub_mask == mask & ~(1 << (colors[j] - 1))
             sub_grid = list(product(*(range(1, r + 1) for r in radices[:j] + radices[j + 1:])))
             assert full == (1 << len(sub_grid)) - 1
             sub_rank = {u: q for q, u in enumerate(sub_grid)}
             image = [sub_rank[v[:j] + v[j + 1:]] for v in grid]
+            assert r == radices[j], (mask, radices, j)
             if radices[j] == 1:
-                assert fibers is None and image == list(range(len(grid))), (mask, radices, j)
-                continue
+                assert image == list(range(len(grid))), (mask, radices, j)
             want = [0] * len(sub_grid)
-            for r, q in enumerate(image):
-                want[q] |= 1 << r
-            assert fibers == tuple(want), (mask, radices, j)
+            for p, q in enumerate(image):
+                want[q] |= 1 << p
+            got = [column << (q + q // s * (r - 1) * s) for q in range(len(sub_grid))]
+            assert got == want, (mask, radices, j)
+
+
+def _point_sets(npoints: int, rng) -> list[int]:
+    """Every subset of a grid of up to 12 points; on a larger grid, the
+    singletons, the whole grid and one random subset."""
+    if npoints <= 12:
+        return list(range(1 << npoints))
+    return [*(1 << p for p in range(npoints)), (1 << npoints) - 1, rng.getrandbits(npoints)]
+
+
+def test_projection_matches_faces():
+    """Along each drop, on GRID_SHAPES, _project sends a set of layer
+    points to the sub-layer points their faces drop to, and the fiber
+    union inside _allowed_mask, with every other drop's sub-layer full,
+    holds the layer points whose faces drop into a chosen set."""
+    rng = random.Random(19)
+    for mask, radices in GRID_SHAPES:
+        geo = complexes._layer_geometry(mask, radices)
+        grid = reference_grid_faces(mask, radices)
+        colors = colors_of_mask(mask)
+        for j, (sub_mask, full, r, s, _) in enumerate(geo.drops):
+            sub_radices = radices[:j] + radices[j + 1:]
+            sub = complexes._layer_geometry(sub_mask, sub_radices)
+            assert sub.mask == sub_mask
+            sub_grid = reference_grid_faces(sub_mask, sub_radices)
+            rank = {face: q for q, face in enumerate(sub_grid)}
+            image = [rank[without_color(face, colors[j])] for face in grid]
+            for points in _point_sets(len(grid), rng):
+                want = 0
+                for p, q in enumerate(image):
+                    if points >> p & 1:
+                        want |= 1 << q
+                assert complexes._project(points, r, s) == want, (colors, radices, j, points)
+            chosen = {drop[0]: drop[1] for drop in geo.drops}
+            for points in _point_sets(len(sub_grid), rng):
+                chosen[sub_mask] = points
+                want = sum(1 << p for p, q in enumerate(image) if points >> q & 1)
+                assert oracle._allowed_mask(geo, chosen) == want, (colors, radices, j, points)
 
 
 def test_layer_geometry_cache_is_bounded_and_immutable():
@@ -674,12 +695,12 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     assert complexes._layer_geometry(0b111, (2, 3, 1)) is geo
     memo = complexes._grid_memo(0b111, (2, 3, 1))
     assert complexes._grid_memo(0b111, (2, 3, 1)) is memo
-    for cache in (complexes._layer_geometry, complexes._grid_shape, complexes._grid_memo):
+    for cache in (complexes._layer_geometry, complexes._grid_memo):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
     for field in (geo.radices, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
-    assert all(fibers is None or isinstance(fibers, tuple) for _, _, fibers in geo.drops)
+    assert all(type(x) is int for drop in geo.drops for x in drop)
     with pytest.raises(AttributeError):
         geo.drops = ()
     with pytest.raises(TypeError):
@@ -714,22 +735,37 @@ def test_grid_ups_are_the_points_above():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+def _rainbow_and_eighth_vertices(n: int) -> list[Face]:
+    """The n-color face at index 1 and the vertex of index 8 of each
+    color."""
+    return [face(*((c, 1) for c in range(1, n + 1))), *(face((c, 8)) for c in range(1, n + 1))]
+
+
 @pytest.mark.parametrize(
-    "generators, nodes",
+    "num_colors, generators, faces, nodes",
     [
-        ([face((1, 200)), face((2, 200)), edge2(1, 1)], 12),
-        ([face((1, 1), (2, 200)), face((1, 200))], 10),
+        (2, [face((1, 200)), face((2, 200)), edge2(1, 1)], 402, 12),
+        (2, [face((1, 1), (2, 200)), face((1, 200))], 601, 10),
+        (2, [face((1, 600)), face((2, 600)), edge2(1, 1)], 1202, 12),
+        (5, _rainbow_and_eighth_vertices(5), 67, 124),
+        (6, _rainbow_and_eighth_vertices(6), 106, 252),
     ],
-    ids=["vertices", "row"],
+    ids=["vertices", "row", "wide", "five-colors", "six-colors"],
 )
-def test_uniqueness_memory_follows_the_target(generators, nodes):
-    """Two-color complexes with 200 vertices per color whose extensions'
-    base layers hold one or 200 edges of the 40,000-point grid: with the
-    grid caches cleared, verify_uniqueness answers with a traced peak
-    under 30 MiB.  Any table that spends a grid-wide mask on every point
-    of that grid takes 200 MiB here."""
-    delta = shift_closure(2, generators)
-    for cache in (complexes._layer_geometry, complexes._grid_shape, complexes._grid_ups):
+def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nodes):
+    """Complexes whose extensions' layers hold few points of large grids:
+    two-color complexes with 200 vertices per color whose base layers
+    hold one or 200 edges of the 40,000-point grid, one with 600 vertices
+    per color whose base layer holds one edge of 360,000, and the five-
+    and six-color faces at index 1 with an eighth vertex of each color,
+    whose extensions' layers have up to 8^6 points.  With the grid caches
+    cleared, verify_uniqueness answers with a traced peak under 30 MiB.
+    A table of one grid-wide mask per grid point takes 200 MiB on the
+    200-vertex grid, and one fiber mask per sub-grid point of each drop
+    takes over 50 MiB on each of the others."""
+    delta = shift_closure(num_colors, generators)
+    assert len(delta) == faces
+    for cache in (complexes._layer_geometry, complexes._grid_ups):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -863,12 +899,11 @@ def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
 
 def test_walk_records_survive_cache_clears():
     """A walk record holds only the chosen masks, so clearing the
-    geometry, shape and grid-face caches before the faces are built
+    geometry and grid-face caches before the faces are built
     changes nothing, and complexes built by separate walks compare
     equal."""
     walked = _corpus_and_witnesses()
     complexes._layer_geometry.cache_clear()
-    complexes._grid_shape.cache_clear()
     complexes._grid_memo.cache_clear()
     for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
