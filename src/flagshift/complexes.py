@@ -27,9 +27,12 @@ written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
-built by the layered walk, and a cone extension, holds only that: its
-faces are decoded from the record on first use, point by point and
-shared through a per-grid memo (_grid_memo), so no whole grid is built.
+built by the layered walk, and a cone extension, holds only that.
+_record_grids walks its color sets with their grids' colors and radices.
+Its faces are decoded on first use, point by point and shared through a
+per-grid memo (_grid_memo), so no whole grid is built; the emitter reads
+face texts from a like memo (formats._grid_texts) and builds a face only
+on a miss.
 
 Every value here is immutable; operations return new objects.
 """
@@ -254,7 +257,7 @@ def _grid_memo(mask: int, radices: tuple[int, ...]) -> dict[int, Face]:
     return {}
 
 
-def _grid_face(colors: list[int], radices: list[int], rank: int) -> Face:
+def _grid_face(colors: list[int], radices: tuple[int, ...], rank: int) -> Face:
     """The face of row-major rank `rank` in the grid of `colors`, decoded
     by mixed radix from the last color."""
     indices = []
@@ -266,8 +269,18 @@ def _grid_face(colors: list[int], radices: list[int], rank: int) -> Face:
 
 
 def _repeat(copies: int, stride: int) -> int:
-    """The mask with `copies` bits, `stride` apart from bit 0."""
-    return ((1 << (copies * stride)) - 1) // ((1 << stride) - 1)
+    """The mask with `copies` bits, `stride` apart from bit 0, by
+    shift-and-OR doubling with an overlapping last shift, as _project
+    folds: log(copies) shifts, where the division by (1 << stride) - 1
+    is quadratic in the width."""
+    mask = 1 if copies > 0 else 0
+    have = 1
+    while 2 * have <= copies:
+        mask |= mask << (have * stride)
+        have *= 2
+    if have < copies:
+        mask |= mask << ((copies - have) * stride)
+    return mask
 
 
 def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int]]:
@@ -406,11 +419,11 @@ class ColoredComplex:
         having as many vertices of each color c as the bit length of
         record[{c}].  Record[0] is 1 for the empty face, record[{c}] is
         (1 << t_c) - 1 for the t_c vertices of color c, and a color set
-        without an entry has no face.  A caller may pass faces=None with a
-        record in canonical order (flags.mask_sort_key), as the walk and
-        cone_extension do: `faces` builds them on first use and
-        `sorted_faces` reads them off in that order.  flag_f and len read
-        the counts from the record.
+        without an entry has no face.  Its entries are in canonical order
+        (flags.mask_sort_key), as the walk and cone_extension write them,
+        and those callers pass faces=None: `faces` builds them on first
+        use, and `sorted_faces` and formats.emit_complex read them off
+        in that order.  flag_f and len read the counts from the record.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num_colors", num_colors)
@@ -428,19 +441,9 @@ class ColoredComplex:
     def _recorded_faces(self) -> list[Face]:
         """The faces of the record, in the record's order of color sets
         and rank order within each."""
-        record = self._record
         built = []
-        for mask, points in record.items():
-            if not points:
-                continue
-            colors, radices = [], []
-            m = mask
-            while m:
-                low = m & -m
-                colors.append(low.bit_length())
-                radices.append(record[low].bit_length())
-                m ^= low
-            memo = _grid_memo(mask, tuple(radices))
+        for mask, points, colors, radices in _record_grids(self._record):
+            memo = _grid_memo(mask, radices)
             while points:
                 low = points & -points
                 rank = low.bit_length() - 1
@@ -511,6 +514,23 @@ class ColoredComplex:
 
     def __repr__(self) -> str:
         return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self)}>)"
+
+
+def _record_grids(record: dict[int, int]) -> Iterator[tuple]:
+    """(mask, points, colors, radices) per color set of a record that
+    holds a face, in the record's order, the radices read off its vertex
+    entries (ColoredComplex._raw)."""
+    for mask, points in record.items():
+        if not points:
+            continue
+        colors, radices = [], []
+        m = mask
+        while m:
+            low = m & -m
+            colors.append(low.bit_length())
+            radices.append(record[low].bit_length())
+            m ^= low
+        yield mask, points, colors, tuple(radices)
 
 
 def _nonzero(record: dict[int, int]) -> dict[int, int]:

@@ -19,9 +19,12 @@ identical bytes, and distinct complexes produce distinct bytes.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 from typing import Any
 
 from .complexes import ColoredComplex, Face, _vertex_tuple, from_generators
+from .complexes import _grid_face, _record_grids
 from .construction import ConstructionReport
 from .flags import CoarseFVector, FlagVector
 
@@ -107,21 +110,52 @@ def complex_to_obj(c: ColoredComplex) -> dict:
     }
 
 
+@lru_cache(maxsize=64)
+def _face_template(size: int) -> str:
+    """The %-template of a face's entry in a complex document, taking
+    the color and index of each of its `size` vertices in turn."""
+    vertex = "      [\n        %d,\n        %d\n      ]"
+    return "    [\n" + ",\n".join([vertex] * size) + "\n    ]" if size else "    []"
+
+
+def _face_text(vertices: tuple) -> str:
+    return _face_template(len(vertices)) % tuple(chain.from_iterable(vertices))
+
+
+@lru_cache(maxsize=256)
+def _grid_texts(mask: int, radices: tuple[int, ...]) -> dict[int, str]:
+    """Face texts by rank in the grid of color set `mask` with radices[i]
+    vertices of its i-th color, filled on demand, like complexes._grid_memo."""
+    return {}
+
+
 def emit_complex(c: ColoredComplex) -> str:
     """Canonical document for a complex: faces in canonical order.
 
     The bytes are those of _dumps(complex_to_obj(c)), written directly:
     json's indented encoder runs in pure Python, and a complex's
-    document is only nested lists of integers.
+    document is only nested lists of integers.  A complex with a record
+    (a cone extension or a walk-built complex) is written from it in its
+    canonical order, each face's text taken from its grid's memo
+    (_grid_texts): a face is formatted once per grid, not once per
+    document, and a memo hit builds no Face.
     """
-    faces = [
-        "    [\n" + ",\n".join(
-            f"      [\n        {color},\n        {index}\n      ]"
-            for color, index in face._vertices
-        ) + "\n    ]"
-        if face._vertices else "    []"
-        for face in c.sorted_faces()
-    ]
+    record = c._record
+    if record is None:
+        faces = [_face_text(face._vertices) for face in c.sorted_faces()]
+    else:
+        faces = []
+        for mask, points, colors, radices in _record_grids(record):
+            texts = _grid_texts(mask, radices)
+            while points:
+                low = points & -points
+                rank = low.bit_length() - 1
+                text = texts.get(rank)
+                if text is None:
+                    face = _grid_face(colors, radices, rank)
+                    text = texts[rank] = _face_text(face._vertices)
+                faces.append(text)
+                points ^= low
     body = "[\n" + ",\n".join(faces) + "\n  ]" if faces else "[]"
     return f'{{\n  "faces": {body},\n  "num_colors": {c.num_colors}\n}}\n'
 

@@ -35,6 +35,7 @@ from flagshift import (
 from flagshift import emit_complex, oracle
 from flagshift.complexes import _grid_memo, _layer_geometry
 from flagshift.flags import colors_of_mask, subset_masks
+from flagshift.formats import _grid_texts
 
 from helpers import (
     brute_record,
@@ -248,19 +249,22 @@ def test_unvalidated_faces_are_the_constructor_faces(enumerated_corpus):
 def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_corpus):
     """With Face.__init__ and FlagVector.__init__ made to raise, every
     internal producer still runs: the package validates only what comes
-    from outside.  The grid caches are cleared first, so grid faces are
-    built under the patch."""
+    from outside, emission of every extension included.  The grid
+    caches are cleared first, so grid faces are built under the patch."""
 
     def no_init(*_args, **_kwargs):
         raise AssertionError("an internal path called a validating constructor")
 
     _layer_geometry.cache_clear()
     _grid_memo.cache_clear()
+    _grid_texts.cache_clear()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
     built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
+    given = [*enumerated_corpus, *STAIRCASES]
+    emitted = [emit_complex(cone_extension(c)[0]) for c in given]
     monkeypatch.undo()
-    assert built > 0
+    assert built > 0 and len(emitted) == len(given)
 
 
 def test_extension_builds_no_face(monkeypatch):
@@ -297,6 +301,32 @@ def test_extension_builds_no_face(monkeypatch):
     assert verify_cone_extension(delta, extended, report).ok
 
 
+def test_second_emission_builds_no_face(monkeypatch, enumerated_corpus):
+    """Emitting an extension reads its record: once the text memos hold
+    its grids' faces, emitting it again builds no Face, even with the
+    face memos cleared, and leaves its face set unbuilt."""
+    import flagshift.complexes as complexes
+
+    made = []
+    raw = complexes.Face._raw
+
+    def counted_raw(cls, vertices):
+        made.append(vertices)
+        return raw(vertices)
+
+    extensions = [cone_extension(c)[0] for c in [*enumerated_corpus, *STAIRCASES]]
+    _grid_texts.cache_clear()
+    monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
+    for e in extensions:
+        first = emit_complex(e)
+        _grid_memo.cache_clear()
+        built = len(made)
+        assert emit_complex(e) == first and len(made) == built, e
+        assert e._faces is None, e
+    monkeypatch.undo()
+    assert made
+
+
 def test_wide_extension_memory_is_its_faces():
     """Constructing the 600 x 600 complex's extension, emitting it and
     comparing it with the face-by-face reference holds a few MiB at
@@ -305,6 +335,7 @@ def test_wide_extension_memory_is_its_faces():
     want, _ = reference_cone_extension(WIDE)
     want_doc = reference_emit_complex(want)
     _grid_memo.cache_clear()
+    _grid_texts.cache_clear()
     tracemalloc.start()
     try:
         extended, _ = cone_extension(WIDE)

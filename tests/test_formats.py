@@ -12,20 +12,25 @@ from flagshift import (
     DocumentError,
     FlagVector,
     InvalidComplexError,
+    SearchBudget,
     coarse_f,
     cone_extension,
     emit_coarse,
     emit_complex,
     emit_flag_vector,
     emit_report,
+    enumerate_all_colored_complexes,
+    enumerate_color_shifted_with_flag,
     flag_f,
     h_from_f,
     parse_complex,
     parse_flag_vector,
+    verify_uniqueness,
 )
-from flagshift.complexes import Face, Vertex, empty_complex, trivial_complex
+from flagshift import formats
+from flagshift.complexes import EMPTY_FACE, Face, Vertex, empty_complex, trivial_complex
 
-from helpers import reference_emit_complex
+from helpers import reference_emit_complex, staircase
 
 
 # ===================================================================
@@ -73,14 +78,37 @@ def test_emit_complex_distinct_bytes(corpus):
 
 def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
     """The directly written document is byte for byte json's indented,
-    key-sorted encoding of complex_to_obj."""
-    complexes = [
+    key-sorted encoding of complex_to_obj, on record-built complexes
+    (the corpus, its extensions, the staircases' k = 2..14 extensions,
+    walk witnesses, every complex within 2 x 2 vertices) and face-set
+    ones (parsed, empty, trivial, and a face of 20 colors, so the
+    per-size templates have no limit), and again once the text memos
+    are cleared."""
+    staircases = [staircase(k) for k in range(2, 15)]
+    recorded = [
         *enumerated_corpus,
-        *(cone_extension(c)[0] for c in enumerated_corpus),
-        *(make(n) for make in (empty_complex, trivial_complex) for n in (0, 3)),
+        *(cone_extension(c)[0] for c in [*enumerated_corpus, *staircases]),
+        *(w for c in staircases for w in verify_uniqueness(c).outcome.witnesses),
+        *enumerate_color_shifted_with_flag(
+            FlagVector(2, (1, 3, 3, 4)), SearchBudget(max_witnesses=10)
+        ).witnesses,
+        *enumerate_all_colored_complexes(2, [2, 2]),
     ]
-    for c in complexes:
-        assert emit_complex(c) == reference_emit_complex(c), c
+    assert all(c._record is not None for c in recorded)
+    # the 20-color face's closure has 2^20 faces: the emitter formats
+    # whatever family it holds, so the face alone shows the template
+    top = Face._raw(tuple(Vertex(color, 1) for color in range(1, 21)))
+    face_sets = [
+        *(parse_complex(emit_complex(c)) for c in [*enumerated_corpus, *staircases]),
+        *(make(n) for make in (empty_complex, trivial_complex) for n in (0, 3)),
+        ColoredComplex._raw(20, frozenset({EMPTY_FACE, top})),
+    ]
+    assert all(c._record is None for c in face_sets)
+    want = [reference_emit_complex(c) for c in [*recorded, *face_sets]]
+    assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
+    formats._grid_texts.cache_clear()
+    assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
+    assert all(c._faces is None for c in recorded[len(enumerated_corpus):])
 
 
 def test_emit_complex_face_order_is_canonical(sample_a):

@@ -34,7 +34,7 @@ from flagshift import (
     verify_uniqueness,
 )
 
-from flagshift import complexes, oracle
+from flagshift import complexes, formats, oracle
 from flagshift.flags import colors_of_mask
 
 from helpers import (
@@ -693,9 +693,10 @@ def test_projection_matches_faces():
 def test_layer_geometry_cache_is_bounded_and_immutable():
     geo = complexes._layer_geometry(0b111, (2, 3, 1))
     assert complexes._layer_geometry(0b111, (2, 3, 1)) is geo
-    memo = complexes._grid_memo(0b111, (2, 3, 1))
-    assert complexes._grid_memo(0b111, (2, 3, 1)) is memo
-    for cache in (complexes._layer_geometry, complexes._grid_memo):
+    for memo_cache in (complexes._grid_memo, formats._grid_texts):
+        memo = memo_cache(0b111, (2, 3, 1))
+        assert memo_cache(0b111, (2, 3, 1)) is memo
+    for cache in (complexes._layer_geometry, complexes._grid_memo, formats._grid_texts):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256
     for field in (geo.radices, geo.drops, *geo.drops):
@@ -705,6 +706,16 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
         geo.drops = ()
     with pytest.raises(TypeError):
         geo.drops[0] = 1
+
+
+def test_repeat_is_the_division_formula():
+    """_repeat's shift-and-OR doubling gives the division's mask on every
+    (copies, stride) up to 40 x 40 and on wide columns, whose copies
+    are not all powers of two."""
+    wide = [(8, 32_768), (600, 600), (1_000, 1), (3, 100_000), (257, 129)]
+    for copies, stride in [*product(range(41), range(1, 41)), *wide]:
+        want = ((1 << (copies * stride)) - 1) // ((1 << stride) - 1)
+        assert complexes._repeat(copies, stride) == want, (copies, stride)
 
 
 def test_grid_ups_are_the_points_above():
@@ -822,10 +833,10 @@ def _assert_same_as_validated(
     ==, hash, len, in, canonical order, document bytes, flag vector and
     repr agree.  len, flag_f and repr run before the other checks and
     again after them; `first` picks which of those runs first.  ==, hash
-    and in build w's face set; the canonical order and the document read
-    the record while the face set is unbuilt, and sort it once built.
-    Without `every_check`, those two are checked only when `first` picks
-    them, on the record."""
+    and in build w's face set; the canonical order reads the record
+    while the face set is unbuilt and sorts it once built, and the
+    document always reads the record.  Without `every_check`, those two
+    are checked only when `first` picks them, on the record."""
     twin = ColoredComplex._raw(w.num_colors, None, w._record)
     rebuilt = ColoredComplex(w.num_colors, twin.faces)
     lazy = (len, flag_f, repr)
@@ -899,12 +910,13 @@ def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
 
 def test_walk_records_survive_cache_clears():
     """A walk record holds only the chosen masks, so clearing the
-    geometry and grid-face caches before the faces are built
+    geometry, grid-face and face-text caches before the faces are built
     changes nothing, and complexes built by separate walks compare
     equal."""
     walked = _corpus_and_witnesses()
     complexes._layer_geometry.cache_clear()
     complexes._grid_memo.cache_clear()
+    formats._grid_texts.cache_clear()
     for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
     assert _corpus_and_witnesses() == walked
