@@ -36,6 +36,12 @@ such a point q, whose up-set holds p's and so i too.  Hence
     leaves differ at the branch that split them.  So the leaves are the
     L down-sets, once each, every other state has two children, and the
     any-size walk visits exactly 2L - 1 nodes.
+
+The first `avail` (_initial_avail) clears the up-set of every blocked
+(non-allowed) point but reads only those that clear something.  A point
+listed after the highest allowed point is below no allowed point, since
+ups[i] has no bit below i.  A blocked point q in a blocked p's up-set is
+not read: q >= p, so p's up-set, cleared already, holds q's.
 """
 
 from __future__ import annotations
@@ -44,13 +50,15 @@ _ANY_SIZE = -1  # no count equals it and none falls below it
 
 
 def _initial_avail(ups, allowed: int) -> int:
-    """Allowed points above no non-allowed point."""
+    """Allowed points above no non-allowed point, reading only the
+    up-sets that clear something (module docstring)."""
     avail = allowed
-    blocked = ((1 << len(ups)) - 1) & ~allowed
+    blocked = ((1 << allowed.bit_length()) - 1) & ~allowed
     while blocked:
         low = blocked & -blocked
-        avail &= ~ups[low.bit_length() - 1]
-        blocked ^= low
+        up = ups[low.bit_length() - 1]
+        avail &= ~up
+        blocked &= ~up
     return avail
 
 

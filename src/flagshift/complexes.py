@@ -18,23 +18,24 @@ face dominates in closed form.  Dropping a color of radix r and stride s
 i < r and lo < s, to sub-rank hi * s + lo, so the fiber of a sub-point,
 the points projecting onto it, is a column of r bits s apart (_repeat),
 shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
-stride and column, from which _project and the search's fiber unions
-are computed; no per-point table is kept.  Only a layer that reaches a
-down-set kernel needs the grid's order, given as the up-set of every
-point (_grid_ups, cached by radices and built on that first use): the
-points at or above v are a box, like the points a face dominates,
-written at v's rank.
+stride and column, built when the search first reads them; _project and
+the search's fiber unions are computed from them, and no per-point table
+is kept.  Only a layer that reaches a down-set kernel needs the grid's
+order, given as the up-set of every point (_grid_ups, cached by radices
+and built on that first use): the points at or above v are a box, like
+the points a face dominates, written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
 built by the layered walk, and a cone extension, holds only that.
-_record_grids walks its color sets with their grids' colors and radices.
-Its faces are decoded on first use, point by point and shared through a
-per-grid memo (_grid_memo), so no whole grid is built; the emitter reads
-face texts from a like memo (formats._grid_texts) and builds a face only
-on a miss.
+_record_grids walks its color sets with their grids' geometries, the one
+cache keyed by color set and radices; each also holds its colors and two
+memos by rank, the faces decoded so far and the face texts
+formats.emit_complex wrote.  A record's faces are decoded into that memo
+on first use and the emitter builds a face only on a text miss; no drops
+are built, so no mask as wide as a grid.
 
-Every value here is immutable; operations return new objects.
+Faces and complexes are immutable; operations return new objects.
 """
 
 from __future__ import annotations
@@ -249,25 +250,6 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     return None
 
 
-@lru_cache(maxsize=256)
-def _grid_memo(mask: int, radices: tuple[int, ...]) -> dict[int, Face]:
-    """Faces decoded so far in the grid of color set `mask` with radices[i]
-    vertices of its i-th color, by row-major rank, filled on demand and
-    shared by the records of one shape."""
-    return {}
-
-
-def _grid_face(colors: list[int], radices: tuple[int, ...], rank: int) -> Face:
-    """The face of row-major rank `rank` in the grid of `colors`, decoded
-    by mixed radix from the last color."""
-    indices = []
-    for radix in reversed(radices):
-        rank, index = divmod(rank, radix)
-        indices.append(index + 1)
-    # colors ascend and indices start at 1: the tuple is a Face's own
-    return Face._raw(tuple(map(Vertex, colors, reversed(indices))))
-
-
 def _repeat(copies: int, stride: int) -> int:
     """The mask with `copies` bits, `stride` apart from bit 0, by
     shift-and-OR doubling with an overlapping last shift, as _project
@@ -301,17 +283,39 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
     return boxes
 
 
-class _Geometry(NamedTuple):
-    """One layer grid; shared through the _layer_geometry cache, so every
-    field is immutable."""
+class _Geometry:
+    """One layer grid, shared through the _layer_geometry cache.  Its
+    shape is set once.  Its drops, which only the search reads, are
+    built on first read, since their masks are as wide as the grid; its
+    face and face-text memos fill as records over it are read.  So
+    reading a record costs the faces it holds, never the whole grid."""
 
-    mask: int  # color-set bitmask
-    radices: tuple[int, ...]
-    size: int  # number of points
-    # Per dropped color, in color order: (sub-layer mask, full sub-layer
-    # mask, the color's radix r, its stride s, the column _repeat(r, s)).
-    drops: tuple[tuple[int, int, int, int, int], ...]
-    chain: bool  # at most one color has more than one vertex
+    __slots__ = ("mask", "colors", "radices", "size", "chain", "faces", "texts", "_drops")
+
+    def __init__(self, mask: int, radices: tuple[int, ...]):
+        self.mask = mask  # color-set bitmask
+        self.colors = tuple(c + 1 for c in range(mask.bit_length()) if mask >> c & 1)
+        self.radices = radices
+        self.size = prod(radices)  # number of points
+        self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
+        self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
+        self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
+        self._drops = None
+
+    @property
+    def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per dropped color, in color order: (sub-layer mask, full
+        sub-layer mask, the color's radix r, its stride s, the column
+        _repeat(r, s))."""
+        if self._drops is None:
+            drops = []
+            s = self.size
+            for color, r in zip(self.colors, self.radices):
+                s //= r
+                full = (1 << self.size // r) - 1
+                drops.append((self.mask ^ 1 << (color - 1), full, r, s, _repeat(r, s)))
+            self._drops = tuple(drops)
+        return self._drops
 
 
 @lru_cache(maxsize=256)
@@ -334,22 +338,18 @@ def _grid_ups(radices: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ups)
 
 
-@lru_cache(maxsize=256)
-def _layer_geometry(mask: int, radices: tuple[int, ...]) -> _Geometry:
-    """The grid of color set `mask` with radices[i] vertices of its i-th
-    color, with the radix, stride and column of each one-color drop;
-    cached, since searches reopen the same few layers."""
-    size = prod(radices)
-    drops = []
-    m = mask
-    s = size
-    for r in radices:
-        s //= r
-        low = m & -m
-        drops.append((mask ^ low, (1 << (size // r)) - 1, r, s, _repeat(r, s)))
-        m ^= low
-    chain = sum(r > 1 for r in radices) <= 1
-    return _Geometry(mask, radices, size, tuple(drops), chain)
+_layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids
+
+
+def _grid_face(geo: _Geometry, rank: int) -> Face:
+    """The face of row-major rank `rank` in the grid `geo`, decoded by
+    mixed radix from the last color."""
+    indices = []
+    for radix in reversed(geo.radices):
+        rank, index = divmod(rank, radix)
+        indices.append(index + 1)
+    # colors ascend and indices start at 1: the tuple is a Face's own
+    return Face._raw(tuple(map(Vertex, geo.colors, reversed(indices))))
 
 
 def _project(points: int, r: int, s: int) -> int:
@@ -442,14 +442,14 @@ class ColoredComplex:
         """The faces of the record, in the record's order of color sets
         and rank order within each."""
         built = []
-        for mask, points, colors, radices in _record_grids(self._record):
-            memo = _grid_memo(mask, radices)
+        for points, geo in _record_grids(self._record):
+            memo = geo.faces
             while points:
                 low = points & -points
                 rank = low.bit_length() - 1
                 face = memo.get(rank)
                 if face is None:  # the empty face is falsy
-                    face = memo[rank] = _grid_face(colors, radices, rank)
+                    face = memo[rank] = _grid_face(geo, rank)
                 built.append(face)
                 points ^= low
         return built
@@ -516,21 +516,20 @@ class ColoredComplex:
         return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self)}>)"
 
 
-def _record_grids(record: dict[int, int]) -> Iterator[tuple]:
-    """(mask, points, colors, radices) per color set of a record that
-    holds a face, in the record's order, the radices read off its vertex
+def _record_grids(record: dict[int, int]) -> Iterator[tuple[int, _Geometry]]:
+    """(points, grid) per color set of a record that holds a face, in the
+    record's order, the grid's radices read off the record's vertex
     entries (ColoredComplex._raw)."""
     for mask, points in record.items():
         if not points:
             continue
-        colors, radices = [], []
+        radices = []
         m = mask
         while m:
             low = m & -m
-            colors.append(low.bit_length())
             radices.append(record[low].bit_length())
             m ^= low
-        yield mask, points, colors, tuple(radices)
+        yield points, _layer_geometry(mask, tuple(radices))
 
 
 def _nonzero(record: dict[int, int]) -> dict[int, int]:

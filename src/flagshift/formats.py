@@ -122,13 +122,6 @@ def _face_text(vertices: tuple) -> str:
     return _face_template(len(vertices)) % tuple(chain.from_iterable(vertices))
 
 
-@lru_cache(maxsize=256)
-def _grid_texts(mask: int, radices: tuple[int, ...]) -> dict[int, str]:
-    """Face texts by rank in the grid of color set `mask` with radices[i]
-    vertices of its i-th color, filled on demand, like complexes._grid_memo."""
-    return {}
-
-
 def emit_complex(c: ColoredComplex) -> str:
     """Canonical document for a complex: faces in canonical order.
 
@@ -136,24 +129,23 @@ def emit_complex(c: ColoredComplex) -> str:
     json's indented encoder runs in pure Python, and a complex's
     document is only nested lists of integers.  A complex with a record
     (a cone extension or a walk-built complex) is written from it in its
-    canonical order, each face's text taken from its grid's memo
-    (_grid_texts): a face is formatted once per grid, not once per
-    document, and a memo hit builds no Face.
+    canonical order, each face's text taken from the text memo of its
+    grid's geometry (complexes._record_grids): a face is formatted once
+    per grid, not once per document, and a memo hit builds no Face.
     """
     record = c._record
     if record is None:
         faces = [_face_text(face._vertices) for face in c.sorted_faces()]
     else:
         faces = []
-        for mask, points, colors, radices in _record_grids(record):
-            texts = _grid_texts(mask, radices)
+        for points, geo in _record_grids(record):
+            texts = geo.texts
             while points:
                 low = points & -points
                 rank = low.bit_length() - 1
                 text = texts.get(rank)
                 if text is None:
-                    face = _grid_face(colors, radices, rank)
-                    text = texts[rank] = _face_text(face._vertices)
+                    text = texts[rank] = _face_text(_grid_face(geo, rank)._vertices)
                 faces.append(text)
                 points ^= low
     body = "[\n" + ",\n".join(faces) + "\n  ]" if faces else "[]"

@@ -33,9 +33,8 @@ from flagshift import (
     verify_uniqueness,
 )
 from flagshift import emit_complex, oracle
-from flagshift.complexes import _grid_memo, _layer_geometry
+from flagshift.complexes import _layer_geometry, _record_grids
 from flagshift.flags import colors_of_mask, subset_masks
-from flagshift.formats import _grid_texts
 
 from helpers import (
     brute_record,
@@ -250,14 +249,12 @@ def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_c
     """With Face.__init__ and FlagVector.__init__ made to raise, every
     internal producer still runs: the package validates only what comes
     from outside, emission of every extension included.  The grid
-    caches are cleared first, so grid faces are built under the patch."""
+    cache is cleared first, so grid faces are built under the patch."""
 
     def no_init(*_args, **_kwargs):
         raise AssertionError("an internal path called a validating constructor")
 
     _layer_geometry.cache_clear()
-    _grid_memo.cache_clear()
-    _grid_texts.cache_clear()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
     built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
@@ -290,7 +287,6 @@ def test_extension_builds_no_face(monkeypatch):
         return raw(vertices)
 
     monkeypatch.setattr(complexes, "_layer_geometry", no_grid)
-    monkeypatch.setattr(complexes, "_grid_memo", no_grid)
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     monkeypatch.setattr(complexes.Face, "__init__", no_init)
     extended, report = cone_extension(delta)
@@ -315,11 +311,12 @@ def test_second_emission_builds_no_face(monkeypatch, enumerated_corpus):
         return raw(vertices)
 
     extensions = [cone_extension(c)[0] for c in [*enumerated_corpus, *STAIRCASES]]
-    _grid_texts.cache_clear()
+    _layer_geometry.cache_clear()
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     for e in extensions:
         first = emit_complex(e)
-        _grid_memo.cache_clear()
+        for _, geo in _record_grids(e._record):
+            geo.faces.clear()
         built = len(made)
         assert emit_complex(e) == first and len(made) == built, e
         assert e._faces is None, e
@@ -328,23 +325,34 @@ def test_second_emission_builds_no_face(monkeypatch, enumerated_corpus):
 
 
 def test_wide_extension_memory_is_its_faces():
-    """Constructing the 600 x 600 complex's extension, emitting it and
-    comparing it with the face-by-face reference holds a few MiB at
-    peak: its faces are decoded one by one, never a whole grid, whose
-    edge layer alone has 360,000 points."""
-    want, _ = reference_cone_extension(WIDE)
-    want_doc = reference_emit_complex(want)
-    _grid_memo.cache_clear()
-    _grid_texts.cache_clear()
-    tracemalloc.start()
-    try:
-        extended, _ = cone_extension(WIDE)
-        assert emit_complex(extended) == want_doc
-        assert extended == want
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    """Constructing the 600 x 600 complex's extension, emitting it,
+    reading it off in order, comparing it with the face-by-face
+    reference and verifying it holds a few MiB at peak: its faces are
+    decoded one by one, never a whole grid, whose edge layer alone has
+    360,000 points.  So does the extension of three colors of 500
+    vertices whose only face across colors is the triangle of the first
+    vertices: its grids of colors {1, 2, 3}, with and without the apex,
+    have 125,000,000 points and hold one each, so one mask as wide as
+    such a grid, a search's drop column say, would take 15 MiB."""
+    sparse = shift_closure(
+        3, [face((1, 500)), face((2, 500)), face((3, 500)), face((1, 1), (2, 1), (3, 1))]
+    )
+    for delta in (WIDE, sparse):
+        want, _ = reference_cone_extension(delta)
+        want_doc = reference_emit_complex(want)
+        want_order = sorted(want.faces, key=lambda f: f.sort_key)
+        _layer_geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            extended, report = cone_extension(delta)
+            assert emit_complex(extended) == want_doc
+            assert extended.sorted_faces() == want_order
+            assert extended == want
+            assert verify_cone_extension(delta, extended, report).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (delta, peak)
 
 
 def test_extension_order_and_bytes(enumerated_corpus):

@@ -27,7 +27,7 @@ from flagshift import (
     parse_flag_vector,
     verify_uniqueness,
 )
-from flagshift import formats
+from flagshift import complexes
 from flagshift.complexes import EMPTY_FACE, Face, Vertex, empty_complex, trivial_complex
 
 from helpers import reference_emit_complex, staircase
@@ -106,7 +106,7 @@ def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
     assert all(c._record is None for c in face_sets)
     want = [reference_emit_complex(c) for c in [*recorded, *face_sets]]
     assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
-    formats._grid_texts.cache_clear()
+    complexes._layer_geometry.cache_clear()
     assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
     assert all(c._faces is None for c in recorded[len(enumerated_corpus):])
 

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import _kernels
 from flagshift import _kernels as ideals_py
+from flagshift.complexes import _grid_ups
 
 from helpers import reference_up_sets
 
@@ -151,6 +152,33 @@ def test_kernels_take_more_than_64_points():
     full = (1 << 65) - 1
     count, _, done = _kernels.count_ideals_of_size(ups, full, 1, HUGE)
     assert done and count == 65
+
+
+def test_initial_avail_reads_only_the_up_sets_that_clear_something():
+    """On the e x e grid with the diagram count's allowed cells, i * j <= e,
+    the first avail is the allowed set, the same as clearing the up-set of
+    every blocked cell, and it reads one up-set per row shorter than the
+    row above it, bar the last row, whose blocked cells lie past the
+    highest allowed one: 6 reads of the 266 blocked cells at e = 18."""
+    reads = {}
+    for e in (1, 2, 3, 5, 8, 18, 30):
+        ups = _grid_ups((e, e))
+        allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
+        read = []
+
+        class Counted:
+            def __getitem__(self, i):
+                read.append(i)
+                return ups[i]
+
+        every = allowed
+        for p in range(e * e):
+            if not allowed >> p & 1:
+                every &= ~ups[p]
+        assert _kernels._initial_avail(Counted(), allowed) == every == allowed, e
+        assert len(read) == len({e // (i + 1) for i in range(1, e - 1)}), e
+        reads[e] = (len(read), e * e - allowed.bit_count())
+    assert reads[18] == (6, 266)
 
 
 # ===================================================================

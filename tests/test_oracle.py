@@ -34,7 +34,7 @@ from flagshift import (
     verify_uniqueness,
 )
 
-from flagshift import complexes, formats, oracle
+from flagshift import complexes, oracle
 from flagshift.flags import colors_of_mask
 
 from helpers import (
@@ -691,15 +691,24 @@ def test_projection_matches_faces():
 
 
 def test_layer_geometry_cache_is_bounded_and_immutable():
+    """One bounded cache holds a grid's geometry, whose shape fields are
+    tuples that cannot change and whose face and face-text memos are
+    the ones a record over that grid decodes into and is emitted from."""
+    complexes._layer_geometry.cache_clear()
     geo = complexes._layer_geometry(0b111, (2, 3, 1))
     assert complexes._layer_geometry(0b111, (2, 3, 1)) is geo
-    for memo_cache in (complexes._grid_memo, formats._grid_texts):
-        memo = memo_cache(0b111, (2, 3, 1))
-        assert memo_cache(0b111, (2, 3, 1)) is memo
-    for cache in (complexes._layer_geometry, complexes._grid_memo, formats._grid_texts):
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 256
-    for field in (geo.radices, geo.drops, *geo.drops):
+    assert geo.colors == (1, 2, 3) and geo.faces == {} and geo.texts == {}
+    record = {0: 1, 1: 0b11, 2: 0b111, 4: 1, 0b111: 1 << 5}
+    assert [g for _, g in complexes._record_grids(record)][-1] is geo
+    top = ColoredComplex._raw(3, None, record).sorted_faces()[-1]
+    assert top == Face([(1, 2), (2, 3), (3, 1)]) and geo.faces == {5: top}
+    doc = emit_complex(ColoredComplex._raw(3, None, record))
+    assert list(geo.texts) == [5] and geo.texts[5] in doc
+    again = complexes._layer_geometry(0b111, (2, 3, 1))
+    assert again.faces is geo.faces and again.texts is geo.texts
+    maxsize = complexes._layer_geometry.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+    for field in (geo.colors, geo.radices, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
     assert all(type(x) is int for drop in geo.drops for x in drop)
     with pytest.raises(AttributeError):
@@ -909,14 +918,12 @@ def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
 
 
 def test_walk_records_survive_cache_clears():
-    """A walk record holds only the chosen masks, so clearing the
-    geometry, grid-face and face-text caches before the faces are built
+    """A walk record holds only the chosen masks, so clearing the grid
+    cache, with its face and face-text memos, before the faces are built
     changes nothing, and complexes built by separate walks compare
     equal."""
     walked = _corpus_and_witnesses()
     complexes._layer_geometry.cache_clear()
-    complexes._grid_memo.cache_clear()
-    formats._grid_texts.cache_clear()
     for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
     assert _corpus_and_witnesses() == walked

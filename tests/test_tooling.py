@@ -7,14 +7,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from flagshift import (
-    FlagVector,
-    SearchBudget,
-    count_two_color_shifted_by_edges,
-    enumerate_color_shifted_complexes,
-    enumerate_color_shifted_with_flag,
-)
-
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,15 +40,21 @@ def test_traced_pass_reaches_every_kernel():
     diagram count reads the kernels' results; a kernel whose return
     shape the tracer no longer understands fails here.  The search
     target branches: 4 edges on a 3 x 3 grid fit 3 diagrams, which bound
-    propagation cannot tell apart."""
+    propagation cannot tell apart.
+
+    The package's names are looked up once the tracer is in place: a
+    benchmark set-up run earlier in the process may have imported the
+    package again, and the tracer wraps the modules imported now."""
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
-        outcome = enumerate_color_shifted_with_flag(
-            FlagVector(2, (1, 3, 3, 4)), SearchBudget(max_witnesses=10)
+        flags = importlib.import_module("flagshift.flags")
+        oracle = importlib.import_module("flagshift.oracle")
+        outcome = oracle.enumerate_color_shifted_with_flag(
+            flags.FlagVector(2, (1, 3, 3, 4)), oracle.SearchBudget(max_witnesses=10)
         )
         assert outcome.exhausted and len(outcome.witnesses) == 3
-        assert len(list(enumerate_color_shifted_complexes(2, [2, 2]))) > 0
-        assert count_two_color_shifted_by_edges(8) == 22
+        assert len(list(oracle.enumerate_color_shifted_complexes(2, [2, 2]))) > 0
+        assert oracle.count_two_color_shifted_by_edges(8) == 22
     assert tracer.missing == []
     assert {"kernels.ideals", "kernels.all", "kernels.count"} <= set(tracer.layer_totals())
     metrics = tracer.metrics()
