@@ -83,7 +83,7 @@ class Face:
 
     def __init__(self, vertices: Iterable[tuple[int, int]] = ()):
         pairs = sorted((int(c), int(i)) for c, i in vertices)
-        object.__setattr__(self, "_vertices", _vertex_tuple(pairs))
+        _set_vertices(self, _vertex_tuple(pairs))
 
     @classmethod
     def _raw(cls, vertices: tuple[Vertex, ...]) -> "Face":
@@ -91,11 +91,14 @@ class Face:
         values with components >= 1, sorted by strictly increasing color,
         which is what __init__ would have stored."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_vertices", vertices)
+        _set_vertices(obj, vertices)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("Face is immutable")
+
+    def __reduce__(self):
+        return Face._raw, (self._vertices,)
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -151,6 +154,8 @@ class Face:
         return "{" + ",".join(v.label() for v in self._vertices) + "}"
 
 
+# the value types raise on assignment, so they store through slot setters
+_set_vertices = Face._vertices.__set__
 EMPTY_FACE = Face()
 
 
@@ -400,9 +405,9 @@ class ColoredComplex:
         violation = validate_faces(num_colors, face_set)
         if violation is not None:
             raise InvalidComplexError(violation)
-        object.__setattr__(self, "_num_colors", num_colors)
-        object.__setattr__(self, "_faces", face_set)
-        object.__setattr__(self, "_record", None)
+        _set_num_colors(self, num_colors)
+        _set_faces(self, face_set)
+        _set_record(self, None)
 
     @classmethod
     def _raw(
@@ -426,13 +431,17 @@ class ColoredComplex:
         in that order.  flag_f and len read the counts from the record.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_num_colors", num_colors)
-        object.__setattr__(obj, "_faces", faces)
-        object.__setattr__(obj, "_record", record)
+        _set_num_colors(obj, num_colors)
+        _set_faces(obj, faces)
+        _set_record(obj, record)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredComplex is immutable")
+
+    def __reduce__(self):  # by _raw: a record complex keeps its record, not its faces
+        faces = self._faces if self._record is None else None
+        return ColoredComplex._raw, (self._num_colors, faces, self._record)
 
     @property
     def num_colors(self) -> int:
@@ -460,7 +469,7 @@ class ColoredComplex:
         if faces is None:
             # two threads racing here build equal sets
             faces = frozenset(self._recorded_faces())
-            object.__setattr__(self, "_faces", faces)
+            _set_faces(self, faces)
         return faces
 
     def sorted_faces(self) -> list[Face]:
@@ -514,6 +523,11 @@ class ColoredComplex:
 
     def __repr__(self) -> str:
         return f"ColoredComplex(num_colors={self._num_colors}, faces=<{len(self)}>)"
+
+
+_set_num_colors = ColoredComplex._num_colors.__set__
+_set_faces = ColoredComplex._faces.__set__
+_set_record = ColoredComplex._record.__set__
 
 
 def _record_grids(record: dict[int, int]) -> Iterator[tuple[int, _Geometry]]:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 from .complexes import ColoredComplex
 
 MAX_COLORS = 16
-_INT64_MAX = 2**63 - 1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def mask_of_colors(colors: Iterable[int], num_colors: int) -> int:
@@ -112,9 +112,9 @@ class FlagVector:
         _check_range(counts)
         if kind == "f":
             _check_f_semantics(counts)
-        object.__setattr__(self, "_n", num_colors)
-        object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_counts", tuple(counts))
+        _set_n(self, num_colors)
+        _set_kind(self, kind)
+        _set_counts(self, tuple(counts))
 
     @classmethod
     def _raw(cls, num_colors: int, counts: list[int], kind: str) -> "FlagVector":
@@ -122,13 +122,16 @@ class FlagVector:
         within 64-bit range.  No f check runs, so f_from_h may return an
         f-vector with negative counts, as two_color_realizable expects."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_n", num_colors)
-        object.__setattr__(obj, "_kind", kind)
-        object.__setattr__(obj, "_counts", tuple(counts))
+        _set_n(obj, num_colors)
+        _set_kind(obj, kind)
+        _set_counts(obj, tuple(counts))
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("FlagVector is immutable")
+
+    def __reduce__(self):
+        return FlagVector._raw, (self._n, self._counts, self._kind)
 
     @property
     def num_colors(self) -> int:
@@ -179,9 +182,14 @@ class FlagVector:
         return f"FlagVector(n={self._n}, kind={self._kind!r}, {shown})"
 
 
+_set_n = FlagVector._n.__set__  # slot setters, as in complexes
+_set_kind = FlagVector._kind.__set__
+_set_counts = FlagVector._counts.__set__
+
+
 def _check_range(counts: list[int]) -> None:
     for count in counts:
-        if abs(count) > _INT64_MAX:
+        if not _INT64_MIN <= count <= _INT64_MAX:
             raise OverflowError("flag counts are limited to 64-bit range")
 
 
@@ -287,11 +295,11 @@ def two_color_realizable(f: FlagVector) -> bool:
     Exactly the vectors with f_emptyset = 1 and f_1 * f_2 >= f_12 are
     realized (the empty complex, with f_emptyset = 0, is excluded).
     """
-    if f.kind != "f":
+    if f._kind != "f":
         raise ValueError("two_color_realizable expects an f-vector")
-    if f.num_colors != 2:
+    if f._n != 2:
         raise ValueError("two_color_realizable expects exactly 2 colors")
-    d = f.dense()
+    d = f._counts
     if min(d) < 0:
         raise ValueError("flag counts must be nonnegative")
     return d[0b00] == 1 and d[0b01] * d[0b10] >= d[0b11]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
 from itertools import combinations, product
 from math import prod
 
@@ -12,10 +15,13 @@ from flagshift import (
     ColoredComplex,
     EMPTY_FACE,
     Face,
+    FlagVector,
     InvalidComplexError,
     Vertex,
     cone,
     cone_extension,
+    emit_complex,
+    enumerate_all_colored_complexes,
     from_generators,
     select_colors,
     shift_closure,
@@ -295,6 +301,63 @@ def test_equality_is_labeled(sample_a):
     assert padded != sample_a
     assert padded.faces == sample_a.faces
     assert two_color_complex(2, 1, [(1, 1), (2, 1)]) == sample_a
+
+
+# ===================================================================
+# value types
+# ===================================================================
+
+def _seeded_complexes(seed: int, k: int = 5) -> list[ColoredComplex]:
+    """k enumerated 3-color complexes, each a record, chosen by seed."""
+    return random.Random(seed).sample(list(enumerate_all_colored_complexes(3, [2, 1, 2])), k)
+
+
+def test_value_types_are_immutable_and_raw_matches_checked():
+    """Setting a slot or a new attribute of a face, a complex in either
+    form or a flag vector raises AttributeError and leaves every slot as
+    it was; and the value _raw builds equals, and hashes like, the one
+    the checked constructor builds from the same data."""
+    for c in _seeded_complexes(22):
+        faces = c.sorted_faces()
+        fv = flag_f(c)
+        pairs = [
+            (ColoredComplex._raw(3, None, dict(c._record)), ColoredComplex(3, faces)),
+            (ColoredComplex._raw(3, frozenset(faces)), ColoredComplex(3, faces)),
+            (FlagVector._raw(3, list(fv.dense()), "f"), FlagVector(3, fv.dense(), kind="f")),
+            *((Face._raw(f.vertices), Face(list(f.vertices))) for f in faces),
+        ]
+        for raw, checked in pairs:
+            assert type(raw) is type(checked)
+            assert raw == checked and checked == raw and hash(raw) == hash(checked)
+        for value in (c, ColoredComplex(3, faces), fv, *faces):
+            slots = type(value).__slots__
+            before = [getattr(value, slot) for slot in slots]
+            for name in (*slots, "extra"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(value, name, None)
+                assert all(getattr(value, slot) is old for slot, old in zip(slots, before))
+
+
+def test_value_types_copy_and_pickle():
+    """copy.copy, copy.deepcopy and a pickle round trip of a face, a
+    complex in either form and a flag vector give an equal value with an
+    equal hash.  A complex's copy emits the same document, and a record
+    complex's copy keeps its record and has decoded no face."""
+    for c in _seeded_complexes(7):
+        faces = c.sorted_faces()
+        checked = ColoredComplex(3, faces)
+        for value in (c, checked, flag_f(c), *faces):
+            for copied in (
+                copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+            ):
+                assert type(copied) is type(value)
+                if value is c:
+                    assert copied._record == c._record and copied._faces is None
+                if value is checked:
+                    assert copied._record is None and copied._faces == checked._faces
+                assert copied == value and hash(copied) == hash(value)
+                if isinstance(value, ColoredComplex):
+                    assert emit_complex(copied).encode() == emit_complex(value).encode()
 
 
 # ===================================================================

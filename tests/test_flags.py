@@ -121,6 +121,16 @@ def test_flag_vector_rejects_overflow():
         FlagVector(1, {(): 2, (1,): 2**64}, kind="f")
 
 
+def test_flag_vector_range_is_signed_64_bit():
+    """Both ends of the signed 64-bit range are accepted, and one past
+    either end raises."""
+    for count in (-2**63, 2**63 - 1):
+        assert FlagVector(1, [1, count], kind="h").dense() == (1, count)
+    for count in (-2**63 - 1, 2**63):
+        with pytest.raises(OverflowError, match="64-bit range"):
+            FlagVector(1, [1, count], kind="h")
+
+
 def test_flag_vector_equality_and_kind():
     a = FlagVector(2, {(): 1, (1,): 1}, kind="f")
     b = FlagVector(2, (1, 1, 0, 0), kind="f")

@@ -797,6 +797,28 @@ def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nod
     assert peak < 30 * 2**20, peak
 
 
+def test_refuted_target_builds_no_later_layer():
+    """A four-color target with 300 vertices of colors 1, 3 and 4, one of
+    color 2, one face per color pair and per triple but two on {1,2,3}:
+    the first triple allows a single point, so the fixpoint refutes it
+    there.  The drops of the later layers {1,3,4} and {1,2,3,4}, columns
+    and full masks of up to 90,000 bits each, are never built, so the
+    traced peak stays under 2 MiB; building them takes about 14 MiB."""
+    counts = {(): 1, (1,): 300, (2,): 1, (3,): 300, (4,): 300, (1, 2, 3, 4): 1}
+    counts.update({pair: 1 for pair in product(range(1, 5), repeat=2) if pair[0] < pair[1]})
+    counts.update({(1, 2, 3): 2, (1, 2, 4): 1, (1, 3, 4): 1, (2, 3, 4): 1})
+    target = FlagVector(4, counts, kind="f")
+    complexes._layer_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        outcome = enumerate_color_shifted_with_flag(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.witnesses == [] and outcome.exhausted and outcome.nodes_visited == 0
+    assert peak < 2 * 2**20, peak
+
+
 def test_find_matches_flag_of_any_source(corpus):
     for c in corpus:
         if len(c) == 0 or c.num_colors > 4:
