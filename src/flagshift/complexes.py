@@ -20,10 +20,9 @@ the points projecting onto it, is a column of r bits s apart (_repeat),
 shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
 stride and column, built when the search first reads them; _project and
 the search's fiber unions are computed from them, and no per-point table
-is kept.  Only a layer that reaches a down-set kernel needs the grid's
-order, given as the up-set of every point (_grid_ups, cached by radices
-and built on that first use): the points at or above v are a box, like
-the points a face dominates, written at v's rank.
+is kept.  A kernel reads the up-set of a point v, the points at or above
+it, from the geometry's `ups`, which computes it on first read as a box
+like the points a face dominates, written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -95,6 +95,9 @@ class Face:
         return obj
 
     def __setattr__(self, name, value):
+        raise AttributeError("Face is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Face is immutable")
 
     def __reduce__(self):
@@ -288,14 +291,33 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
     return boxes
 
 
+class _UpSets(dict):
+    """rank -> the up-set of the point of that rank (module docstring),
+    computed on its first read and kept; a dict, for C-speed reads."""
+
+    __slots__ = ("radices",)
+
+    def __init__(self, radices: tuple[int, ...]):
+        self.radices = radices
+
+    def __missing__(self, rank: int) -> int:
+        box = stride = 1
+        for r in reversed(self.radices):
+            # r_c - v_c + 1 copies of the later colors' box at c's stride, as in _boxes
+            box *= _repeat(r - rank // stride % r, stride)
+            stride *= r
+        self[rank] = up = box << rank
+        return up
+
+
 class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
-    shape is set once.  Its drops, which only the search reads, are
-    built on first read, since their masks are as wide as the grid; its
-    face and face-text memos fill as records over it are read.  So
+    shape is set once.  Its drops and up-sets, which only the search
+    reads, are built on first read, since they are as wide as the grid;
+    its face and face-text memos fill as records over it are read.  So
     reading a record costs the faces it holds, never the whole grid."""
 
-    __slots__ = ("mask", "colors", "radices", "size", "chain", "faces", "texts", "_drops")
+    __slots__ = ("mask", "colors", "radices", "size", "chain", "faces", "texts", "_ups", "_drops")
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
         self.mask = mask  # color-set bitmask
@@ -305,7 +327,7 @@ class _Geometry:
         self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
-        self._drops = None
+        self._ups = self._drops = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -322,25 +344,11 @@ class _Geometry:
             self._drops = tuple(drops)
         return self._drops
 
-
-@lru_cache(maxsize=256)
-def _grid_ups(radices: tuple[int, ...]) -> tuple[int, ...]:
-    """ups[rank]: the points at or above that point in the grid with
-    radices[i] vertices of its i-th color; cached, since the kernels walk
-    the same few grids again and again.
-
-    The points u >= v form the box with r_c - v_c + 1 indices in each
-    color c, at v's rank.  Putting a color with r vertices ahead of a
-    grid of `stride` points, the point of index i + 1 in it over point q
-    has rank i * stride + q, and its box is q's repeated r - i times at
-    the stride, from i * stride on, as in _boxes."""
-    ups = [1]
-    stride = 1
-    for r in reversed(radices):
-        columns = [_repeat(r - i, stride) << (i * stride) for i in range(r)]
-        ups = [column * up for column in columns for up in ups]
-        stride *= r
-    return tuple(ups)
+    @property
+    def ups(self) -> MappingProxyType:  # read-only, made on the first kernel read
+        if self._ups is None:
+            self._ups = MappingProxyType(_UpSets(self.radices))
+        return self._ups
 
 
 _layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids
@@ -437,6 +445,9 @@ class ColoredComplex:
         return obj
 
     def __setattr__(self, name, value):
+        raise AttributeError("ColoredComplex is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ColoredComplex is immutable")
 
     def __reduce__(self):  # by _raw: a record complex keeps its record, not its faces

@@ -130,6 +130,9 @@ class FlagVector:
     def __setattr__(self, name, value):
         raise AttributeError("FlagVector is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("FlagVector is immutable")
+
     def __reduce__(self):
         return FlagVector._raw, (self._n, self._counts, self._kind)
 

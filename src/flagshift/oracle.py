@@ -13,8 +13,8 @@ enumerates those.
 
 Each layer's grid, with each one-color drop's radix, stride and column,
 comes from complexes._layer_geometry, cached by its color-set bitmask
-and radices; a layer that reaches a kernel reads its grid's order, the
-up-set of each point, from complexes._grid_ups, which builds it then.
+and radices; a layer that reaches a kernel reads its grid's order from
+the geometry's `ups`, which computes each up-set on its first read.
 Only the color sets the target gives faces are visited
 (_target_layers).  No search builds a face: a witness is the record of
 its chosen masks (_assemble), and verify_uniqueness compares it with the
@@ -106,7 +106,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _grid_ups, _layer_geometry, _project
+from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project
 from .construction import cone_extension
 from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
 
@@ -371,7 +371,7 @@ def enumerate_color_shifted_with_flag(
         if size == want:
             # the single candidate (module docstring)
             return [allowed], 1, True
-        return _kernels.ideals_of_size(_grid_ups(geo.radices), allowed, want, remaining)
+        return _kernels.ideals_of_size(geo.ups, allowed, want, remaining)
 
     witnesses: list[ColoredComplex] = []
     walk = _walk(layers, chosen, candidates, budget.max_nodes)
@@ -453,7 +453,7 @@ def _enumerate(
 
 
 def _every_ideal(geo: _Geometry, allowed: int, remaining: int):
-    return _kernels.all_ideals(_grid_ups(geo.radices), allowed, remaining)
+    return _kernels.all_ideals(geo.ups, allowed, remaining)
 
 
 def enumerate_color_shifted_complexes(
@@ -559,7 +559,7 @@ def count_two_color_shifted_by_edges(
         # each of its cells, so it lies within the cells with i * j <= e
         allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
         count, _used, completed = _kernels.count_ideals_of_size(
-            _grid_ups((e, e)), allowed, e, budget.max_nodes
+            _layer_geometry(0b11, (e, e)).ups, allowed, e, budget.max_nodes
         )
         if completed:
             return count

@@ -73,7 +73,7 @@ def test_flag_reads_stdin(capsys, monkeypatch):
     assert out == golden("sample_a_flag.json")
 
 
-@pytest.mark.parametrize("command", ["flag", "hvec", "coarse"])
+@pytest.mark.parametrize("command", ["flag", "hvec", "coarse", "find-shifted"])
 def test_vector_commands_reject_too_many_colors(capsys, tmp_path, command):
     """A valid complex with 17 colors has no flag vector: a negative
     verdict with the library's message, not a traceback."""

@@ -338,6 +338,22 @@ def test_value_types_are_immutable_and_raw_matches_checked():
                 assert all(getattr(value, slot) is old for slot, old in zip(slots, before))
 
 
+def test_value_types_keep_their_slots_under_del():
+    """Deleting a slot of a face, a complex in either form or a flag
+    vector raises AttributeError, and the value still hashes, compares
+    equal to a copy and prints as before."""
+    c = _seeded_complexes(56, 1)[0]
+    faces = c.sorted_faces()
+    for value in (c, ColoredComplex(3, faces), flag_f(c), faces[-1]):
+        same = copy.copy(value)
+        text = (repr(value), str(value))
+        for slot in type(value).__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, slot)
+            assert hash(value) == hash(same) and value == same
+            assert (repr(value), str(value)) == text
+
+
 def test_value_types_copy_and_pickle():
     """copy.copy, copy.deepcopy and a pickle round trip of a face, a
     complex in either form and a flag vector give an equal value with an

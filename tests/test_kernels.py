@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flagshift import _kernels
 from flagshift import _kernels as ideals_py
-from flagshift.complexes import _grid_ups
+from flagshift.complexes import _Geometry
 
 from helpers import reference_up_sets
 
@@ -162,7 +162,7 @@ def test_initial_avail_reads_only_the_up_sets_that_clear_something():
     highest allowed one: 6 reads of the 266 blocked cells at e = 18."""
     reads = {}
     for e in (1, 2, 3, 5, 8, 18, 30):
-        ups = _grid_ups((e, e))
+        ups = _Geometry(0b11, (e, e)).ups  # uncached: the reference reads every up-set
         allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
         read = []
 

@@ -713,6 +713,8 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     assert all(type(x) is int for drop in geo.drops for x in drop)
     with pytest.raises(AttributeError):
         geo.drops = ()
+    with pytest.raises(AttributeError):
+        geo.ups = {}
     with pytest.raises(TypeError):
         geo.drops[0] = 1
 
@@ -727,32 +729,32 @@ def test_repeat_is_the_division_formula():
         assert complexes._repeat(copies, stride) == want, (copies, stride)
 
 
-def test_grid_ups_are_the_points_above():
-    """_grid_ups(radices)[r] holds exactly the points u >= v of the point
-    v of rank r, on GRID_SHAPES.  The table is cached per radices,
-    bounded and immutable.  A search whose every layer is settled builds
-    none; a search that reaches the kernel on a grid reads its table from
-    the cache."""
-    for _, radices in GRID_SHAPES:
+def test_up_sets_are_the_points_above():
+    """A geometry's ups[r] holds exactly the points u >= v of the point v
+    of rank r, on GRID_SHAPES, and is read-only.  Up-sets are computed on
+    first read: a search whose every layer is settled reads none, and a
+    search that reaches the kernel again computes none anew."""
+    for mask, radices in GRID_SHAPES:
         grid = list(product(*(range(1, r + 1) for r in radices)))
-        ups = complexes._grid_ups(radices)
-        assert complexes._grid_ups(radices) is ups and isinstance(ups, tuple)
-        for v, up in zip(grid, ups, strict=True):
+        ups = complexes._layer_geometry(mask, radices).ups
+        for rank, v in enumerate(grid):
             above = [q for q, u in enumerate(grid) if all(map(int.__ge__, u, v))]
-            assert up == sum(1 << q for q in above), (radices, v)
-    maxsize = complexes._grid_ups.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 256
+            assert ups[rank] == sum(1 << q for q in above), (radices, v)
     with pytest.raises(TypeError):
         ups[0] = 1
-    complexes._grid_ups.cache_clear()
+    complexes._layer_geometry.cache_clear()
+    extended, report = cone_extension(staircase(5))
     assert verify_uniqueness(staircase(5)).unique is True
-    assert complexes._grid_ups.cache_info().currsize == 0
-    complexes._grid_ups((3, 4))
-    before = complexes._grid_ups.cache_info()
-    outcome = enumerate_color_shifted_with_flag(FlagVector(2, (1, 3, 4, 5)))
-    assert len(outcome.witnesses) == 2
-    after = complexes._grid_ups.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    f = report.predicted_flag.dense()
+    layers = oracle._target_layers(f, [f[1 << i] for i in range(extended.num_colors)])
+    assert layers and all(len(geo.ups) == 0 for geo in layers)
+    target = FlagVector(2, (1, 3, 4, 5))
+    assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
+    ups = complexes._layer_geometry(0b11, (3, 4)).ups
+    kept = dict(ups)
+    assert 0 < len(kept) < 12
+    assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
+    assert dict(ups) == kept
 
 
 def _rainbow_and_eighth_vertices(n: int) -> list[Face]:
@@ -785,8 +787,7 @@ def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nod
     takes over 50 MiB on each of the others."""
     delta = shift_closure(num_colors, generators)
     assert len(delta) == faces
-    for cache in (complexes._layer_geometry, complexes._grid_ups):
-        cache.cache_clear()
+    complexes._layer_geometry.cache_clear()
     tracemalloc.start()
     try:
         result = verify_uniqueness(delta)
@@ -795,6 +796,27 @@ def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nod
         tracemalloc.stop()
     assert result.unique is True and result.outcome.nodes_visited == nodes
     assert peak < 30 * 2**20, peak
+
+
+@pytest.mark.parametrize("t", [100, 200, 400])
+def test_kernel_memory_follows_the_target(t):
+    """The target (1, t, t, 3) reaches the kernel on the t x t grid, and
+    its 3 witnesses use only the 5 points with i * j <= 3.  With the grid
+    cache cleared, the search answers in 16 nodes under 30 MiB traced,
+    reading 5 up-sets.  A table of every point's up-set takes 206 MiB at
+    t = 200 and over 1 GB at t = 400."""
+    complexes._layer_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        outcome = enumerate_color_shifted_with_flag(
+            FlagVector(2, (1, t, t, 3)), SearchBudget(max_witnesses=4)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outcome.witnesses) == 3 and outcome.exhausted and outcome.nodes_visited == 16
+    assert peak < 30 * 2**20, peak
+    assert len(complexes._layer_geometry(0b11, (t, t)).ups) == 5
 
 
 def test_refuted_target_builds_no_later_layer():
@@ -1210,8 +1232,10 @@ def test_diagram_count_at_thirty_edges():
 
 
 def test_diagram_count_budget():
-    # e = 18 walks 3,193 nodes
+    # e = 18 walks 3,193 nodes, and reads fewer up-sets than the grid has points
+    complexes._layer_geometry.cache_clear()
     assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3193)) == 385
+    assert len(complexes._layer_geometry(0b11, (18, 18)).ups) < 18 * 18
     with pytest.raises(BudgetExhausted, match="3192 nodes"):
         count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3192))
 
