@@ -4,7 +4,8 @@ Each subcommand is a thin adapter around one library operation plus the
 canonical serialization; see the README for the exit-code contract:
 0 success, 2 negative verdict (not shifted / not unique / not
 realizable), 3 budget exhausted before a conclusive answer, 64 usage
-errors, 66 unreadable or invalid input files.
+errors, 66 unreadable or invalid input files, 73 an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .formats import (
     emit_complex,
     emit_flag_vector,
     emit_report,
-    complex_to_obj,
     face_to_obj,
     parse_complex,
     parse_flag_vector,
-    report_to_obj,
     _dumps,
 )
 from .oracle import (
@@ -41,6 +40,7 @@ from .shifting import find_shift_violation, shift_maximal_faces
 
 EX_USAGE = 64
 EX_NOINPUT = 66
+EX_CANTCREAT = 73
 EX_NEGATIVE = 2
 EX_INCONCLUSIVE = 3
 
@@ -60,10 +60,10 @@ class _CliFailure(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _CliFailure(EX_NOINPUT, f"cannot read {path}: not UTF-8 text")
     except OSError as exc:
         raise _CliFailure(EX_NOINPUT, f"cannot read {path}: {exc.strerror or exc}")
 
@@ -163,13 +163,16 @@ def _cmd_construct(args) -> int:
         print(str(exc), file=sys.stderr)
         return EX_NEGATIVE
     if args.out:
-        Path(args.out).write_text(emit_complex(extended))
+        try:
+            Path(args.out).write_text(emit_complex(extended))
+        except OSError as exc:
+            raise _CliFailure(EX_CANTCREAT, f"cannot write {args.out}: {exc.strerror or exc}")
         if args.report:
             sys.stdout.write(emit_report(report))
     elif args.report:
-        sys.stdout.write(
-            _dumps({"complex": complex_to_obj(extended), "report": report_to_obj(report)})
-        )
+        # nested as json.dumps(indent=2) nests: each later line two spaces deeper
+        docs = (text[:-1].replace("\n", "\n  ") for text in (emit_complex(extended), emit_report(report)))
+        sys.stdout.write('{\n  "complex": %s,\n  "report": %s\n}\n' % tuple(docs))
     else:
         sys.stdout.write(emit_complex(extended))
     return 0

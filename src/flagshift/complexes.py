@@ -72,7 +72,28 @@ def _vertex_tuple(pairs: list) -> tuple[Vertex, ...]:
     return tuple(Vertex(c, i) for c, i in pairs)
 
 
-class Face:
+class _Immutable:
+    """Base of the immutable value types, which store through slot setters."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def colors_of_mask(mask: int) -> tuple[int, ...]:
+    """The colors of a color-set bitmask, ascending: bit c - 1 is color c."""
+    colors = []
+    while mask:
+        colors.append((mask & -mask).bit_length())
+        mask &= mask - 1  # clears the lowest set bit
+    return tuple(colors)
+
+
+class Face(_Immutable):
     """A set of vertices with pairwise distinct colors, sorted by color.
 
     Faces are immutable and hashable.  The canonical order on faces is
@@ -93,12 +114,6 @@ class Face:
         obj = object.__new__(cls)
         _set_vertices(obj, vertices)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Face is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Face is immutable")
 
     def __reduce__(self):
         return Face._raw, (self._vertices,)
@@ -157,7 +172,6 @@ class Face:
         return "{" + ",".join(v.label() for v in self._vertices) + "}"
 
 
-# the value types raise on assignment, so they store through slot setters
 _set_vertices = Face._vertices.__set__
 EMPTY_FACE = Face()
 
@@ -321,7 +335,7 @@ class _Geometry:
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
         self.mask = mask  # color-set bitmask
-        self.colors = tuple(c + 1 for c in range(mask.bit_length()) if mask >> c & 1)
+        self.colors = colors_of_mask(mask)
         self.radices = radices
         self.size = prod(radices)  # number of points
         self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
@@ -394,7 +408,7 @@ def _project(points: int, r: int, s: int) -> int:
     return sub
 
 
-class ColoredComplex:
+class ColoredComplex(_Immutable):
     """An immutable colored simplicial complex.
 
     The constructor validates the invariants and raises
@@ -443,12 +457,6 @@ class ColoredComplex:
         _set_faces(obj, faces)
         _set_record(obj, record)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredComplex is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ColoredComplex is immutable")
 
     def __reduce__(self):  # by _raw: a record complex keeps its record, not its faces
         faces = self._faces if self._record is None else None

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .complexes import ColoredComplex
+from .complexes import ColoredComplex, _Immutable, colors_of_mask
 
 MAX_COLORS = 16
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -39,17 +39,6 @@ def mask_of_colors(colors: Iterable[int], num_colors: int) -> int:
             raise ValueError(f"color {c} listed twice")
         mask |= bit
     return mask
-
-
-def colors_of_mask(mask: int) -> tuple[int, ...]:
-    colors = []
-    c = 1
-    while mask:
-        if mask & 1:
-            colors.append(c)
-        mask >>= 1
-        c += 1
-    return tuple(colors)
 
 
 _REVERSED_BYTES = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -73,7 +62,7 @@ def subset_masks(num_colors: int) -> tuple[int, ...]:
     )
 
 
-class FlagVector:
+class FlagVector(_Immutable):
     """A flag f- or h-vector over num_colors colors.
 
     kind "f" requires nonnegative counts with f_emptyset in {0, 1}; kind
@@ -126,12 +115,6 @@ class FlagVector:
         _set_kind(obj, kind)
         _set_counts(obj, tuple(counts))
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlagVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FlagVector is immutable")
 
     def __reduce__(self):
         return FlagVector._raw, (self._n, self._counts, self._kind)

@@ -103,13 +103,6 @@ def face_to_obj(face: Face) -> list:
     return [[color, index] for color, index in face._vertices]
 
 
-def complex_to_obj(c: ColoredComplex) -> dict:
-    return {
-        "num_colors": c.num_colors,
-        "faces": [face_to_obj(face) for face in c.sorted_faces()],
-    }
-
-
 @lru_cache(maxsize=64)
 def _face_template(size: int) -> str:
     """The %-template of a face's entry in a complex document, taking
@@ -125,7 +118,7 @@ def _face_text(vertices: tuple) -> str:
 def emit_complex(c: ColoredComplex) -> str:
     """Canonical document for a complex: faces in canonical order.
 
-    The bytes are those of _dumps(complex_to_obj(c)), written directly:
+    The bytes equal _dumps of the document but are written directly:
     json's indented encoder runs in pure Python, and a complex's
     document is only nested lists of integers.  A complex with a record
     (a cone extension or a walk-built complex) is written from it in its

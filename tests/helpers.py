@@ -25,7 +25,7 @@ from flagshift import (
     principal_downset,
     shift_closure,
 )
-from flagshift.formats import complex_to_obj
+from flagshift.formats import face_to_obj
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -324,6 +324,14 @@ def reference_cone_extension(delta: ColoredComplex):
         predicted_flag=flag_f(extended),
     )
     return extended, report
+
+
+def complex_to_obj(c: ColoredComplex) -> dict:
+    """A complex document as a JSON value: its faces in canonical order."""
+    return {
+        "num_colors": c.num_colors,
+        "faces": [face_to_obj(face) for face in c.sorted_faces()],
+    }
 
 
 def reference_emit_complex(c: ColoredComplex) -> str:

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from flagshift import emit_complex
+from flagshift import cone_extension, emit_complex, shift_closure
 from flagshift.cli import main
+from flagshift.formats import report_to_obj
 
-from helpers import staircase
+from helpers import complex_to_obj, edge2, face, staircase
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,6 +145,28 @@ def test_construct_report_golden(capsys):
     )
 
 
+def test_construct_report_bytes(capsys, monkeypatch, shifted_corpus, enumerated_corpus):
+    """The combined document is byte for byte json's indented, key-sorted
+    encoding of both parts, for every corpus complex, the staircases
+    k = 2..14 and the complex with 600 vertices of each of two colors.
+    The subcommand is called directly: parsing its arguments per complex
+    would cost more than the check."""
+    import io
+    from argparse import Namespace
+
+    from flagshift.cli import _cmd_construct
+
+    args = Namespace(file="-", out=None, report=True)
+    wide = shift_closure(2, [face((1, 600)), face((2, 600)), edge2(1, 1)])
+    staircases = [staircase(k) for k in range(2, 15)]
+    for delta in [*shifted_corpus, *enumerated_corpus, *staircases, wide]:
+        extended, report = cone_extension(delta)
+        want = {"complex": complex_to_obj(extended), "report": report_to_obj(report)}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_complex(delta)))
+        assert _cmd_construct(args) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n", delta
+
+
 def test_construct_out_file(capsys, tmp_path):
     out_path = tmp_path / "ext.json"
     code, out, _ = run(
@@ -166,6 +189,13 @@ def test_construct_out_file_with_report(capsys, tmp_path):
     assert code == 0
     assert out == golden("sample_a_report.json")
     assert out_path.read_text() == golden("sample_a_extended.json")
+
+
+def test_construct_out_file_not_writable(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "ext.json"
+    code, out, err = run(capsys, "construct", data("sample_a.json"), "--out", str(out_path))
+    assert code == 73 and out == ""
+    assert err == f"cannot write {out_path}: No such file or directory\n"
 
 
 def test_construct_rejects_unshifted(capsys):
@@ -295,6 +325,25 @@ def test_realizable2_wrong_color_count(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "flag", "no-such-file.json")
     assert code == 66 and "cannot read" in err
+
+
+def test_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "flag", str(path))
+    assert code == 66 and out == ""
+    assert err == f"cannot read {path}: not UTF-8 text\n"
+
+
+def test_stdin_not_utf8(capsys, monkeypatch):
+    class Utf16Stdin:
+        def read(self):
+            raise UnicodeDecodeError("utf-8", b"\xff\xfe", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(sys, "stdin", Utf16Stdin())
+    code, out, err = run(capsys, "flag", "-")
+    assert code == 66 and out == ""
+    assert err == "cannot read -: not UTF-8 text\n"
 
 
 def test_bad_syntax(capsys):

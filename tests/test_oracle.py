@@ -31,6 +31,7 @@ from flagshift import (
     partition_number,
     shift_closure,
     two_color_realizable,
+    verify_cone_extension,
     verify_uniqueness,
 )
 
@@ -1090,6 +1091,28 @@ def test_uniqueness_of_larger_staircases():
     assert nine.unique is True and nine.outcome.nodes_visited <= 100_000
     ten = verify_uniqueness(staircase(10))
     assert ten.unique is True and ten.outcome.nodes_visited <= 300_000
+
+
+@pytest.mark.parametrize(
+    "bounds, complexes, nodes, widest",
+    [([2, 2, 2], 979, 28_427, 10), ([3, 2, 2], 4_115, 148_863, 11)],
+)
+def test_uniqueness_over_whole_boxes(bounds, complexes, nodes, widest):
+    """The paper's claim on every color-shifted complex of a box: each
+    cone extension is the only color-shifted complex with its flag
+    vector, with exact node totals.  A seeded sample of the extensions
+    also matches the face-by-face reference and passes its report's
+    re-check."""
+    deltas = list(enumerate_color_shifted_complexes(3, bounds))
+    assert len(deltas) == complexes
+    results = [verify_uniqueness(delta) for delta in deltas]
+    assert all(result.unique is True for result in results)
+    assert sum(result.outcome.nodes_visited for result in results) == nodes
+    assert max(result.extended.num_colors for result in results) == widest
+    for delta in random.Random(24).sample(deltas, 25):
+        extended, report = cone_extension(delta)
+        assert (extended, report) == reference_cone_extension(delta), delta
+        assert verify_cone_extension(delta, extended, report).ok, delta
 
 
 def test_uniqueness_budget_runs_out(sample_b):
