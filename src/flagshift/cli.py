@@ -60,8 +60,14 @@ class _CliFailure(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The text of `path`, or of standard input for "-", as strict UTF-8.
+    Standard input is read as bytes when it has a buffer, so the locale's
+    decoding never stands in for UTF-8."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except UnicodeDecodeError:
         raise _CliFailure(EX_NOINPUT, f"cannot read {path}: not UTF-8 text")
     except OSError as exc:

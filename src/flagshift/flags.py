@@ -145,9 +145,12 @@ class FlagVector(_Immutable):
             yield colors_of_mask(mask), self._counts[mask]
 
     def nonzero_items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for colors, count in self.items():
-            if count:
-                yield colors, count
+        """(color set, count) for every color set with a non-zero count, in
+        canonical order; no color set is built for a zero count."""
+        counts = self._counts
+        for mask in subset_masks(self._n):
+            if counts[mask]:
+                yield colors_of_mask(mask), counts[mask]
 
     def total(self) -> int:
         return sum(self._counts)

@@ -183,11 +183,9 @@ def parse_flag_vector(text: str) -> FlagVector:
 
 
 def flag_vector_to_obj(fv: FlagVector) -> dict:
-    entries = [
-        {"colors": list(colors), "count": count}
-        for colors, count in fv.items()
-        if count != 0 or not colors
-    ]
+    entries = [{"colors": list(colors), "count": count} for colors, count in fv.nonzero_items()]
+    if fv.count_at_mask(0) == 0:  # the empty set comes first and is always written
+        entries.insert(0, {"colors": [], "count": 0})
     return {"num_colors": fv.num_colors, "kind": fv.kind, "entries": entries}
 
 

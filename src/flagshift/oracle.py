@@ -64,29 +64,41 @@ grow R, so any order that applies each until none changes anything
 reaches the same fixpoint.  _propagate runs rounds of two sweeps: up in
 canonical order, computing each U from the U below it, then down in
 reverse, where each layer's R is complete before it is checked and
-projected.  After a down sweep that shrinks no U, every U still matches
-the U below it and every R was read whole, so no step changes anything.
+projected.  It stops after a down sweep in either of two states:
+  - No U shrank.  Every U still matches the U below it and every R was
+    read whole, so no step changes anything.
+  - Every layer is settled: U(L) = R(L).  Each R(L) was projected into
+    its sub-layers' R, which equal their U, and the vertex layers never
+    change, so U(L) lies inside the allowed set over the U below; a
+    chain layer's U already lies inside its prefix.  The up sweep left
+    |U(L)| >= target and the down sweep checked |R(L)| <= target, so
+    both equal the target.  So the next round changes no U and no R:
+    the state is the fixpoint the loop would reach, a round earlier.
+At a no-shrink stop, "U = R on every layer" and "|U| = target on every
+layer" are one test: the up sweep adds to R(L) a U(L) of the target's
+size, and the down sweep bounds |R(L)| by the target.  So whether the
+fixpoint is settled is known at the stop, with no recount.
 
 The walk then intersects each layer's allowed set with U(L); both are
 down-sets, so the single-candidate rule above still holds, and a layer
 whose |U| meets its target has only U as its candidate.  A chain layer
 never holds more than its target, so it has a single candidate or none.
 
-When the fixpoint leaves every layer settled (|U(L)| equals L's
-target, as for every cone extension), the walk has one path.  Assign
-the layers in order, each sub-layer's chosen mask being its U: the
-layer's allowed set contains U(L), since U(L) was last cut to the
-allowed set over the U below, no U below changed after, and the final
-down sweep shrank nothing, so allowed & U(L) is U(L), of the target's
-size.  Each layer is then a single candidate, costing one node to open
-and one to assign, and the only complete assignment is every U.  The
-search returns that outcome directly: one witness made of the U, 2
-nodes per layer, and a budget stop at max_nodes + 1 when that is fewer
-than 2 per layer, the count at which the walk, adding one node at a
-time, would stop.  A target with no color set of two or more colors
-has nothing to propagate and is settled: its one path is the empty
-assignment, which costs one node, and the same return applies the
-witness cap to it as to any settled target.
+When the fixpoint leaves every layer settled (U(L) = R(L), of L's
+target size, as for every cone extension), the walk has one path.
+Assign the layers in order, each sub-layer's chosen mask being its U:
+the layer's allowed set contains U(L), since each one-color-drop
+projection of R(L) = U(L) was added to the sub-layer's R, which equals
+its U, so allowed & U(L) is U(L), of the target's size.  Each layer is
+then a single candidate, costing one node to open and one to assign,
+and the only complete assignment is every U.  The search returns that
+outcome directly: one witness made of the U, 2 nodes per layer, and a
+budget stop at max_nodes + 1 when that is fewer than 2 per layer, the
+count at which the walk, adding one node at a time, would stop.  A
+target with no color set of two or more colors has nothing to
+propagate and is settled: its one path is the empty assignment, which
+costs one node, and the same return applies the witness cap to it as
+to any settled target.
 
 One walk (_walk) assigns the layers depth first for the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
@@ -289,9 +301,14 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     return layers
 
 
-def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
-    """Upper bound U per color-set mask at the bound-propagation fixpoint
+def _propagate(layers, f, chosen: dict[int, int]) -> tuple[dict[int, int], bool] | None:
+    """(U per color-set mask, settled) at the bound-propagation fixpoint
     (module docstring), or None when the target is refuted.
+
+    settled is True when every layer's U equals its R, and so has the
+    target's size.  The loop stops at the first down sweep that leaves
+    every layer settled, or that shrinks no U; either state is the
+    fixpoint, so a settled target costs one round of sweeps.
 
     `layers` are in canonical order, and each one-color drop of a layer
     is an earlier layer or a vertex layer, fixed whole in `chosen`.
@@ -310,19 +327,24 @@ def _propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
             if bound.bit_count() == want:
                 required[geo.mask] |= bound
         shrunk = False
+        settled = True
         for geo in reversed(layers):  # down: super-layers first
             want = f[geo.mask]
             need = required[geo.mask]
             if need.bit_count() > want:
                 return None
-            if need.bit_count() == want and upper[geo.mask] & ~need:
-                upper[geo.mask] &= need
+            bound = upper[geo.mask]
+            if need.bit_count() == want and bound & ~need:
+                bound &= need
+                upper[geo.mask] = bound
                 shrunk = True
+            if bound != need:
+                settled = False
             for sub_mask, _, r, s, _ in geo.drops:
                 if sub_mask in required:
                     required[sub_mask] |= _project(need, r, s)
-        if not shrunk:
-            return upper
+        if settled or not shrunk:
+            return upper, settled
 
 
 def enumerate_color_shifted_with_flag(
@@ -350,10 +372,11 @@ def enumerate_color_shifted_with_flag(
     if layers is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
     chosen = _start(t)
-    upper = _propagate(layers, f, chosen)
-    if upper is None:
+    propagated = _propagate(layers, f, chosen)
+    if propagated is None:
         return SearchOutcome([], exhausted=True, nodes_visited=0)
-    if all(upper[geo.mask].bit_count() == f[geo.mask] for geo in layers):
+    upper, settled = propagated
+    if settled:
         # every layer settled: the walk's outcome, without the walk
         nodes = 2 * len(layers) or 1
         if nodes > budget.max_nodes:

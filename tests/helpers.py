@@ -25,7 +25,9 @@ from flagshift import (
     principal_downset,
     shift_closure,
 )
+from flagshift.complexes import _project
 from flagshift.formats import face_to_obj
+from flagshift.oracle import _allowed_mask
 
 
 def face(*pairs: tuple[int, int]) -> Face:
@@ -238,6 +240,40 @@ def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:
     return allowed
 
 
+def reference_propagate(layers, f, chosen: dict[int, int]) -> dict[int, int] | None:
+    """The bound-propagation fixpoint with a single stop: rounds of up and
+    down sweeps until a down sweep shrinks no U.  Returns U per color-set
+    mask, or None when the target is refuted.  oracle._propagate must
+    reach the same U, stopping a round earlier when every U equals its R."""
+    upper = dict(chosen)
+    required = {geo.mask: 0 for geo in layers}
+    while True:
+        for geo in layers:
+            want = f[geo.mask]
+            bound = _allowed_mask(geo, upper) & upper.get(geo.mask, -1)
+            if geo.chain:
+                bound &= (1 << want) - 1
+            if bound.bit_count() < want:
+                return None
+            upper[geo.mask] = bound
+            if bound.bit_count() == want:
+                required[geo.mask] |= bound
+        shrunk = False
+        for geo in reversed(layers):
+            want = f[geo.mask]
+            need = required[geo.mask]
+            if need.bit_count() > want:
+                return None
+            if need.bit_count() == want and upper[geo.mask] & ~need:
+                upper[geo.mask] &= need
+                shrunk = True
+            for sub_mask, _, r, s, _ in geo.drops:
+                if sub_mask in required:
+                    required[sub_mask] |= _project(need, r, s)
+        if not shrunk:
+            return upper
+
+
 # ===================================================================
 # conditions stronger than color-shifting
 # ===================================================================
@@ -332,6 +368,17 @@ def complex_to_obj(c: ColoredComplex) -> dict:
         "num_colors": c.num_colors,
         "faces": [face_to_obj(face) for face in c.sorted_faces()],
     }
+
+
+def reference_flag_vector_obj(fv: FlagVector) -> dict:
+    """The flag vector document's object, read off every entry of
+    fv.items(): the zero entries dropped, the empty-set entry kept."""
+    entries = [
+        {"colors": list(colors), "count": count}
+        for colors, count in fv.items()
+        if count != 0 or not colors
+    ]
+    return {"num_colors": fv.num_colors, "kind": fv.kind, "entries": entries}
 
 
 def reference_emit_complex(c: ColoredComplex) -> str:

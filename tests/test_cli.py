@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -344,6 +345,24 @@ def test_stdin_not_utf8(capsys, monkeypatch):
     code, out, err = run(capsys, "flag", "-")
     assert code == 66 and out == ""
     assert err == "cannot read -: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("locale", [None, "C"])
+def test_stdin_not_utf8_in_a_process(locale):
+    """Bytes that are not UTF-8 on the real standard input fail as a file
+    path does, also under the C locale, where Python's own decoding of
+    standard input would pass them on as text."""
+    env = dict(os.environ)
+    if locale:
+        env["LC_ALL"] = locale
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagshift", "flag", "-"],
+        input=b"\xff\xfe{\x00}\x00",
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 66 and proc.stdout == b""
+    assert proc.stderr == b"cannot read -: not UTF-8 text\n"
 
 
 def test_bad_syntax(capsys):

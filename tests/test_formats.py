@@ -30,7 +30,9 @@ from flagshift import (
 from flagshift import complexes
 from flagshift.complexes import EMPTY_FACE, Face, Vertex, empty_complex, trivial_complex
 
-from helpers import reference_emit_complex, staircase
+from flagshift.formats import report_to_obj
+
+from helpers import reference_emit_complex, reference_flag_vector_obj, staircase
 
 
 # ===================================================================
@@ -242,6 +244,27 @@ def test_emit_flag_vector_zero_empty_entry_still_written():
     # h = (1, 0): the zero singleton entry disappears, the empty one stays
     doc = json.loads(emit_flag_vector(hv))
     assert {"colors": [], "count": 1} in doc["entries"]
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_flag_vector_documents_skip_zero_entries():
+    """The documents built from the non-zero entries alone equal the
+    reference read off all 2^n entries of items(): at 16 colors, where
+    the extension of staircase(14) has 60 non-zero color sets of 65,536,
+    and with a zero empty-set entry."""
+    _, report = cone_extension(staircase(14))
+    fv = report.predicted_flag
+    nonzero = [(colors, count) for colors, count in fv.items() if count]
+    assert len(nonzero) == 60
+    assert list(fv.nonzero_items()) == nonzero
+    want = reference_flag_vector_obj(fv)
+    assert emit_flag_vector(fv) == _dumps(want)
+    assert emit_report(report) == _dumps({**report_to_obj(report), "predicted_flag": want})
+    for other in (h_from_f(fv), FlagVector(2, {(2,): 4}, kind="h")):
+        assert emit_flag_vector(other) == _dumps(reference_flag_vector_obj(other))
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,7 @@ from helpers import (
     face,
     reference_cone_extension,
     reference_grid_faces,
+    reference_propagate,
     staircase,
     without_color,
 )
@@ -354,19 +355,20 @@ def test_propagated_bounds_hold_every_witness(num_colors, bounds):
         calls = []
 
         def watched(layers, f, chosen):
-            upper = propagate(layers, f, chosen)
-            calls.append((layers, upper))
-            return upper
+            propagated = propagate(layers, f, chosen)
+            calls.append((layers, propagated))
+            return propagated
 
         with mock.patch.object(oracle, "_propagate", watched):
             outcome = enumerate_color_shifted_with_flag(FlagVector(num_colors, dense))
         if not calls:  # no layer to bound, or rejected by the drop check
             assert {w.faces for w in outcome.witnesses} == witnesses, dense
             continue
-        [(layers, upper)] = calls
-        if upper is None:
+        [(layers, propagated)] = calls
+        if propagated is None:
             assert not witnesses, dense
             continue
+        upper, _ = propagated
         for faces in witnesses:
             for geo in layers:
                 radices = tuple(dense[1 << (c - 1)] for c in colors_of_mask(geo.mask))
@@ -401,27 +403,27 @@ def test_settled_searches_skip_the_walk(monkeypatch, enumerated_corpus):
         assert result.outcome.nodes_visited == max(1, 2 * layers)
 
 
-@pytest.mark.parametrize(
-    "dense",
-    [
-        # t = (1, 1, 2): the chain {1,3} holds 1 edge, so at most 1 of the
-        # 2 triangles is allowed (|U| below the target)
-        (1, 1, 1, 1, 2, 1, 1, 2),
-        # t = (1, 2, 2): the chain {1,2} holds 1 edge, so both triangles
-        # are required, and they need 2 {2,3}-edges where 1 is the target
-        # (|R| above the target)
-        (1, 1, 2, 1, 2, 2, 1, 2),
-        # the extension of the closure of edges (1,1), (2,1) with one
-        # {1,2}-edge less: the apex box alone requires both edges
-        (1, 2, 1, 1, 1, 2, 1, 2),
-        # t = (2, 2, 1, 1, 1): the chain {1,4} holds 1 edge, so the 2
-        # {1,2,4}-triangles are forced and settle the {1,2}-edges to the
-        # 2 on vertex 1 of color 1; {1,2,3}, opened before with all 4
-        # edges allowed, re-opens and allows 2 triangles, not 3
-        (1, 2, 2, 2, 1, 2, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2)
-        + (1, 2, 0, 0, 1, 2) + (0,) * 10,
-    ],
-)
+ROOT_REFUTATIONS = [
+    # t = (1, 1, 2): the chain {1,3} holds 1 edge, so at most 1 of the
+    # 2 triangles is allowed (|U| below the target)
+    (1, 1, 1, 1, 2, 1, 1, 2),
+    # t = (1, 2, 2): the chain {1,2} holds 1 edge, so both triangles
+    # are required, and they need 2 {2,3}-edges where 1 is the target
+    # (|R| above the target)
+    (1, 1, 2, 1, 2, 2, 1, 2),
+    # the extension of the closure of edges (1,1), (2,1) with one
+    # {1,2}-edge less: the apex box alone requires both edges
+    (1, 2, 1, 1, 1, 2, 1, 2),
+    # t = (2, 2, 1, 1, 1): the chain {1,4} holds 1 edge, so the 2
+    # {1,2,4}-triangles are forced and settle the {1,2}-edges to the
+    # 2 on vertex 1 of color 1; {1,2,3}, opened before with all 4
+    # edges allowed, re-opens and allows 2 triangles, not 3
+    (1, 2, 2, 2, 1, 2, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2)
+    + (1, 2, 0, 0, 1, 2) + (0,) * 10,
+]
+
+
+@pytest.mark.parametrize("dense", ROOT_REFUTATIONS)
 def test_propagation_refutes_at_the_root(monkeypatch, dense):
     """A target that passes the drop and grid-size checks but admits no
     complex by the counting argument is refuted by the fixpoint, with
@@ -474,10 +476,8 @@ def test_propagate_matches_enumeration(enumerated_corpus):
         layers = oracle._target_layers(dense, t)
         if not layers:
             continue
-        upper = oracle._propagate(layers, dense, oracle._start(t))
-        settled = upper is not None and all(
-            upper[geo.mask].bit_count() == dense[geo.mask] for geo in layers
-        )
+        propagated = oracle._propagate(layers, dense, oracle._start(t))
+        upper, settled = propagated or (None, False)
         seen["refuted" if upper is None else "settled" if settled else "open"] += 1
         if dense in extensions:
             assert settled, dense
@@ -495,6 +495,91 @@ def test_propagate_matches_enumeration(enumerated_corpus):
             [c] = found
             assert all(c._record[geo.mask] == upper[geo.mask] for geo in layers), dense
     assert min(seen["refuted"], seen["settled"], seen["open"]) > 1000, seen
+
+
+# 4-color targets on which the fixpoint takes two rounds: a layer's U
+# shrinks to its R in the first down sweep, and the up sweep over the
+# smaller U then cuts a layer above it.  The first stays open, the second
+# settles in its second round.  No target within [3, 3, 2] takes a
+# second round, so these have four colors.
+MULTI_ROUND = [
+    (1, 2, 1, 2, 2, 4, 2, 1, 1, 2, 1, 1, 2, 3, 1, 1),
+    (1, 1, 2, 1, 2, 2, 2, 2, 1, 0, 2, 0, 1, 0, 1, 0),
+]
+
+
+def _extension_vectors(complexes) -> list[tuple[int, ...]]:
+    return [cone_extension(delta)[1].predicted_flag.dense() for delta in complexes]
+
+
+def _propagation_args(dense):
+    """(layers, f, chosen) as the prescribed-flag search passes them to
+    the fixpoint, or None when the drop or grid check rejects `dense`."""
+    t = [dense[1 << i] for i in range(len(dense).bit_length() - 1)]
+    layers = oracle._target_layers(dense, t)
+    return None if layers is None else (layers, dense, oracle._start(t))
+
+
+def test_propagate_matches_reference_fixpoint(enumerated_corpus):
+    """The fixpoint with its settled stop against the loop that stops
+    only on a round that shrinks no U: the same U, or the same
+    refutation, on every target within [3, 3, 2], every corpus extension
+    vector, the targets refuted at the root and the multi-round targets;
+    and `settled` is the recount of every layer's U against its target."""
+    vectors = [
+        *_grid_targets(3, (3, 3, 2)),
+        *_extension_vectors(enumerated_corpus),
+        *ROOT_REFUTATIONS,
+        *MULTI_ROUND,
+    ]
+    seen = Counter()
+    for dense in vectors:
+        args = _propagation_args(dense)
+        if args is None:
+            continue
+        want = reference_propagate(*args)
+        got = oracle._propagate(*args)
+        if want is None:
+            assert got is None, dense
+            seen["refuted"] += 1
+            continue
+        upper, settled = got
+        assert upper == want, dense
+        layers, f, _ = args
+        assert settled == all(want[geo.mask].bit_count() == f[geo.mask] for geo in layers), dense
+        seen[settled] += 1
+    assert min(seen["refuted"], seen[True], seen[False]) > 1000, seen
+
+
+def test_settled_targets_take_one_round(monkeypatch, enumerated_corpus):
+    """Counted in allowed-set reads, which the up sweep makes once per
+    layer and round: on every corpus extension and on the staircases
+    k = 2..14 the fixpoint reads each layer's allowed set once and
+    returns settled.  The multi-round targets, and the last target
+    refuted at the root, still read some layer twice."""
+    reads = Counter()
+    allowed_mask = oracle._allowed_mask
+
+    def counted(geo, chosen):
+        reads[geo.mask] += 1
+        return allowed_mask(geo, chosen)
+
+    monkeypatch.setattr(oracle, "_allowed_mask", counted)
+    stairs = [staircase(k) for k in range(2, 15)]
+    for dense in _extension_vectors([*enumerated_corpus, *stairs]):
+        layers, f, chosen = _propagation_args(dense)
+        reads.clear()
+        _, settled = oracle._propagate(layers, f, chosen)
+        assert settled, dense
+        assert reads == Counter(geo.mask for geo in layers), dense
+    outcomes = []
+    for dense in [*MULTI_ROUND, ROOT_REFUTATIONS[-1]]:
+        layers, f, chosen = _propagation_args(dense)
+        reads.clear()
+        propagated = oracle._propagate(layers, f, chosen)
+        outcomes.append(None if propagated is None else propagated[1])
+        assert max(reads.values()) == 2 and reads.keys() == {geo.mask for geo in layers}, dense
+    assert outcomes == [False, True, None]
 
 
 def test_forced_layer_budget_boundary():
