@@ -81,14 +81,17 @@ def _load_complex(path: str):
         raise _CliFailure(EX_NOINPUT, f"{path}: {exc}")
 
 
-def _load_flag(path: str):
-    """Flag f-vector of the complex in `path`; a complex with more colors
-    than flag vectors support is a negative verdict."""
-    c = _load_complex(path)
+def _verdict(call, *args):
+    """call(*args), a ValueError it raises being a negative verdict."""
     try:
-        return flag_f(c)
+        return call(*args)
     except ValueError as exc:
         raise _CliFailure(EX_NEGATIVE, str(exc))
+
+
+def _load_flag(path: str):
+    """Flag f-vector of the complex in `path`."""
+    return _verdict(flag_f, _load_complex(path))
 
 
 def _load_flag_vector(path: str):
@@ -135,12 +138,7 @@ def _cmd_check_shifted(args) -> int:
 
 
 def _cmd_shift_maximal(args) -> int:
-    c = _load_complex(args.file)
-    try:
-        maximal = shift_maximal_faces(c)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_NEGATIVE
+    maximal = _verdict(shift_maximal_faces, _load_complex(args.file))
     sys.stdout.write(_dumps([face_to_obj(face) for face in maximal]))
     return 0
 
@@ -162,12 +160,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    delta = _load_complex(args.file)
-    try:
-        extended, report = cone_extension(delta)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_NEGATIVE
+    extended, report = _verdict(cone_extension, _load_complex(args.file))
     if args.out:
         try:
             Path(args.out).write_text(emit_complex(extended))
@@ -185,12 +178,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify_unique(args) -> int:
-    delta = _load_complex(args.file)
-    try:
-        result = verify_uniqueness(delta, _budget(args))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_NEGATIVE
+    result = _verdict(verify_uniqueness, _load_complex(args.file), _budget(args))
     nodes = result.outcome.nodes_visited
     if result.unique is True:
         print(f"unique: 1 witness, search exhausted, nodes={nodes}")
@@ -206,12 +194,7 @@ def _cmd_verify_unique(args) -> int:
 
 
 def _cmd_find_shifted(args) -> int:
-    source = _load_complex(args.file)
-    try:
-        outcome = find_color_shifted_with_flag(source, _budget(args))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_NEGATIVE
+    outcome = _verdict(find_color_shifted_with_flag, _load_complex(args.file), _budget(args))
     if outcome.witnesses:
         sys.stdout.write(emit_complex(outcome.witnesses[0]))
         return 0

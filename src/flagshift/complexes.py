@@ -202,9 +202,13 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     singleton faces within each color.  Within a check the canonically
     smallest offending face is named.
 
-    One pass over the vertex tuples collects the offenders: a face's
-    colors are sorted, so its last vertex has its largest color, and its
-    one-vertex drops are its tuple with one entry cut out.
+    One pass over the vertex tuples collects the offenders and each
+    color's singleton indices: a face's colors are sorted, so its last
+    vertex has its largest color, and its one-vertex drops are its tuple
+    with one entry cut out.  A color's indices are distinct and at least
+    1, so they run from 1 without a gap exactly when the largest equals
+    their number; otherwise they cannot fill 1..their number, where the
+    smallest gap lies.
     """
     face_set = frozenset(faces)
     if not face_set:
@@ -212,8 +216,7 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     tuples = {face._vertices for face in face_set}
     out_of_range = []
     unclosed = []  # (face, its first missing one-vertex drop)
-    top: dict[int, int] = {}  # color -> largest singleton index
-    singletons = 0
+    indices: dict[int, list[int]] = {}  # color -> its singleton indices
     for vertices in tuples:
         if not vertices:
             continue
@@ -221,9 +224,7 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
             out_of_range.append(Face._raw(vertices))
         elif len(vertices) == 1:
             color, index = vertices[0]
-            if index > top.get(color, 0):
-                top[color] = index
-            singletons += 1
+            indices.setdefault(color, []).append(index)
         else:
             for j in range(len(vertices)):
                 drop = vertices[:j] + vertices[j + 1:]
@@ -250,20 +251,10 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
             face=face,
             missing=missing,
         )
-    # A color's singleton indices are distinct, so they run from 1 without
-    # a gap exactly when the largest equals their number; and the largest
-    # is never below the number, so the sums agree only if every color's do.
-    if sum(top.values()) == singletons:
-        return None
-    by_color: dict[int, set[int]] = {}
-    for vertices in tuples:
-        if len(vertices) == 1:
-            color, index = vertices[0]
-            by_color.setdefault(color, set()).add(index)
-    for color in sorted(by_color):
-        have = by_color[color]
-        if have != set(range(1, len(have) + 1)):
-            gap = min(set(range(1, max(have) + 1)) - have)
+    for color in sorted(indices):
+        have = indices[color]
+        if max(have) != len(have):
+            gap = min(set(range(1, len(have) + 1)).difference(have))
             return Violation(
                 "saturation",
                 f"color {color} skips vertex index {gap}: indices must be contiguous from 1",

@@ -40,6 +40,8 @@ def _loads(text: str) -> Any:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
 
 
 def _dumps(obj: Any) -> str:

@@ -15,11 +15,11 @@ Each layer's grid, with each one-color drop's radix, stride and column,
 comes from complexes._layer_geometry, cached by its color-set bitmask
 and radices; a layer that reaches a kernel reads its grid's order from
 the geometry's `ups`, which computes each up-set on its first read.
-Only the color sets the target gives faces are visited
-(_target_layers).  No search builds a face: a witness is the record of
-its chosen masks (_assemble), and verify_uniqueness compares it with the
-cone extension, itself only a record, mask by mask
-(ColoredComplex.__eq__).
+Only the color sets the target gives faces are visited (_target_layers;
+an enumeration's target holds every face within its bounds).  No search
+builds a face: a witness is the record of its chosen masks (_assemble),
+and verify_uniqueness compares it with the cone extension, itself only
+a record, mask by mask (ColoredComplex.__eq__).
 
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
@@ -100,7 +100,7 @@ propagate and is settled: its one path is the empty assignment, which
 costs one node, and the same return applies the witness cap to it as
 to any settled target.
 
-One walk (_walk) assigns the layers depth first for the prescribed-flag
+One lister and one walk (_walk, depth first) serve the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
 differs.  Every search is budgeted by one rule: one node is one partial-
 assignment extension, either a kernel step, a single-candidate open or a
@@ -118,9 +118,9 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project
+from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project, colors_of_mask
 from .construction import cone_extension
-from .flags import _INT64_MAX, FlagVector, flag_f, mask_sort_key, subset_masks
+from .flags import _INT64_MAX, MAX_COLORS, FlagVector, flag_f, mask_sort_key
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -170,18 +170,6 @@ class BudgetExhausted(RuntimeError):
 # ===================================================================
 # layer machinery
 # ===================================================================
-
-def _layers_within(num_colors: int, t) -> list[_Geometry]:
-    """Geometries of every color set of size >= 2 whose colors all have
-    vertices, in canonical order."""
-    layers = []
-    for mask in subset_masks(num_colors):
-        if mask.bit_count() >= 2:
-            radices = tuple(t[i] for i in range(num_colors) if mask >> i & 1)
-            if all(radices):
-                layers.append(_layer_geometry(mask, radices))
-    return layers
-
 
 def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     """Points whose every one-color-drop projection was chosen below.
@@ -283,10 +271,18 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     """Geometries of the color sets of size >= 2 with faces in the dense
     target f, in canonical order, or None when a color set with faces has
     a one-color drop without or more faces than its grid; both are
-    checked before the grid is built.  Only non-zero entries are visited."""
+    checked before the grid is built.  Only non-zero entries are visited.
+
+    An enumeration passes the complex of every face within its vertex
+    counts t, full[S] = prod(t[c] for c in S).  full[S] is non-zero exactly
+    when every color of S has vertices; then every drop of S has faces
+    and full[S] is S's grid size, so full is never refused.  Only such a
+    target has more than MAX_COLORS colors, ordered by color tuple."""
     layers = []
     masks = [m for m in compress(range(len(f)), f) if m & (m - 1)]
-    for mask in sorted(masks, key=mask_sort_key):
+    wide = len(f) > 1 << MAX_COLORS
+    key = (lambda m: (m.bit_count(), colors_of_mask(m))) if wide else mask_sort_key
+    for mask in sorted(masks, key=key):
         radices = []
         m = mask
         while m:
@@ -462,7 +458,10 @@ def _enumerate(
         raise ValueError("vertex_bounds must list one bound >= 0 per color")
     nodes = 0
     for t in product(*(range(b + 1) for b in bounds)):
-        layers = _layers_within(num_colors, t)
+        full = [1]  # full[S] = prod(t[c] for c in S), by bitmask S
+        for count in t:
+            full += [size * count for size in full]
+        layers = _target_layers(full, t)
         chosen = _start(t)
         walk = _walk(layers, chosen, source, budget.max_nodes - nodes)
         try:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,6 +257,32 @@ def test_find_shifted_on_unshifted_input(capsys):
     assert flag_f(witness) == flag_f(source)
 
 
+def test_verify_unique_non_unique_verdict(capsys, monkeypatch, sample_a):
+    """The theorem leaves no real input this verdict, so the library call
+    is stood in for by one that found a second witness."""
+    from flagshift import cli
+    from flagshift.oracle import SearchOutcome, UniquenessResult
+
+    extended, _ = cone_extension(sample_a)
+    found = UniquenessResult(False, extended, SearchOutcome([extended, sample_a], True, 17))
+    monkeypatch.setattr(cli, "verify_uniqueness", lambda delta, budget: found)
+    code, out, err = run(capsys, "verify-unique", data("sample_a.json"))
+    assert (code, out, err) == (2, "", "non-unique: 2 witnesses found, nodes=17\n")
+
+
+def test_find_shifted_no_witness_verdict(capsys, monkeypatch):
+    """Every flag f-vector has a color-shifted witness, so the library call
+    is stood in for by one that exhausted the search empty-handed."""
+    from flagshift import cli
+    from flagshift.oracle import SearchOutcome
+
+    monkeypatch.setattr(
+        cli, "find_color_shifted_with_flag", lambda source, budget: SearchOutcome([], True, 5)
+    )
+    code, out, err = run(capsys, "find-shifted", data("sample_a.json"))
+    assert (code, out, err) == (2, "", "no color-shifted complex has this flag vector\n")
+
+
 def test_find_shifted_budget(capsys):
     code, _, err = run(
         capsys, "find-shifted", data("sample_b.json"), "--max-nodes", "1"
@@ -365,6 +393,19 @@ def test_stdin_not_utf8_in_a_process(locale):
     assert proc.stderr == b"cannot read -: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command", ["flag", "realizable2"])
+def test_deep_nesting_in_a_process(command):
+    """100,000 nested lists exceed the JSON reader's recursion limit: an
+    invalid document, one line on stderr and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagshift", command, "-"],
+        input=b"[" * 100_000,
+        capture_output=True,
+    )
+    assert proc.returncode == 66 and proc.stdout == b""
+    assert proc.stderr == b"-: document is nested too deeply\n"
+
+
 def test_bad_syntax(capsys):
     code, _, err = run(capsys, "flag", data("bad_syntax.json"))
     assert code == 66 and "syntax error" in err
@@ -390,6 +431,118 @@ def test_missing_required_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select", data("sample_a.json")])
     assert exc.value.code == 64
+
+
+# ===================================================================
+# adversarial documents
+# ===================================================================
+
+# every subcommand that reads a document, with its options
+DOCUMENT_COMMANDS = (
+    ("flag",), ("hvec",), ("coarse",), ("check-shifted",), ("shift-maximal",),
+    ("select", "--colors", "1"), ("construct",), ("construct", "--report"),
+    ("verify-unique",), ("find-shifted",), ("realizable2",),
+)
+# a valid complex on more colors than flag vectors support has no flag
+# vector and no extension, but it has shiftedness, shift-maximal faces and
+# selections; every other verdict is 66
+WIDE_VERDICTS = {
+    "flag": 2, "hvec": 2, "coarse": 2, "find-shifted": 2, "construct": 2,
+    "verify-unique": 2, "check-shifted": 0, "shift-maximal": 0, "select": 0,
+}
+
+
+def _nested(rng):
+    opener = rng.choice(["[", '{"faces": ', '{"num_colors": 2, "entries": ['])
+    return opener * rng.randint(10_000, 100_000), {}
+
+
+def _huge_index(rng):
+    """Colors with contiguous vertices, and one color with one more
+    vertex at an index near 10^23: a gap, named at once."""
+    counts = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    color = rng.randint(1, len(counts))
+    faces = [[]] + [[[c, i]] for c, t in enumerate(counts, 1) for i in range(1, t + 1)]
+    faces.insert(rng.randint(1, len(faces)), [[color, 10**23 * rng.randint(1, 9)]])
+    return json.dumps({"num_colors": len(counts), "faces": faces}), {}
+
+
+def _huge_num_colors(rng):
+    """A valid complex on about 10^23 colors: one face of at most 12
+    vertices (its closure has at most 2^12 faces), given as its
+    generator or as its vertices."""
+    n = 10**23 * rng.randint(1, 9)
+    colors = sorted({rng.randrange(1, n + 1) for _ in range(rng.randint(1, 12))})
+    top = [[c, 1] for c in colors]
+    if rng.random() < 0.5:
+        return json.dumps({"num_colors": n, "generators": [top]}), WIDE_VERDICTS
+    return json.dumps({"num_colors": n, "faces": [[]] + [[v] for v in top]}), WIDE_VERDICTS
+
+
+def _boolean(rng):
+    doc = rng.choice([
+        {"num_colors": True, "faces": [[]]},
+        {"num_colors": 2, "faces": [[], [[1, True]]]},
+        {"num_colors": 2, "faces": [[], [[False, 1]]]},
+        {"num_colors": True, "entries": []},
+        {"num_colors": 2, "entries": [{"colors": [], "count": True}]},
+        {"num_colors": 2, "entries": [{"colors": [True], "count": 1}]},
+    ])
+    return json.dumps(doc), {}
+
+
+def _missing_key(rng):
+    doc = rng.choice([
+        {"num_colors": 2, "faces": [[], [[1, 1]]]},
+        {"num_colors": 2, "entries": [{"colors": [], "count": 1}]},
+    ])
+    holder = rng.choice([doc, *doc.get("entries", ())])
+    del holder[rng.choice(sorted(holder))]
+    return json.dumps(doc), {}
+
+
+def _main_bounded(capsys, argv):
+    """main(argv)'s exit code, stdout, stderr and traced peak memory."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, peak
+
+
+def _one_line(err: str) -> bool:
+    return err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "case", [_nested, _huge_index, _huge_num_colors, _boolean, _missing_key]
+)
+def test_adversarial_documents(capsys, tmp_path, case, seed):
+    """Every subcommand that reads a document answers a hostile one with
+    its documented exit code and one line on stderr (output and no line
+    on success), within 8 MiB traced."""
+    text, verdicts = case(random.Random(seed))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for command in DOCUMENT_COMMANDS:
+        argv = [command[0], str(path), *command[1:]]
+        code, out, err, peak = _main_bounded(capsys, argv)
+        assert code == verdicts.get(command[0], 66), argv
+        assert (out != "" and err == "") if code == 0 else (out == "" and _one_line(err)), argv
+        assert peak < 8 << 20, argv
+
+
+@pytest.mark.parametrize("edges", ["-1", str(10**23)])
+def test_adversarial_edge_counts(capsys, edges):
+    """count-shifted reads no document; a negative count is a usage error
+    and a huge one is certain to pass the node budget."""
+    code, out, err, peak = _main_bounded(capsys, ["count-shifted", "--edges", edges])
+    assert (code, out) == ((64, "") if edges == "-1" else (3, ""))
+    assert _one_line(err) and peak < 8 << 20
 
 
 # ===================================================================

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import prod
 
@@ -30,7 +31,7 @@ from flagshift import (
     validate_faces,
     verify_uniqueness,
 )
-from flagshift.complexes import _boxes
+from flagshift.complexes import Violation, _boxes
 from flagshift.flags import flag_f
 
 from helpers import (
@@ -112,6 +113,36 @@ def test_validate_saturation_names_the_color():
     assert v is not None and v.kind == "saturation" and v.color == 1
 
 
+def test_validate_saturation_matches_the_ordered_scan_on_every_gap():
+    """Every set of singleton indices within 1..5 on each of two colors,
+    gaps at 1, in the middle and several per color included: the
+    one-pass check names the same color and gap as the canonical scan."""
+    subsets = [
+        [i for i in range(1, 6) if bits >> (i - 1) & 1] for bits in range(32)
+    ]
+    for first, second in product(subsets, repeat=2):
+        faces = [EMPTY_FACE, *(face((1, i)) for i in first), *(face((2, i)) for i in second)]
+        assert validate_faces(2, faces) == reference_validate_faces(2, faces)
+
+
+def test_validate_names_the_gap_below_a_huge_index():
+    """An index of 10^23 leaves a gap at 2, found among the first
+    len + 1 indices: nothing as large as the index is built."""
+    faces = [EMPTY_FACE, face((1, 1)), face((1, 10**23)), face((2, 1))]
+    tracemalloc.start()
+    try:
+        v = validate_faces(2, faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == Violation(
+        "saturation",
+        "color 1 skips vertex index 2: indices must be contiguous from 1",
+        color=1,
+    )
+    assert peak < 1 << 20
+
+
 def test_validate_matches_the_ordered_scan(enumerated_corpus):
     """The one-pass check and the canonical scan name the same first
     violation: none on the corpus, and each mutant's own otherwise.
@@ -140,6 +171,11 @@ def test_constructor_raises_on_violation():
     with pytest.raises(InvalidComplexError) as exc:
         ColoredComplex(2, [face((1, 1))])
     assert exc.value.violation.kind == "empty-face"
+
+
+def test_constructor_rejects_negative_num_colors():
+    with pytest.raises(ValueError, match=r"^num_colors must be >= 0$"):
+        ColoredComplex(-1)
 
 
 def test_num_colors_zero_allows_only_the_empty_face():
@@ -275,6 +311,12 @@ def test_cone_rejects_used_color(sample_a):
 def test_cone_rejects_nonfirst_index(sample_a):
     with pytest.raises(ValueError, match="first vertex"):
         cone(sample_a, (3, 2))
+
+
+def test_cone_rejects_apex_color_below_one(sample_a):
+    for color in (0, -3):
+        with pytest.raises(ValueError, match=r"^apex color must be >= 1$"):
+            cone(sample_a, (color, 1))
 
 
 def test_cone_on_unused_color_within_range():

@@ -33,6 +33,7 @@ from flagshift import (
     verify_uniqueness,
 )
 from flagshift import emit_complex, oracle
+from flagshift.construction import ConstructionReport, VerificationResult
 from flagshift.complexes import _layer_geometry, _record_grids
 from flagshift.flags import colors_of_mask, subset_masks
 
@@ -381,7 +382,7 @@ def test_uniqueness_reads_no_full_mask_table(monkeypatch):
     def no_table(_num_colors):
         raise AssertionError("the table of every color-set mask was read")
 
-    for module in (flags, oracle, construction):
+    for module in (flags, construction):
         monkeypatch.setattr(module, "subset_masks", no_table)
     result = verify_uniqueness(delta)
     assert result.unique is True and result.extended.num_colors == 16
@@ -491,6 +492,56 @@ def test_verify_catches_apex_pair_face_via_flag(sample_a):
     result = verify_cone_extension(sample_a, tampered, report)
     assert not result.ok
     assert result.failed_check == "flag:f_{1,2,3}"
+
+
+def test_verify_names_an_apex_with_two_vertices(sample_a):
+    extended, report = cone_extension(sample_a)
+    tampered = ColoredComplex(3, extended.faces | {face((3, 2))})
+    result = verify_cone_extension(sample_a, tampered, report)
+    assert result == VerificationResult(
+        False, "flag:f_{3}", "expected 1 vertex of color 3, found 2"
+    )
+
+
+def test_verify_names_a_missing_apex_edge(sample_a):
+    extended, report = cone_extension(sample_a)
+    assert report.predicted_edges == ((1, 3, 2), (2, 3, 1))
+    # the {1,3}-edge at vertex 2 of color 1, and the triangle over it
+    tampered = ColoredComplex(
+        3, extended.faces - {face((1, 2), (3, 1)), face((1, 2), (2, 1), (3, 1))}
+    )
+    result = verify_cone_extension(sample_a, tampered, report)
+    assert result == VerificationResult(
+        False, "flag:f_{1,3}", "expected 2 edges on colors {1,3}, found 1"
+    )
+
+
+def _report_of(delta: ColoredComplex, extended: ColoredComplex) -> ConstructionReport:
+    """A report whose every prediction `extended` meets, with every color
+    above delta's fresh and claiming one vertex."""
+    n, m = delta.num_colors, extended.num_colors
+    return ConstructionReport(
+        n, m - n, m, (), (), tuple(range(n + 1, m + 1)), (), flag_f(extended)
+    )
+
+
+def test_verify_names_an_unshifted_extension():
+    unshifted = ColoredComplex(
+        2, [EMPTY_FACE, face((1, 1)), face((1, 2)), face((2, 1)), face((1, 2), (2, 1))]
+    )
+    result = verify_cone_extension(unshifted, unshifted, _report_of(unshifted, unshifted))
+    assert result == VerificationResult(
+        False, "color-shifted", "the extension is not color-shifted"
+    )
+
+
+def test_verify_names_a_face_with_two_fresh_colors():
+    joined = shift_closure(2, [face((1, 1), (2, 1))])
+    delta = trivial_complex(0)
+    result = verify_cone_extension(delta, joined, _report_of(delta, joined))
+    assert result == VerificationResult(
+        False, "apex-faces", f"face {face((1, 1), (2, 1))} uses 2 fresh colors"
+    )
 
 
 def test_predicted_flag_is_computed_from_delta(monkeypatch, shifted_corpus):

@@ -90,6 +90,21 @@ def test_flag_vector_rejects_a_color_set_named_twice():
         parse_flag_vector(doc)
 
 
+def test_flag_vector_rejects_bad_arguments():
+    """A color twice in one set, a color count outside 0..16, an unknown
+    kind and a dense list of the wrong length each raise their own
+    message."""
+    with pytest.raises(ValueError, match=r"^color 1 listed twice$"):
+        FlagVector(2, {(1, 1): 1})
+    for n in (-1, MAX_COLORS + 1):
+        with pytest.raises(ValueError, match=r"^num_colors must be in 0\.\.16$"):
+            FlagVector(n)
+    with pytest.raises(ValueError, match=r"^kind must be 'f' or 'h', got 'g'$"):
+        FlagVector(2, kind="g")
+    with pytest.raises(ValueError, match=r"^dense entries must have length 4, got 3$"):
+        FlagVector(2, [1, 2, 3])
+
+
 def test_flag_vector_zero_entries_default():
     fv = FlagVector(2, {(): 1}, kind="f")
     assert fv.count((1, 2)) == 0
@@ -286,6 +301,12 @@ def test_coarse_f_counts_by_cardinality(corpus):
         entries = coarse_f(flag_f(c)).entries
         for i, count in enumerate(entries):
             assert count == sum(1 for f in c.faces if len(f) == i)
+
+
+def test_coarse_f_rejects_an_h_vector():
+    hv = h_from_f(FlagVector(1, (1, 2)))
+    with pytest.raises(ValueError, match=r"^coarse_f expects an f-vector$"):
+        coarse_f(hv)
 
 
 def test_coarse_validates_entries():

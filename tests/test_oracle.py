@@ -91,6 +91,30 @@ def test_enumerate_shifted_three_colors_brute():
     assert got == brute_all_color_shifted(3, [1, 1, 1])
 
 
+def test_enumerations_reject_bad_vertex_bounds():
+    message = r"^vertex_bounds must list one bound >= 0 per color$"
+    for enumerate_ in (enumerate_color_shifted_complexes, enumerate_all_colored_complexes):
+        for bounds in ([1], [1, 1, 1], [1, -1]):
+            with pytest.raises(ValueError, match=message):
+                list(enumerate_(2, bounds))
+
+
+def test_enumerations_above_sixteen_colors():
+    """More than 16 colors, the last three with one vertex each: the same
+    complexes as on 3 colors, colors renumbered by 14, in the same order
+    (_target_layers sorts such a table's masks by their color tuples)."""
+    for enumerate_ in (enumerate_color_shifted_complexes, enumerate_all_colored_complexes):
+        narrow = [
+            {tuple((color + 14, index) for color, index in f.vertices) for f in c.faces}
+            for c in enumerate_(3, [1, 1, 1])
+        ]
+        wide = [
+            {tuple(f.vertices) for f in c.faces}
+            for c in enumerate_(17, [0] * 14 + [1, 1, 1])
+        ]
+        assert wide == narrow and len(wide) > 5
+
+
 # ===================================================================
 # flag-constrained search
 # ===================================================================
@@ -1323,6 +1347,11 @@ def test_partition_numbers_match_brute():
 def test_partition_number_rejects_negative():
     with pytest.raises(ValueError):
         partition_number(-1)
+
+
+def test_diagram_count_rejects_negative_edges():
+    with pytest.raises(ValueError, match=r"^edge count must be >= 0$"):
+        count_two_color_shifted_by_edges(-1)
 
 
 def test_partition_number_overflow_guard():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flagshift"
 
 
 def _load(name: str):
@@ -33,6 +35,33 @@ def test_tracer_targets_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_no_dead_imports():
+    """Every name a module of the package imports is read in it, except
+    the bindings the benchmark's tracer wraps (its TARGETS), which it
+    looks up on the module.  __init__.py imports to re-export."""
+    traced = {(module, attr) for module, attr, _span in load_tracing().TARGETS}
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"flagshift.{path.stem}"
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (module, name) not in traced:
+                        dead.append(f"{module}.{name}")
+    assert dead == []
 
 
 def test_traced_pass_reaches_every_kernel():
