@@ -26,13 +26,17 @@ like the points a face dominates, written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
-built by the layered walk, and a cone extension, holds only that.
+built by the layered walk, a cone extension and a parsed "faces"
+document (formats.parse_complex) hold only that.
 _record_grids walks its color sets with their grids' geometries, the one
 cache keyed by color set and radices; each also holds its colors and two
 memos by rank, the faces decoded so far and the face texts
 formats.emit_complex wrote.  A record's faces are decoded into that memo
 on first use and the emitter builds a face only on a text miss; no drops
-are built, so no mask as wide as a grid.
+are built, so no mask as wide as a grid.  The parser and shifting test a
+record in masks, with its grids' drops and rows (the points above each
+color's bottom row), only where the grids hold at most
+_GRID_BITS_PER_FACE points per face.
 
 Faces and complexes are immutable; operations return new objects.
 """
@@ -263,12 +267,12 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     return None
 
 
-def _repeat(copies: int, stride: int) -> int:
-    """The mask with `copies` bits, `stride` apart from bit 0, by
-    shift-and-OR doubling with an overlapping last shift, as _project
+def _repeat(copies: int, stride: int, unit: int = 1) -> int:
+    """The mask with `copies` copies of `unit`, `stride` apart from bit 0,
+    by shift-and-OR doubling with an overlapping last shift, as _project
     folds: log(copies) shifts, where the division by (1 << stride) - 1
     is quadratic in the width."""
-    mask = 1 if copies > 0 else 0
+    mask = unit if copies > 0 else 0
     have = 1
     while 2 * have <= copies:
         mask |= mask << (have * stride)
@@ -317,12 +321,16 @@ class _UpSets(dict):
 
 class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
-    shape is set once.  Its drops and up-sets, which only the search
-    reads, are built on first read, since they are as wide as the grid;
-    its face and face-text memos fill as records over it are read.  So
-    reading a record costs the faces it holds, never the whole grid."""
+    shape is set once.  Its drops, rows and up-sets, which only the
+    search and the mask tests read, are built on first read, since they
+    are as wide as the grid, and so are its strides; its face and
+    face-text memos fill as records over it are read.  So reading a
+    record costs the faces it holds, never the whole grid."""
 
-    __slots__ = ("mask", "colors", "radices", "size", "chain", "faces", "texts", "_ups", "_drops")
+    __slots__ = (
+        "mask", "colors", "radices", "size", "chain", "faces", "texts",
+        "_ups", "_drops", "_rows", "_strides",
+    )
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
         self.mask = mask  # color-set bitmask
@@ -332,7 +340,7 @@ class _Geometry:
         self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
-        self._ups = self._drops = None
+        self._ups = self._drops = self._rows = self._strides = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -350,6 +358,33 @@ class _Geometry:
         return self._drops
 
     @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """Per color with more than one vertex, in color order: (its
+        stride s, the points whose index of that color is above 1)."""
+        if self._rows is None:
+            rows = []
+            s = size = self.size
+            for r in self.radices:
+                s //= r
+                if r > 1:  # the bottom row: s points, then (r - 1) * s skipped
+                    bottom = _repeat(size // (r * s), r * s, (1 << s) - 1)
+                    rows.append((s, ((1 << size) - 1) ^ bottom))
+            self._rows = tuple(rows)
+        return self._rows
+
+    @property
+    def strides(self) -> list[int]:
+        """By color: its stride, the product of the later radices."""
+        if self._strides is None:
+            strides = [0] * (self.mask.bit_length() + 1)
+            stride = 1
+            for color, r in zip(reversed(self.colors), reversed(self.radices)):
+                strides[color] = stride
+                stride *= r
+            self._strides = strides
+        return self._strides
+
+    @property
     def ups(self) -> MappingProxyType:  # read-only, made on the first kernel read
         if self._ups is None:
             self._ups = MappingProxyType(_UpSets(self.radices))
@@ -357,6 +392,12 @@ class _Geometry:
 
 
 _layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids
+
+# Points per face a record's grids may hold, in all (formats._parse_record)
+# or layer by layer (shifting._maximal_in_masks), for the masks as wide as
+# a grid to be built: a Face holds about 258 bytes, so they never outgrow
+# the faces they stand in for.  A sparser complex takes the face route.
+_GRID_BITS_PER_FACE = 512
 
 
 def _grid_face(geo: _Geometry, rank: int) -> Face:
@@ -368,6 +409,22 @@ def _grid_face(geo: _Geometry, rank: int) -> Face:
         indices.append(index + 1)
     # colors ascend and indices start at 1: the tuple is a Face's own
     return Face._raw(tuple(map(Vertex, geo.colors, reversed(indices))))
+
+
+def _grid_faces(points: int, geo: _Geometry) -> list[Face]:
+    """The faces of a bitmask of points of the grid `geo`, in rank
+    order, each decoded once into the grid's face memo."""
+    memo = geo.faces
+    built = []
+    while points:
+        low = points & -points
+        rank = low.bit_length() - 1
+        face = memo.get(rank)
+        if face is None:  # the empty face is falsy
+            face = memo[rank] = _grid_face(geo, rank)
+        built.append(face)
+        points ^= low
+    return built
 
 
 def _project(points: int, r: int, s: int) -> int:
@@ -438,10 +495,10 @@ class ColoredComplex(_Immutable):
         record[{c}].  Record[0] is 1 for the empty face, record[{c}] is
         (1 << t_c) - 1 for the t_c vertices of color c, and a color set
         without an entry has no face.  Its entries are in canonical order
-        (flags.mask_sort_key), as the walk and cone_extension write them,
-        and those callers pass faces=None: `faces` builds them on first
-        use, and `sorted_faces` and formats.emit_complex read them off
-        in that order.  flag_f and len read the counts from the record.
+        (flags.mask_sort_key), as the walk, cone_extension and the parser
+        write them, and those callers pass faces=None: `faces` builds
+        them on first use, and `sorted_faces` and formats.emit_complex
+        read them off in that order.  flag_f and len read the counts from the record.
         """
         obj = object.__new__(cls)
         _set_num_colors(obj, num_colors)
@@ -462,15 +519,7 @@ class ColoredComplex(_Immutable):
         and rank order within each."""
         built = []
         for points, geo in _record_grids(self._record):
-            memo = geo.faces
-            while points:
-                low = points & -points
-                rank = low.bit_length() - 1
-                face = memo.get(rank)
-                if face is None:  # the empty face is falsy
-                    face = memo[rank] = _grid_face(geo, rank)
-                built.append(face)
-                points ^= low
+            built += _grid_faces(points, geo)
         return built
 
     @property

@@ -193,10 +193,9 @@ def _check_f_semantics(counts: list[int]) -> None:
 def flag_f(c: ColoredComplex) -> FlagVector:
     """Flag f-vector of a complex: faces counted by exact color set.
 
-    A complex that carries a record (every walk-built complex and every
-    cone extension) holds one bitmask of faces per color set (see
-    ColoredComplex._raw) and is counted without reading its faces; any
-    other is counted face by face.
+    A complex that carries a record holds one bitmask of faces per color
+    set (see ColoredComplex._raw) and is counted without reading its
+    faces; any other is counted face by face.
     """
     n = c._num_colors
     if n > MAX_COLORS:

@@ -4,6 +4,9 @@ Complex document:
     {"num_colors": n, "faces": [[[color, index], ...], ...]}
 or, as input only, "generators" in place of "faces" (the parser takes
 the downward closure).  Exactly one of the two keys must be present.
+A valid "faces" document whose grids hold at most
+complexes._GRID_BITS_PER_FACE points per face parses into a record;
+any other parses into faces, which name its defect.
 
 Flag vector document:
     {"num_colors": n, "kind": "f" | "h",
@@ -23,10 +26,10 @@ from functools import lru_cache
 from itertools import chain
 from typing import Any
 
-from .complexes import ColoredComplex, Face, _vertex_tuple, from_generators
-from .complexes import _grid_face, _record_grids
+from .complexes import ColoredComplex, Face, _vertex_tuple, colors_of_mask, from_generators
+from .complexes import _GRID_BITS_PER_FACE, _grid_face, _layer_geometry, _project, _record_grids
 from .construction import ConstructionReport
-from .flags import CoarseFVector, FlagVector
+from .flags import MAX_COLORS, CoarseFVector, FlagVector, mask_sort_key
 
 
 class DocumentError(ValueError):
@@ -78,6 +81,72 @@ def _parse_face(entry: Any, pos: int) -> Face:
         raise DocumentError(f"face #{pos}: {exc}") from exc
 
 
+def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
+    """The record (ColoredComplex._raw) of a "faces" list of JSON
+    values, or None when the face-set route must run: the list breaks a
+    check of _parse_face or validate_faces, has more than MAX_COLORS
+    colors (mask_sort_key's reach), or its grids hold more than
+    _GRID_BITS_PER_FACE points per entry.
+
+    The first pass checks each pair and takes each color's largest
+    index t_c, so the grids are sized before any mask is built; the
+    second sets each face's rank in its color set's entry.  The faces
+    then pass validate_faces exactly when record[0] is 1 (the empty
+    face), every vertex entry is (1 << t_c) - 1 (a color's singletons
+    run from 1 to its largest index: saturation), and each layer's
+    projection along each drop lies inside the sub-layer (every
+    one-vertex drop of a face is present: closure).
+    """
+    if num_colors > MAX_COLORS:
+        return None
+    top = [0] * (num_colors + 1)  # top[c]: the largest index of color c
+    masks = []
+    try:
+        for entry in entries:
+            if type(entry) is not list:
+                return None
+            mask = 0
+            # a JSON value unpacks into two ints only if it is a list of two
+            for color, index in entry:
+                if type(color) is not int or type(index) is not int:
+                    return None
+                if not 0 < color <= num_colors or index < 1:
+                    return None
+                mask |= 1 << (color - 1)
+                if index > top[color]:
+                    top[color] = index
+            if mask.bit_count() != len(entry):  # a color held twice
+                return None
+            masks.append(mask)
+    except (TypeError, ValueError):  # a pair that does not unpack into two
+        return None
+    grids = {
+        mask: _layer_geometry(mask, tuple([top[c] for c in colors_of_mask(mask)]))
+        for mask in sorted(set(masks), key=mask_sort_key)
+    }
+    if sum(geo.size for geo in grids.values()) > _GRID_BITS_PER_FACE * len(entries):
+        return None
+    layers = {mask: (geo.strides, bytearray(geo.size + 7 >> 3)) for mask, geo in grids.items()}
+    for entry, mask in zip(entries, masks):
+        stride, bits = layers[mask]
+        rank = 0
+        for color, index in entry:
+            rank += (index - 1) * stride[color]
+        bits[rank >> 3] |= 1 << (rank & 7)
+    record = {mask: int.from_bytes(bits, "little") for mask, (_, bits) in layers.items()}
+    if record.get(0) != 1:
+        return None
+    for color in range(1, num_colors + 1):
+        if top[color] and record.get(1 << (color - 1)) != (1 << top[color]) - 1:
+            return None
+    for mask, geo in grids.items():
+        for sub, _, r, s, _ in geo.drops:
+            # a vertex's drop is the empty face, checked above
+            if sub and _project(record[mask], r, s) & ~record.get(sub, 0):
+                return None
+    return record
+
+
 def parse_complex(text: str) -> ColoredComplex:
     """Parse a complex document; raises DocumentError or InvalidComplexError."""
     doc = _expect_object(_loads(text), "complex")
@@ -94,6 +163,10 @@ def parse_complex(text: str) -> ColoredComplex:
     entries = doc[key]
     if not isinstance(entries, list):
         raise DocumentError(f'"{key}" must be a list of faces')
+    if has_faces:
+        record = _parse_record(num_colors, entries)
+        if record is not None:
+            return ColoredComplex._raw(num_colors, None, record)
     faces = [_parse_face(entry, pos) for pos, entry in enumerate(entries)]
     if has_generators:
         return from_generators(num_colors, faces)
@@ -123,7 +196,7 @@ def emit_complex(c: ColoredComplex) -> str:
     The bytes equal _dumps of the document but are written directly:
     json's indented encoder runs in pure Python, and a complex's
     document is only nested lists of integers.  A complex with a record
-    (a cone extension or a walk-built complex) is written from it in its
+    (complexes.ColoredComplex._raw) is written from it in its
     canonical order, each face's text taken from the text memo of its
     grid's geometry (complexes._record_grids): a face is formatted once
     per grid, not once per document, and a memo hit builds no Face.

@@ -5,13 +5,17 @@ vertex of the same color in F with index at least as large.  A complex
 is color-shifted when its face set is a down-set for this order.  The
 shift-maximal faces of a color-shifted complex are the maximal elements;
 they generate the complex through their principal down-sets.
+
+A record is tested in masks, a face set tuple by tuple; only the
+tuple route names a violation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .complexes import ColoredComplex, Face, Vertex
+from .complexes import _GRID_BITS_PER_FACE, ColoredComplex, Face, Vertex
+from .complexes import _grid_faces, _project, _record_grids
 
 
 def dominance_le(lower: Face, upper: Face) -> bool:
@@ -65,8 +69,12 @@ def find_shift_violation(c: ColoredComplex) -> tuple[Face, Face] | None:
 
     Returns (missing, containing): the containing face is the first face
     in canonical order with any absent dominated face, and the missing
-    face is the canonically smallest absent member of its down-set.
+    face is the canonically smallest absent member of its down-set.  A
+    record that passes shift_maximal_faces' mask test returns None
+    without building its face set.
     """
+    if c._record is not None and _maximal_in_masks(c._record) is not None:
+        return None
     faces = c.faces
     have = {face._vertices for face in faces}
     if _covered(have) <= have:
@@ -99,7 +107,24 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
 
     c is color-shifted exactly when it holds every face's immediate
     predecessors; find_shift_violation runs only to name a violation.
+
+    A record (ColoredComplex._raw) is a complex, so it holds every
+    drop, and the rest of the argument runs in masks.  In the grid of a
+    layer, the point one index lower than p in a color of stride s is
+    p - s, for p above that color's bottom row (_Geometry.rows); so c is
+    color-shifted exactly when, for every layer and color, those points
+    shifted down by s stay inside the layer.  The points so reached are
+    the index predecessors, and the projections of each layer S + {c}
+    onto S (_project) are the drop predecessors; the points of S left
+    are its maximal faces.  Rank order is row-major, lexicographic in
+    the indices, so the layers in order of their colors, each in rank
+    order, give shift_max_key's order.  A record that fails the test,
+    or has a layer too sparse for masks, takes the tuple route.
     """
+    if c._record is not None:
+        maximal = _maximal_in_masks(c._record)
+        if maximal is not None:
+            return maximal
     faces = c.faces
     have = {face._vertices for face in faces}
     covered = _covered(have)
@@ -111,6 +136,33 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     return sorted(
         (face for face in faces if face._vertices not in covered), key=shift_max_key
     )
+
+
+def _maximal_in_masks(record: dict[int, int]) -> list[Face] | None:
+    """The maximal faces of a record as shift_maximal_faces states, or
+    None when it is not color-shifted or a layer's grid is too sparse
+    for masks (complexes._GRID_BITS_PER_FACE)."""
+    covered: dict[int, int] = {}  # layer mask -> its points a drop covers
+    layers = []
+    for points, geo in _record_grids(record):
+        if geo.size > _GRID_BITS_PER_FACE * points.bit_count():
+            return None
+        for sub, _, r, s, _ in geo.drops:
+            covered[sub] = covered.get(sub, 0) | _project(points, r, s)
+        free = points
+        for s, above in geo.rows:
+            lower = (points & above) >> s  # one index lower than a point
+            if lower & ~points:
+                return None
+            free &= ~lower
+        if free:
+            layers.append((geo.colors, free, geo))
+    maximal = []
+    for _, free, geo in sorted(layers, key=lambda layer: layer[0]):
+        free &= ~covered.get(geo.mask, 0)
+        if free:
+            maximal += _grid_faces(free, geo)
+    return maximal
 
 
 def principal_downset(c: ColoredComplex, face: Face) -> ColoredComplex:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -20,11 +21,13 @@ from flagshift import (
     emit_flag_vector,
     emit_report,
     enumerate_all_colored_complexes,
+    enumerate_color_shifted_complexes,
     enumerate_color_shifted_with_flag,
     flag_f,
     h_from_f,
     parse_complex,
     parse_flag_vector,
+    shift_closure,
     verify_uniqueness,
 )
 from flagshift import complexes
@@ -83,7 +86,8 @@ def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
     key-sorted encoding of complex_to_obj, on record-built complexes
     (the corpus, its extensions, the staircases' k = 2..14 extensions,
     walk witnesses, every complex within 2 x 2 vertices) and face-set
-    ones (parsed, empty, trivial, and a face of 20 colors, so the
+    ones (the corpus and the staircases through the checked
+    constructor, empty, trivial, and a face of 20 colors, so the
     per-size templates have no limit), and again once the text memos
     are cleared."""
     staircases = [staircase(k) for k in range(2, 15)]
@@ -101,7 +105,7 @@ def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
     # whatever family it holds, so the face alone shows the template
     top = Face._raw(tuple(Vertex(color, 1) for color in range(1, 21)))
     face_sets = [
-        *(parse_complex(emit_complex(c)) for c in [*enumerated_corpus, *staircases]),
+        *(ColoredComplex(c.num_colors, c.faces) for c in [*enumerated_corpus, *staircases]),
         *(make(n) for make in (empty_complex, trivial_complex) for n in (0, 3)),
         ColoredComplex._raw(20, frozenset({EMPTY_FACE, top})),
     ]
@@ -185,6 +189,135 @@ def test_parse_complex_invalid_complex_raised():
 def test_parse_complex_duplicate_faces_collapse():
     c = parse_complex('{"num_colors": 1, "faces": [[], [[1, 1]], [[1, 1]]]}')
     assert len(c) == 2
+
+
+# The record route hands each of these "faces" lists (over 3 colors) to
+# the face route, whose exception class and message are pinned here.
+FACE_ROUTE_ERRORS = [
+    ("[[], [[1, 1]], [[1]]]", DocumentError, "face #2 holds a malformed vertex: [1]"),
+    ("[[], [[1, 1]], [[1, 1, 1]]]", DocumentError, "face #2 holds a malformed vertex: [1, 1, 1]"),
+    ("[[], [[1, 1]], [[1, true]]]", DocumentError, "face #2 holds a malformed vertex: [1, True]"),
+    ("[[], [[1, 1]], [[1, 1.0]]]", DocumentError, "face #2 holds a malformed vertex: [1, 1.0]"),
+    ('[[], [[1, 1]], ["ab"]]', DocumentError, "face #2 holds a malformed vertex: 'ab'"),
+    (
+        '[[], [[1, 1]], [{"1": 1, "2": 1}]]',
+        DocumentError,
+        "face #2 holds a malformed vertex: {'1': 1, '2': 1}",
+    ),
+    ('[[], [[1, 1]], "ab"]', DocumentError, "face #2 must be a list of [color, index] pairs"),
+    ("[[], [[1, 0]]]", DocumentError, "face #1: vertex components must be >= 1, got (1, 0)"),
+    ("[[], [[0, 1]]]", DocumentError, "face #1: vertex components must be >= 1, got (0, 1)"),
+    (
+        "[[], [[1, 1]], [[4, 1]]]",
+        InvalidComplexError,
+        "face {v_1^4} uses color 4 but the complex has 3 colors",
+    ),
+    (
+        "[[], [[1, 1]], [[2, 1], [1, 1], [2, 2]]]",
+        DocumentError,
+        "face #2: face holds two vertices of color 2",
+    ),
+    # every other check passes: the pairs' ranks lie in the grid of color 2
+    (
+        "[[], [[1, 1]], [[2, 1]], [[2, 2]], [[2, 1], [2, 2]]]",
+        DocumentError,
+        "face #4: face holds two vertices of color 2",
+    ),
+    ("[[[1, 1]], [[2, 1]]]", InvalidComplexError, "non-empty complex must contain the empty face"),
+    (
+        "[[], [[1, 1]], [[1, 1], [2, 1]]]",
+        InvalidComplexError,
+        "face {v_1^1,v_1^2} is present but its subset {v_1^2} is missing",
+    ),
+    # every vertex is there, so only the drop check sees the missing edge
+    (
+        "[[], [[1, 1]], [[2, 1]], [[3, 1]], [[1, 1], [2, 1]], [[1, 1], [3, 1]],"
+        " [[1, 1], [2, 1], [3, 1]]]",
+        InvalidComplexError,
+        "face {v_1^1,v_1^2,v_1^3} is present but its subset {v_1^2,v_1^3} is missing",
+    ),
+    (
+        "[[], [[1, 1]], [[1, 3]]]",
+        InvalidComplexError,
+        "color 1 skips vertex index 2: indices must be contiguous from 1",
+    ),
+    (
+        "[[], [[2, 2]], [[1, 1]]]",
+        InvalidComplexError,
+        "color 2 skips vertex index 1: indices must be contiguous from 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("faces,cls,message", FACE_ROUTE_ERRORS)
+def test_record_route_leaves_errors_to_the_face_route(faces, cls, message):
+    with pytest.raises(ValueError) as info:
+        parse_complex(f'{{"num_colors": 3, "faces": {faces}}}')
+    assert type(info.value) is cls and str(info.value) == message
+
+
+def _face_route(doc: str) -> ColoredComplex:
+    """The complex of a "faces" document, built face by face through the
+    checked constructors."""
+    obj = json.loads(doc)
+    return ColoredComplex(obj["num_colors"], [Face(entry) for entry in obj["faces"]])
+
+
+def test_parsed_records_match_the_face_route(enumerated_corpus):
+    """Every corpus document and every document of the [3, 2, 2] box
+    parses into a record equal to its face route's complex, emitting the
+    same bytes; so does each with its faces and their pairs listed in
+    reverse, and with every face written twice, and so do the valid
+    complexes with duplicate faces and on no colors."""
+    box = enumerate_color_shifted_complexes(3, [3, 2, 2])
+    for c in [*enumerated_corpus, *box]:
+        doc = emit_complex(c)
+        parsed = parse_complex(doc)
+        assert parsed._record is not None and parsed._faces is None
+        face_route = _face_route(doc)
+        assert parsed == face_route and face_route == parsed == c
+        assert emit_complex(parsed) == emit_complex(face_route) == doc
+        faces = json.loads(doc)["faces"]
+        for listed in ([entry[::-1] for entry in reversed(faces)], faces + faces):
+            again = parse_complex(json.dumps({"num_colors": c.num_colors, "faces": listed}))
+            assert again._record == parsed._record
+    for doc in (
+        '{"num_colors": 2, "faces": [[], [[1, 1]], [[1, 1]], [[2, 1]], [[2, 1], [1, 1]]]}',
+        '{"num_colors": 0, "faces": [[]]}',
+        '{"num_colors": 3, "faces": [[], [[2, 1]]]}',
+    ):
+        parsed = parse_complex(doc)
+        assert parsed._record is not None
+        assert parsed == _face_route(doc) and emit_complex(parsed) == emit_complex(_face_route(doc))
+
+
+def test_sparse_and_wide_documents_parse_into_faces():
+    """A document whose grids hold more than 512 points per face entry
+    parses into faces, not a record as wide as its grids.  The first
+    two-color complex with one edge over t x t vertices to cross the
+    rule is t = 1,024: its grids hold (t + 1)^2 points for 2t + 2 faces.
+    The complex of three colors of 600 vertices with one triangle, whose
+    grid of colors {1, 2, 3} has 216,000,000 points, parses within a few
+    MiB.  A document of more than 16 colors parses into faces too."""
+    for t, recorded in ((1023, True), (1024, False)):
+        edge = shift_closure(2, [Face([(1, t)]), Face([(2, t)]), Face([(1, 1), (2, 1)])])
+        parsed = parse_complex(emit_complex(edge))
+        assert (parsed._record is not None) == recorded and parsed == edge
+    sparse = shift_closure(
+        3, [Face([(1, 600)]), Face([(2, 600)]), Face([(3, 600)]), Face([(1, 600), (2, 1), (3, 1)])]
+    )
+    doc = emit_complex(sparse)
+    tracemalloc.start()
+    try:
+        parsed = parse_complex(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed._record is None and parsed == sparse
+    assert peak < 8 << 20, peak
+    wide = '{"num_colors": 17, "faces": [[], [[1, 1]], [[17, 1]], [[1, 1], [17, 1]]]}'
+    parsed = parse_complex(wide)
+    assert parsed._record is None and parsed == _face_route(wide)
 
 
 # ===================================================================

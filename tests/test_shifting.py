@@ -11,19 +11,25 @@ from flagshift import (
     Face,
     dominance_le,
     down_set_faces,
+    emit_complex,
+    enumerate_all_colored_complexes,
+    enumerate_color_shifted_complexes,
     find_shift_violation,
     is_color_shifted,
+    parse_complex,
     principal_downset,
     shift_closure,
     shift_maximal_faces,
     trivial_complex,
     validate_faces,
+    verify_uniqueness,
 )
 
 from helpers import (
     all_candidate_faces,
     brute_dominance_le,
     brute_is_color_shifted,
+    brute_record,
     brute_shift_maximal,
     edge2,
     face,
@@ -225,6 +231,50 @@ def test_maximal_faces_reject_unshifted(corpus, shifted_corpus):
 def test_maximal_faces_match_brute_force(shifted_corpus, enumerated_corpus):
     for c in [*shifted_corpus, *enumerated_corpus]:
         assert set(shift_maximal_faces(c)) == brute_shift_maximal(set(c.faces)), c
+
+
+def _maximal_or_message(c: ColoredComplex):
+    try:
+        return shift_maximal_faces(c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_mask_route_matches_the_tuple_route(enumerated_corpus):
+    """On a record, shift_maximal_faces and find_shift_violation answer
+    in masks what they answer on its face set tuple by tuple, the same
+    faces in the same order or the same error: every complex within
+    3 x 3 vertices, shifted or not, the enumerated corpus, the [3, 2, 2]
+    box, and each one-face drop of the corpus that is still a valid
+    complex, recorded."""
+    records = [
+        *enumerate_all_colored_complexes(2, [3, 3]),
+        *enumerated_corpus,
+        *enumerate_color_shifted_complexes(3, [3, 2, 2]),
+    ]
+    for c in enumerated_corpus:
+        for f in c.faces:
+            drop = ColoredComplex._raw(c.num_colors, c.faces - {f})
+            if drop.validate() is None:
+                records.append(ColoredComplex._raw(c.num_colors, None, brute_record(drop)))
+    unshifted = 0
+    for c in records:
+        assert c._record is not None
+        tuples = ColoredComplex._raw(c.num_colors, c.faces)
+        assert find_shift_violation(c) == find_shift_violation(tuples), c
+        want = _maximal_or_message(tuples)
+        assert _maximal_or_message(c) == want, c
+        unshifted += isinstance(want, str)
+    assert (len(records), unshifted) == (689 + 1230 + 4115 + 6625, 620 + 2687)
+
+
+def test_uniqueness_of_a_parsed_document_builds_no_face_set(enumerated_corpus):
+    """A parsed corpus document is a record, and verifying its extension
+    reads its maximal faces off the masks: its face set stays unbuilt."""
+    for c in enumerated_corpus:
+        delta = parse_complex(emit_complex(c))
+        assert verify_uniqueness(delta).unique is True
+        assert delta._faces is None, c
 
 
 def test_maximal_faces_generate_the_complex(shifted_corpus):
