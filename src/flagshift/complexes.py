@@ -35,8 +35,8 @@ formats.emit_complex wrote.  A record's faces are decoded into that memo
 on first use and the emitter builds a face only on a text miss; no drops
 are built, so no mask as wide as a grid.  The parser and shifting test a
 record in masks, with its grids' drops and rows (the points above each
-color's bottom row), only where the grids hold at most
-_GRID_BITS_PER_FACE points per face.
+color's bottom row), only where each layer's grid holds at most
+_GRID_BITS_PER_FACE points per face of the layer (_dense_enough).
 
 Faces and complexes are immutable; operations return new objects.
 """
@@ -323,9 +323,10 @@ class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
     shape is set once.  Its drops, rows and up-sets, which only the
     search and the mask tests read, are built on first read, since they
-    are as wide as the grid, and so are its strides; its face and
-    face-text memos fill as records over it are read.  So reading a
-    record costs the faces it holds, never the whole grid."""
+    are as wide as the grid, and so are its strides, read from its
+    drops; its face and face-text memos fill as records over it are
+    read.  So reading a record costs the faces it holds, never the
+    whole grid."""
 
     __slots__ = (
         "mask", "colors", "radices", "size", "chain", "faces", "texts",
@@ -363,9 +364,8 @@ class _Geometry:
         stride s, the points whose index of that color is above 1)."""
         if self._rows is None:
             rows = []
-            s = size = self.size
-            for r in self.radices:
-                s //= r
+            size = self.size
+            for _, _, r, s, _ in self.drops:
                 if r > 1:  # the bottom row: s points, then (r - 1) * s skipped
                     bottom = _repeat(size // (r * s), r * s, (1 << s) - 1)
                     rows.append((s, ((1 << size) - 1) ^ bottom))
@@ -374,13 +374,13 @@ class _Geometry:
 
     @property
     def strides(self) -> list[int]:
-        """By color: its stride, the product of the later radices."""
+        """By color, the stride of its drop, for the parser's reads per
+        vertex: kept on the grid, as a list built per parse shows in
+        the corpus benchmark's wall time."""
         if self._strides is None:
             strides = [0] * (self.mask.bit_length() + 1)
-            stride = 1
-            for color, r in zip(reversed(self.colors), reversed(self.radices)):
-                strides[color] = stride
-                stride *= r
+            for color, (*_, s, _) in zip(self.colors, self.drops):
+                strides[color] = s
             self._strides = strides
         return self._strides
 
@@ -393,11 +393,16 @@ class _Geometry:
 
 _layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids
 
-# Points per face a record's grids may hold, in all (formats._parse_record)
-# or layer by layer (shifting._maximal_in_masks), for the masks as wide as
-# a grid to be built: a Face holds about 258 bytes, so they never outgrow
-# the faces they stand in for.  A sparser complex takes the face route.
+# Points per face a layer's grid may hold for a mask as wide as the grid to
+# stand in for the layer's faces: a Face holds about 258 bytes, so the mask
+# never outgrows them.  A sparser layer takes the face route.
 _GRID_BITS_PER_FACE = 512
+
+
+def _dense_enough(points: int, faces: int) -> bool:
+    """Whether a layer of `faces` faces in a grid of `points` points may
+    be read in masks (formats._parse_record, shifting._maximal_in_masks)."""
+    return points <= _GRID_BITS_PER_FACE * faces
 
 
 def _grid_face(geo: _Geometry, rank: int) -> Face:
@@ -436,7 +441,10 @@ def _project(points: int, r: int, s: int) -> int:
     `points` shifted down by 0, s, ..., (r - 1) * s, doubling the copies
     each step and overlapping the last, so bit hi * r * s + lo of the
     fold is set when some point of that sub-point's fiber is.  The
-    gather then takes the low s bits of each r * s-bit block."""
+    gather then takes the low s bits of each r * s-bit block: by
+    shifting the fold down a block at a time when it spans at most 16
+    blocks, otherwise from its binary text, one slice per offset below
+    s, so the gather stays linear in the width however many blocks."""
     if r == 1:
         return points
     folded = points
@@ -446,14 +454,23 @@ def _project(points: int, r: int, s: int) -> int:
         copies *= 2
     if copies < r:
         folded |= folded >> ((r - copies) * s)
-    block = (1 << s) - 1
-    sub = 0
-    shift = 0
-    while folded:
-        sub |= (folded & block) << shift
-        folded >>= r * s
-        shift += s
-    return sub
+    width = r * s
+    if folded.bit_length() <= 16 * width:
+        block = (1 << s) - 1
+        sub = 0
+        shift = 0
+        while folded:
+            sub |= (folded & block) << shift
+            folded >>= width
+            shift += s
+        return sub
+    bits = format(folded, "b").encode()[::-1]  # bits[i]: bit i, as b"0" or b"1"
+    blocks = -(-len(bits) // width)
+    bits += b"0" * (blocks * width - len(bits))
+    sub = bytearray(blocks * s)
+    for lo in range(s):
+        sub[lo::s] = bits[lo::width]
+    return int(sub[::-1], 2)
 
 
 class ColoredComplex(_Immutable):

@@ -4,9 +4,9 @@ Complex document:
     {"num_colors": n, "faces": [[[color, index], ...], ...]}
 or, as input only, "generators" in place of "faces" (the parser takes
 the downward closure).  Exactly one of the two keys must be present.
-A valid "faces" document whose grids hold at most
-complexes._GRID_BITS_PER_FACE points per face parses into a record;
-any other parses into faces, which name its defect.
+A valid "faces" document whose every layer is dense enough for masks
+(complexes._dense_enough) parses into a record; any other parses into
+faces, which name its defect.
 
 Flag vector document:
     {"num_colors": n, "kind": "f" | "h",
@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Any
 
 from .complexes import ColoredComplex, Face, _vertex_tuple, colors_of_mask, from_generators
-from .complexes import _GRID_BITS_PER_FACE, _grid_face, _layer_geometry, _project, _record_grids
+from .complexes import _dense_enough, _grid_face, _layer_geometry, _project, _record_grids
 from .construction import ConstructionReport
 from .flags import MAX_COLORS, CoarseFVector, FlagVector, mask_sort_key
 
@@ -85,17 +85,19 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
     """The record (ColoredComplex._raw) of a "faces" list of JSON
     values, or None when the face-set route must run: the list breaks a
     check of _parse_face or validate_faces, has more than MAX_COLORS
-    colors (mask_sort_key's reach), or its grids hold more than
-    _GRID_BITS_PER_FACE points per entry.
+    colors (mask_sort_key's reach), or a layer too sparse for masks
+    (complexes._dense_enough).
 
     The first pass checks each pair and takes each color's largest
     index t_c, so the grids are sized before any mask is built; the
-    second sets each face's rank in its color set's entry.  The faces
-    then pass validate_faces exactly when record[0] is 1 (the empty
-    face), every vertex entry is (1 << t_c) - 1 (a color's singletons
-    run from 1 to its largest index: saturation), and each layer's
-    projection along each drop lies inside the sub-layer (every
-    one-vertex drop of a face is present: closure).
+    second sets each face's rank in its color set's entry.  Each layer
+    is tested for density by its distinct points before it is
+    projected.  The faces then pass validate_faces exactly when
+    record[0] is 1 (the empty face), every vertex entry is
+    (1 << t_c) - 1 (a color's singletons run from 1 to its largest
+    index: saturation), and each layer's projection along each drop
+    lies inside the sub-layer (every one-vertex drop of a face is
+    present: closure).
     """
     if num_colors > MAX_COLORS:
         return None
@@ -124,7 +126,9 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
         mask: _layer_geometry(mask, tuple([top[c] for c in colors_of_mask(mask)]))
         for mask in sorted(set(masks), key=mask_sort_key)
     }
-    if sum(geo.size for geo in grids.values()) > _GRID_BITS_PER_FACE * len(entries):
+    # the rule on every layer implies it on their sum, as the entries bound
+    # the faces: this changes no route, and refuses before masks are built
+    if not _dense_enough(sum(geo.size for geo in grids.values()), len(entries)):
         return None
     layers = {mask: (geo.strides, bytearray(geo.size + 7 >> 3)) for mask, geo in grids.items()}
     for entry, mask in zip(entries, masks):
@@ -140,6 +144,8 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
         if top[color] and record.get(1 << (color - 1)) != (1 << top[color]) - 1:
             return None
     for mask, geo in grids.items():
+        if not _dense_enough(geo.size, record[mask].bit_count()):
+            return None
         for sub, _, r, s, _ in geo.drops:
             # a vertex's drop is the empty face, checked above
             if sub and _project(record[mask], r, s) & ~record.get(sub, 0):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .complexes import _GRID_BITS_PER_FACE, ColoredComplex, Face, Vertex
-from .complexes import _grid_faces, _project, _record_grids
+from .complexes import ColoredComplex, Face, Vertex
+from .complexes import _dense_enough, _grid_faces, _project, _record_grids
 
 
 def dominance_le(lower: Face, upper: Face) -> bool:
@@ -141,11 +141,11 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
 def _maximal_in_masks(record: dict[int, int]) -> list[Face] | None:
     """The maximal faces of a record as shift_maximal_faces states, or
     None when it is not color-shifted or a layer's grid is too sparse
-    for masks (complexes._GRID_BITS_PER_FACE)."""
+    for masks (complexes._dense_enough)."""
     covered: dict[int, int] = {}  # layer mask -> its points a drop covers
     layers = []
     for points, geo in _record_grids(record):
-        if geo.size > _GRID_BITS_PER_FACE * points.bit_count():
+        if not _dense_enough(geo.size, points.bit_count()):
             return None
         for sub, _, r, s, _ in geo.drops:
             covered[sub] = covered.get(sub, 0) | _project(points, r, s)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -292,14 +293,15 @@ def test_parsed_records_match_the_face_route(enumerated_corpus):
 
 
 def test_sparse_and_wide_documents_parse_into_faces():
-    """A document whose grids hold more than 512 points per face entry
-    parses into faces, not a record as wide as its grids.  The first
-    two-color complex with one edge over t x t vertices to cross the
-    rule is t = 1,024: its grids hold (t + 1)^2 points for 2t + 2 faces.
-    The complex of three colors of 600 vertices with one triangle, whose
-    grid of colors {1, 2, 3} has 216,000,000 points, parses within a few
-    MiB.  A document of more than 16 colors parses into faces too."""
-    for t, recorded in ((1023, True), (1024, False)):
+    """A document with a layer whose grid holds more than 512 points per
+    face of the layer parses into faces, not a record as wide as its
+    grids.  The first two-color complex with one edge over t x t
+    vertices to cross the rule is t = 23: the edge's grid holds t^2
+    points.  The complex of three colors of 600 vertices with one
+    triangle, whose grid of colors {1, 2, 3} has 216,000,000 points,
+    parses within a few MiB.  A document of more than 16 colors parses
+    into faces too."""
+    for t, recorded in ((22, True), (23, False)):
         edge = shift_closure(2, [Face([(1, t)]), Face([(2, t)]), Face([(1, 1), (2, 1)])])
         parsed = parse_complex(emit_complex(edge))
         assert (parsed._record is not None) == recorded and parsed == edge
@@ -318,6 +320,26 @@ def test_sparse_and_wide_documents_parse_into_faces():
     wide = '{"num_colors": 17, "faces": [[], [[1, 1]], [[17, 1]], [[1, 1], [17, 1]]]}'
     parsed = parse_complex(wide)
     assert parsed._record is None and parsed == _face_route(wide)
+
+
+def test_padded_documents_with_a_sparse_layer_parse_quickly():
+    """Entries of other layers, empty faces written again and the sparse
+    face written again buy no width for a sparse layer: with any of
+    them, a complex whose (1000, 1000, 2) triangle is alone in a grid
+    of 2,000,000 points parses into faces within seconds, equal to its
+    face route, where a width rule over all entries admitted the grid
+    and its projection took tens of seconds."""
+    vertices = [[[1, i]] for i in range(1, 1001)] + [[[2, i]] for i in range(1, 1001)]
+    triangle = [[1, 1000], [2, 1000], [3, 2]]
+    edges = [triangle[:2], [triangle[0], triangle[2]], triangle[1:]]
+    faces = [[], *vertices, [[3, 1]], [[3, 2]], *edges, triangle]
+    paddings = ([[[4, i]] for i in range(1, 4001)], [[]] * 4000, [triangle] * 4000)
+    for padding in paddings:
+        doc = json.dumps({"num_colors": 4, "faces": faces + padding})
+        start = time.perf_counter()
+        parsed = parse_complex(doc)
+        assert time.perf_counter() - start < 5.0
+        assert parsed._record is None and parsed == _face_route(doc)
 
 
 # ===================================================================
