@@ -34,9 +34,10 @@ memos by rank, the faces decoded so far and the face texts
 formats.emit_complex wrote.  A record's faces are decoded into that memo
 on first use and the emitter builds a face only on a text miss; no drops
 are built, so no mask as wide as a grid.  The parser and shifting test a
-record in masks, with its grids' drops and rows (the points above each
-color's bottom row), only where each layer's grid holds at most
-_GRID_BITS_PER_FACE points per face of the layer (_dense_enough).
+record in masks, with its grids' drops and up-sets (a color's points
+above its bottom row are the up-set of the point at its stride), only
+where each layer's grid holds at most _GRID_BITS_PER_FACE points per
+face of the layer (_dense_enough).
 
 Faces and complexes are immutable; operations return new objects.
 """
@@ -267,12 +268,12 @@ def validate_faces(num_colors: int, faces: Iterable[Face]) -> Violation | None:
     return None
 
 
-def _repeat(copies: int, stride: int, unit: int = 1) -> int:
-    """The mask with `copies` copies of `unit`, `stride` apart from bit 0,
-    by shift-and-OR doubling with an overlapping last shift, as _project
+def _repeat(copies: int, stride: int) -> int:
+    """The mask with `copies` bits, `stride` apart from bit 0, by
+    shift-and-OR doubling with an overlapping last shift, as _project
     folds: log(copies) shifts, where the division by (1 << stride) - 1
     is quadratic in the width."""
-    mask = unit if copies > 0 else 0
+    mask = 1 if copies > 0 else 0
     have = 1
     while 2 * have <= copies:
         mask |= mask << (have * stride)
@@ -321,16 +322,16 @@ class _UpSets(dict):
 
 class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
-    shape is set once.  Its drops, rows and up-sets, which only the
-    search and the mask tests read, are built on first read, since they
-    are as wide as the grid, and so are its strides, read from its
-    drops; its face and face-text memos fill as records over it are
-    read.  So reading a record costs the faces it holds, never the
-    whole grid."""
+    shape is set once.  Its drops and up-sets, which only the search and
+    the mask tests read, are built on first read, since they are as wide
+    as the grid, and so are its strides, read from its drops; its face
+    and face-text memos fill as records over it are read.  So reading a
+    record costs the faces it holds, never the whole grid.  For a color
+    of radix above 1, ups[stride] is its points above its bottom row."""
 
     __slots__ = (
         "mask", "colors", "radices", "size", "chain", "faces", "texts",
-        "_ups", "_drops", "_rows", "_strides",
+        "_ups", "_drops", "_strides",
     )
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
@@ -341,7 +342,7 @@ class _Geometry:
         self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
-        self._ups = self._drops = self._rows = self._strides = None
+        self._ups = self._drops = self._strides = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -359,20 +360,6 @@ class _Geometry:
         return self._drops
 
     @property
-    def rows(self) -> tuple[tuple[int, int], ...]:
-        """Per color with more than one vertex, in color order: (its
-        stride s, the points whose index of that color is above 1)."""
-        if self._rows is None:
-            rows = []
-            size = self.size
-            for _, _, r, s, _ in self.drops:
-                if r > 1:  # the bottom row: s points, then (r - 1) * s skipped
-                    bottom = _repeat(size // (r * s), r * s, (1 << s) - 1)
-                    rows.append((s, ((1 << size) - 1) ^ bottom))
-            self._rows = tuple(rows)
-        return self._rows
-
-    @property
     def strides(self) -> list[int]:
         """By color, the stride of its drop, for the parser's reads per
         vertex: kept on the grid, as a list built per parse shows in
@@ -385,7 +372,7 @@ class _Geometry:
         return self._strides
 
     @property
-    def ups(self) -> MappingProxyType:  # read-only, made on the first kernel read
+    def ups(self) -> MappingProxyType:  # read-only, made on the first kernel or mask-test read
         if self._ups is None:
             self._ups = MappingProxyType(_UpSets(self.radices))
         return self._ups

@@ -111,15 +111,16 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     A record (ColoredComplex._raw) is a complex, so it holds every
     drop, and the rest of the argument runs in masks.  In the grid of a
     layer, the point one index lower than p in a color of stride s is
-    p - s, for p above that color's bottom row (_Geometry.rows); so c is
-    color-shifted exactly when, for every layer and color, those points
-    shifted down by s stay inside the layer.  The points so reached are
-    the index predecessors, and the projections of each layer S + {c}
-    onto S (_project) are the drop predecessors; the points of S left
-    are its maximal faces.  Rank order is row-major, lexicographic in
-    the indices, so the layers in order of their colors, each in rank
-    order, give shift_max_key's order.  A record that fails the test,
-    or has a layer too sparse for masks, takes the tuple route.
+    p - s, for p above that color's bottom row: the up-set of the point
+    of rank s (_Geometry.ups).  So c is color-shifted exactly when, for
+    every layer and color, those points shifted down by s stay inside
+    the layer.  The points so reached are the index predecessors, and
+    the projections of each layer S + {c} onto S (_project) are the drop
+    predecessors; the points of S left are its maximal faces.  Rank
+    order is row-major, lexicographic in the indices, so the layers in
+    order of their colors, each in rank order, give shift_max_key's
+    order.  A record that fails the test, or has a layer too sparse for
+    masks, takes the tuple route.
     """
     if c._record is not None:
         maximal = _maximal_in_masks(c._record)
@@ -147,14 +148,14 @@ def _maximal_in_masks(record: dict[int, int]) -> list[Face] | None:
     for points, geo in _record_grids(record):
         if not _dense_enough(geo.size, points.bit_count()):
             return None
+        free = points
         for sub, _, r, s, _ in geo.drops:
             covered[sub] = covered.get(sub, 0) | _project(points, r, s)
-        free = points
-        for s, above in geo.rows:
-            lower = (points & above) >> s  # one index lower than a point
-            if lower & ~points:
-                return None
-            free &= ~lower
+            if r > 1:
+                lower = (points & geo.ups[s]) >> s  # one index lower than a point
+                if lower & ~points:
+                    return None
+                free &= ~lower
         if free:
             layers.append((geo.colors, free, geo))
     maximal = []

@@ -81,6 +81,9 @@ def test_face_helpers():
     f = face((1, 2), (3, 1))
     assert f.get(2) is None
     assert len(list(f.subfaces())) == 4
+    assert list(f) == [(1, 2), (3, 1)]
+    assert (3, 1) in f and Vertex(1, 2) in f
+    assert (1, 1) not in f and (2, 1) not in f
 
 
 # ===================================================================

@@ -71,6 +71,7 @@ def test_flag_vector_from_mapping():
     assert fv.count(()) == 1
     assert fv.count([1]) == 2
     assert fv.count((1, 2)) == 2
+    assert fv[[1]] == 2 and fv[(2, 1)] == 2 and fv[()] == 1
     assert fv.dense() == (1, 2, 1, 2)
     assert fv.total() == 6
 
@@ -289,7 +290,9 @@ def test_round_trip_property(args, empty_bit):
 # ===================================================================
 
 def test_coarse_f_sample_a(sample_a):
-    assert coarse_f(flag_f(sample_a)).entries == (1, 3, 2)
+    coarse = coarse_f(flag_f(sample_a))
+    assert coarse.entries == (1, 3, 2)
+    assert list(coarse) == [1, 3, 2] and len(coarse) == 3
 
 
 def test_coarse_f_sample_b(sample_b):

@@ -841,15 +841,22 @@ def test_repeat_is_the_division_formula():
 
 def test_up_sets_are_the_points_above():
     """A geometry's ups[r] holds exactly the points u >= v of the point v
-    of rank r, on GRID_SHAPES, and is read-only.  Up-sets are computed on
-    first read: a search whose every layer is settled reads none, and a
-    search that reaches the kernel again computes none anew."""
+    of rank r, on GRID_SHAPES, and is read-only.  At the stride s of a
+    color with more than one vertex, ups[s] is the points whose index of
+    that color is above 1, which the mask shift test reads.  Up-sets are
+    computed on first read: a search whose every layer is settled reads
+    none, and a search that reaches the kernel again computes none anew."""
     for mask, radices in GRID_SHAPES:
         grid = list(product(*(range(1, r + 1) for r in radices)))
-        ups = complexes._layer_geometry(mask, radices).ups
+        geo = complexes._layer_geometry(mask, radices)
+        ups = geo.ups
         for rank, v in enumerate(grid):
             above = [q for q, u in enumerate(grid) if all(map(int.__ge__, u, v))]
             assert ups[rank] == sum(1 << q for q in above), (radices, v)
+        for j, (*_, r, s, _) in enumerate(geo.drops):
+            if r > 1:
+                raised = [q for q, u in enumerate(grid) if u[j] > 1]
+                assert ups[s] == sum(1 << q for q in raised), (radices, j)
     with pytest.raises(TypeError):
         ups[0] = 1
     complexes._layer_geometry.cache_clear()

@@ -64,6 +64,59 @@ def test_no_dead_imports():
     assert dead == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined(node) -> list[str]:
+    """The names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_no_dead_definitions():
+    """Every private module-level function, class or assigned name of the
+    package, and every non-dunder member of a private class, is read by
+    some module of the package: a name by name, as an attribute or
+    through an import, a member as an attribute, so that a local
+    variable of the same name does not count.  A member a base class in
+    the MRO already has is exempt, as its base calls it (argparse calls
+    _Parser.error)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    dead = []
+    for stem, tree in trees.items():
+        module = f"flagshift.{stem}"
+        for node in tree.body:
+            for name in filter(_private, _defined(node)):
+                if name not in names | attrs:
+                    dead.append(f"{module}.{name}")
+            if not (isinstance(node, ast.ClassDef) and _private(node.name)):
+                continue
+            # importing only modules with a private class: running __main__ runs the CLI
+            bases = getattr(importlib.import_module(module), node.name).__mro__[1:]
+            for member in node.body:
+                for name in _defined(member):
+                    if _dunder(name) or name in attrs or any(hasattr(b, name) for b in bases):
+                        continue
+                    dead.append(f"{module}.{node.name}.{name}")
+    assert dead == []
+
+
 def test_traced_pass_reaches_every_kernel():
     """One traced pass through the search, the shifted enumeration and the
     diagram count reads the kernels' results; a kernel whose return
