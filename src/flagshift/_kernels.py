@@ -1,52 +1,51 @@
 """Down-set enumeration kernels over bitmask posets, in pure Python.
 
 Callers look these names up on the module at call time, so a wrapper
-bound here is seen by every caller.
+bound here is seen by every caller.  Points are listed in a linear
+extension (every point before the points above it), a down-set holds
+every point below each member, and masks are Python integers of any
+width.  One visited state is one node; a forced exclusion costs none.
+When the node budget runs out a kernel stops and reports completed=False
+with whatever it found so far.
 
-A poset is given by its up-sets: ups[i] is the bitmask of point i and
-every point above it, and points must be listed in a linear extension
-(every point before the points above it, so ups[i] has no bit below i).
-A down-set is a subset containing every point below each member.  Masks
-are plain Python integers, so any number of points works.
+ideals_of_size and all_ideals drain `_ascending`, which reads downs[i],
+point i and every point below it (no bit above i).  A state (chosen,
+rest) holds a down-set and the allowed points not chosen below the
+points decided so far.  It branches on the highest point p of rest:
+exclude, then include, which adds downs[p].
+  - Each down-set D of `allowed` is one leaf, reached by including p
+    exactly when p is in D, and chosen, a union of down-sets, is one.
+  - Order: the bits above p are fixed below the branch, bit p is 0 in
+    the exclude child's leaves and 1 in the include child's, and the
+    exclude child goes first, so down-sets come in ascending order, the
+    order the search tries them in.  So `limit`, which stops the walk
+    at its limit-th down-set, gives the first `limit` of the full list.
+  - Forced exclusion: a p whose downs[p] holds a point outside
+    `allowed`, or takes chosen past `size`, is in no down-set extending
+    the state, as chosen only grows, so it leaves rest with no branch.
+  - Undershoot: a down-set extending the state lies in chosen | rest, so
+    a sized walk prunes a state with |chosen| + |rest| < size, and a
+    state of `size` points is a leaf.  The any-size walk prunes nothing,
+    so every state that is no leaf has two children: 2L - 1 nodes for L
+    down-sets.
 
-One visited state is one node; when the node budget runs out a kernel
-stops and reports completed=False with whatever it found so far.
-
-All three kernels drain one walk, `_down_sets`, over an up-set-pruned
-include/exclude tree.  Each state carries `avail`: the allowed points
-that are undecided and lie above no excluded and no non-allowed point.
-Invariant: every point below the lowest bit of `avail` is decided, and
-every point below a point in `avail` is chosen.  A point p below i
-that is not chosen was either excluded or not allowed, and then the
-up-set of p, which holds i, was cleared from `avail`; or p lies above
-such a point q, whose up-set holds p's and so i too.  Hence
-  - including the lowest point of `avail` always keeps a down-set, so
-    the walk branches on that point alone and never tests the points
-    below it;
-  - excluding point i forbids every point above it, so its up-set
-    leaves `avail` at once;
-  - a down-set that extends the current state can only add points of
-    `avail`, so a sized walk prunes a state with count + |avail| < size,
-    which holds no down-set of the target size;
-  - a state with empty `avail` is a finished down-set: the any-size
-    walk yields it as a leaf and prunes nothing.  Every down-set D of
-    `allowed` starts inside `avail`, and is reached by including the
-    lowest point of `avail` exactly when it is in D: excluding a point
-    outside D clears only points above it, none of them in D.  Two
-    leaves differ at the branch that split them.  So the leaves are the
-    L down-sets, once each, every other state has two children, and the
-    any-size walk visits exactly 2L - 1 nodes.
-
-The first `avail` (_initial_avail) clears the up-set of every blocked
-(non-allowed) point but reads only those that clear something.  A point
-listed after the highest allowed point is below no allowed point, since
-ups[i] has no bit below i.  A blocked point q in a blocked p's up-set is
-not read: q >= p, so p's up-set, cleared already, holds q's.
+count_ideals_of_size keeps the up-set walk `_down_sets`, a second route
+to the same sets, reading ups[i], point i and every point above it.  Its
+state carries `avail`, the allowed points undecided and above no
+excluded and no non-allowed point, and every point below one of them is
+chosen: a point p below i not chosen was excluded or not allowed, and
+its up-set, which holds i, was cleared, or it lies above such a point,
+whose up-set holds i too.  So including the lowest point of `avail`
+keeps a down-set, excluding it clears its up-set, and a state with
+count + |avail| < size is pruned.  A down-set D is reached by including
+the lowest point of `avail` exactly when it is in D, as excluding a
+point outside D clears only points above it.  The first `avail`
+(_initial_avail) clears the up-set of each non-allowed point below the
+highest allowed one (a later point is below no allowed point), skipping
+points a cleared up-set already holds.
 """
 
 from __future__ import annotations
-
-_ANY_SIZE = -1  # no count equals it and none falls below it
 
 
 def _initial_avail(ups, allowed: int) -> int:
@@ -62,9 +61,41 @@ def _initial_avail(ups, allowed: int) -> int:
     return avail
 
 
+def _ascending(downs, allowed: int, size: int | None, max_nodes: int, limit: int):
+    """Yield the first `limit` down-sets of `allowed` with `size` points
+    (any size for None) in ascending order (every one for limit < 0);
+    return (nodes_visited, completed)."""
+    cap = allowed.bit_count() if size is None else size  # no down-set passes it
+    floor = 0 if size is None else size  # every down-set reaches it
+    nodes = 0
+    stack = [(0, allowed)]  # (chosen, rest)
+    while stack and limit:
+        chosen, rest = stack.pop()
+        nodes += 1
+        if nodes > max_nodes:
+            return nodes, False
+        count = chosen.bit_count()
+        if count == cap:
+            rest = 0
+        while count + rest.bit_count() >= floor:  # else the undershoot prune
+            if not rest:
+                yield chosen
+                limit -= 1
+                break
+            p = rest.bit_length() - 1
+            down = downs[p]
+            rest ^= 1 << p
+            if down & ~allowed or (chosen | down).bit_count() > cap:
+                continue  # a forced exclusion
+            stack.append((chosen | down, rest & ~down))
+            stack.append((chosen, rest))
+            break
+    return nodes, True
+
+
 def _down_sets(ups, allowed: int, size: int, max_nodes: int):
-    """Yield the down-sets of `allowed` with `size` points (any size for
-    _ANY_SIZE); return (nodes_visited, completed)."""
+    """Yield the down-sets of `allowed` with `size` points; return
+    (nodes_visited, completed)."""
     nodes = 0
     stack = [(_initial_avail(ups, allowed), 0, 0)]  # (avail, chosen, count)
     while stack:
@@ -76,9 +107,6 @@ def _down_sets(ups, allowed: int, size: int, max_nodes: int):
             yield chosen
             continue
         if count + avail.bit_count() < size:
-            continue
-        if not avail:  # reached by the any-size walk only
-            yield chosen
             continue
         low = avail & -avail
         stack.append((avail & ~ups[low.bit_length() - 1], chosen, count))
@@ -102,24 +130,20 @@ def _drain(walk, keep: bool):
 
 
 def ideals_of_size(
-    ups, allowed: int, size: int, max_nodes: int
+    downs, allowed: int, size: int, max_nodes: int, limit: int | None = None
 ) -> tuple[list[int], int, bool]:
-    """All down-sets of `allowed` with exactly `size` points.
-
-    Returns (masks, nodes_visited, completed).
-    """
-    return _drain(_down_sets(ups, allowed, size, max_nodes), True)
+    """(The down-sets of `allowed` with exactly `size` points, ascending,
+    at most `limit` of them; nodes_visited; completed)."""
+    return _drain(_ascending(downs, allowed, size, max_nodes, -1 if limit is None else limit), True)
 
 
-def count_ideals_of_size(
-    ups, allowed: int, size: int, max_nodes: int
-) -> tuple[int, int, bool]:
-    """Like ideals_of_size but only counts the down-sets."""
+def count_ideals_of_size(ups, allowed: int, size: int, max_nodes: int) -> tuple[int, int, bool]:
+    """The number of down-sets of `allowed` with exactly `size` points,
+    by the up-set walk."""
     return _drain(_down_sets(ups, allowed, size, max_nodes), False)
 
 
-def all_ideals(
-    ups, allowed: int, max_nodes: int
-) -> tuple[list[int], int, bool]:
-    """Every down-set of `allowed`, any size (the empty set included)."""
-    return _drain(_down_sets(ups, allowed, _ANY_SIZE, max_nodes), True)
+def all_ideals(downs, allowed: int, max_nodes: int) -> tuple[list[int], int, bool]:
+    """Every down-set of `allowed`, any size (the empty set included),
+    ascending."""
+    return _drain(_ascending(downs, allowed, None, max_nodes, -1), True)

@@ -20,9 +20,10 @@ the points projecting onto it, is a column of r bits s apart (_repeat),
 shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
 stride and column, built when the search first reads them; _project and
 the search's fiber unions are computed from them, and no per-point table
-is kept.  A kernel reads the up-set of a point v, the points at or above
-it, from the geometry's `ups`, which computes it on first read as a box
-like the points a face dominates, written at v's rank.
+is kept.  A kernel reads the down-set of a point v, the points at or
+below it, from the geometry's `downs`, and the diagram count its up-set
+from `ups`; each is computed on first read as a box like the points a
+face dominates, the up-set written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
@@ -301,37 +302,52 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
     return boxes
 
 
-class _UpSets(dict):
-    """rank -> the up-set of the point of that rank (module docstring),
+class _Principal(dict):
+    """rank -> the up-set (`up`) or down-set of the point of that rank,
     computed on its first read and kept; a dict, for C-speed reads."""
 
-    __slots__ = ("radices",)
+    __slots__ = ("radices", "up")
 
-    def __init__(self, radices: tuple[int, ...]):
+    def __init__(self, radices: tuple[int, ...], up: bool):
         self.radices = radices
+        self.up = up
 
     def __missing__(self, rank: int) -> int:
         box = stride = 1
         for r in reversed(self.radices):
-            # r_c - v_c + 1 copies of the later colors' box at c's stride, as in _boxes
-            box *= _repeat(r - rank // stride % r, stride)
+            # r_c - v_c + 1 copies (up) or v_c copies (down) of the later
+            # colors' box at c's stride, as in _boxes
+            i = rank // stride % r
+            box *= _repeat(r - i if self.up else i + 1, stride)
             stride *= r
-        self[rank] = up = box << rank
-        return up
+        self[rank] = box = box << rank if self.up else box
+        return box
+
+
+@lru_cache(maxsize=256)  # the recursion and repeated targets reread sizes of a grid
+def _within(radices: tuple[int, ...], size: int) -> int:
+    """The points of the grid whose down-set, a box of the product of
+    their indices, holds at most `size` points, without building a box.
+    A down-set of `size` points lies within them."""
+    first, rest = radices[0], radices[1:]
+    if not rest:
+        return (1 << min(first, size)) - 1
+    stride = prod(rest)
+    return sum(_within(rest, size // i) << (i - 1) * stride for i in range(1, min(first, size) + 1))
 
 
 class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
-    shape is set once.  Its drops and up-sets, which only the search and
-    the mask tests read, are built on first read, since they are as wide
-    as the grid, and so are its strides, read from its drops; its face
-    and face-text memos fill as records over it are read.  So reading a
-    record costs the faces it holds, never the whole grid.  For a color
+    shape is set once.  Its drops, up-sets and down-sets, which only the
+    search and the mask tests read, are built on first read, as they are
+    as wide as the grid, and so are its strides, read from its drops; its
+    face and face-text memos fill as records over it are read.  So reading
+    a record costs the faces it holds, never the whole grid.  For a color
     of radix above 1, ups[stride] is its points above its bottom row."""
 
     __slots__ = (
         "mask", "colors", "radices", "size", "chain", "faces", "texts",
-        "_ups", "_drops", "_strides",
+        "_ups", "_downs", "_drops", "_strides",
     )
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
@@ -342,7 +358,7 @@ class _Geometry:
         self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
-        self._ups = self._drops = self._strides = None
+        self._ups = self._downs = self._drops = self._strides = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -372,10 +388,16 @@ class _Geometry:
         return self._strides
 
     @property
-    def ups(self) -> MappingProxyType:  # read-only, made on the first kernel or mask-test read
+    def ups(self) -> MappingProxyType:  # read-only, made on the first count or mask-test read
         if self._ups is None:
-            self._ups = MappingProxyType(_UpSets(self.radices))
+            self._ups = MappingProxyType(_Principal(self.radices, True))
         return self._ups
+
+    @property
+    def downs(self) -> MappingProxyType:  # read-only, made on the first kernel read
+        if self._downs is None:
+            self._downs = MappingProxyType(_Principal(self.radices, False))
+        return self._downs
 
 
 _layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids

@@ -14,7 +14,7 @@ enumerates those.
 Each layer's grid, with each one-color drop's radix, stride and column,
 comes from complexes._layer_geometry, cached by its color-set bitmask
 and radices; a layer that reaches a kernel reads its grid's order from
-the geometry's `ups`, which computes each up-set on its first read.
+the geometry's `downs`, which computes each down-set on its first read.
 Only the color sets the target gives faces are visited (_target_layers;
 an enumeration's target holds every face within its bounds).  No search
 builds a face: a witness is the record of its chosen masks (_assemble),
@@ -34,7 +34,10 @@ one-color-drop projection of u is dominated by the matching projection
 of v, which lies in a lower layer chosen as an order ideal, so u is
 allowed too.  When a layer's target equals |allowed|, an ideal of that
 size inside `allowed` can only be `allowed` itself: the layer has a
-single candidate, which costs one node and skips the kernel.
+single candidate, which costs one node and skips the kernel.  The search
+first cuts `allowed` to the points whose down-set fits the target
+(complexes._within), a down-set too: a candidate holds each of its
+points' down-sets.
 
 Before the prescribed-flag search branches, a bound-propagation
 fixpoint (_propagate) runs the counting argument behind the uniqueness
@@ -102,8 +105,14 @@ to any settled target.
 
 One lister and one walk (_walk, depth first) serve the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
-differs.  Every search is budgeted by one rule: one node is one partial-
-assignment extension, either a kernel step, a single-candidate open or a
+differs.  Each source lists them in ascending order, the walk's order
+(_kernels docstring).  Each candidate of the last layer completes one
+witness and the search stops at the witness cap, so the last layer's
+kernel lists only the first ones the cap still admits: the same
+witnesses, order and flags as the full list, in no more nodes, so a
+budget stop comes no sooner.  Every search is budgeted
+by one rule: one node is one partial-assignment extension, either a
+kernel step (a forced exclusion is none), a single-candidate open or a
 layer assignment (a flag target with no layer costs one node, its empty
 assignment).  Outcomes distinguish an exhausted search space from a
 budget stop and from a witness-cap stop, so "no witness" and "ran out of
@@ -118,7 +127,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project, colors_of_mask
+from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project, _within, colors_of_mask
 from .construction import cone_extension
 from .flags import _INT64_MAX, MAX_COLORS, FlagVector, flag_f, mask_sort_key
 
@@ -130,6 +139,8 @@ class SearchBudget:
     max_witnesses: int = 2
 
     def __post_init__(self):
+        if type(self.max_nodes) is not int or type(self.max_witnesses) is not int:
+            raise TypeError("budget limits must be integers")
         if self.max_nodes < 1 or self.max_witnesses < 1:
             raise ValueError("budget limits must be >= 1")
 
@@ -228,16 +239,16 @@ def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
     """Depth-first walk over the assignments of `layers`, in order.
 
     source(geo, allowed, remaining) returns a layer's candidates as the
-    kernels do, (fresh list of masks, nodes spent, completed); a source
-    that ran out spends more than `remaining`.  The walk charges that
-    plus one node per layer assignment, tries candidates in ascending
-    order, keeps the assigned masks in `chosen`, and yields the node
-    count at each complete assignment.  It returns the final count,
-    which exceeds max_nodes exactly when the budget ran out.
+    kernels do, (list of masks in ascending order, nodes spent,
+    completed); a source that ran out spends more than `remaining`.  The
+    walk charges that plus one node per layer assignment, tries the
+    candidates in their order, keeps the assigned masks in `chosen`, and
+    yields the node count at each complete assignment.  It returns the
+    final count, which exceeds max_nodes exactly when the budget ran out.
     """
     nodes = 0
     depth = len(layers)
-    frames = []  # per assigned layer: (color-set mask, untried masks, descending)
+    frames = []  # per assigned layer: (color-set mask, iterator over its untried masks)
     while True:
         j = len(frames)
         if j == depth:
@@ -248,11 +259,11 @@ def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
             nodes += used
             if nodes > max_nodes:
                 return nodes
-            masks.sort(reverse=True)
-            frames.append((geo.mask, masks))
+            frames.append((geo.mask, iter(masks)))
         while frames:
             mask, untried = frames[-1]
-            if untried:
+            pick = next(untried, None)
+            if pick is not None:
                 break
             frames.pop()
         else:
@@ -260,7 +271,7 @@ def _walk(layers, chosen: dict[int, int], source, max_nodes: int):
         nodes += 1
         if nodes > max_nodes:
             return nodes
-        chosen[mask] = untried.pop()
+        chosen[mask] = pick
 
 
 # ===================================================================
@@ -383,14 +394,15 @@ def enumerate_color_shifted_with_flag(
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
         want = f[geo.mask]
-        allowed &= upper[geo.mask]
+        allowed &= upper[geo.mask] & _within(geo.radices, want)
         size = allowed.bit_count()
         if size < want:
             return [], 0, True
         if size == want:
             # the single candidate (module docstring)
             return [allowed], 1, True
-        return _kernels.ideals_of_size(geo.ups, allowed, want, remaining)
+        limit = budget.max_witnesses - len(witnesses) if geo is layers[-1] else None
+        return _kernels.ideals_of_size(geo.downs, allowed, want, remaining, limit)
 
     witnesses: list[ColoredComplex] = []
     walk = _walk(layers, chosen, candidates, budget.max_nodes)
@@ -475,7 +487,7 @@ def _enumerate(
 
 
 def _every_ideal(geo: _Geometry, allowed: int, remaining: int):
-    return _kernels.all_ideals(geo.ups, allowed, remaining)
+    return _kernels.all_ideals(geo.downs, allowed, remaining)
 
 
 def enumerate_color_shifted_complexes(
@@ -579,9 +591,8 @@ def count_two_color_shifted_by_edges(
     if not certain:
         # a Young diagram with e cells holds the i x j rectangle under
         # each of its cells, so it lies within the cells with i * j <= e
-        allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
         count, _used, completed = _kernels.count_ideals_of_size(
-            _layer_geometry(0b11, (e, e)).ups, allowed, e, budget.max_nodes
+            _layer_geometry(0b11, (e, e)).ups, _within((e, e), e), e, budget.max_nodes
         )
         if completed:
             return count

@@ -207,16 +207,24 @@ def reference_grid_faces(mask: int, radices) -> list[Face]:
     return [Face(zip(colors, v)) for v in product(*(range(1, r + 1) for r in radices))]
 
 
-def reference_up_sets(preds) -> list[int]:
-    """ups[i]: point i and every point above it, in the poset whose
+def reference_down_sets(preds) -> list[int]:
+    """downs[i]: point i and every point below it, in the poset whose
     immediate predecessors of point i are the bits of preds[i], by the
-    transitive closure of the order (Warshall), read column by column."""
+    transitive closure of the order (Warshall)."""
     n = len(preds)
-    below = [preds[i] | 1 << i for i in range(n)]  # below[i]: the points <= i
+    below = [preds[i] | 1 << i for i in range(n)]
     for k in range(n):
         for i in range(n):
             if below[i] >> k & 1:
                 below[i] |= below[k]
+    return below
+
+
+def reference_up_sets(preds) -> list[int]:
+    """ups[i]: point i and every point above it, the down-sets of
+    reference_down_sets read column by column."""
+    below = reference_down_sets(preds)
+    n = len(preds)
     return [sum(1 << i for i in range(n) if below[i] >> j & 1) for j in range(n)]
 
 

@@ -283,6 +283,22 @@ def test_find_shifted_no_witness_verdict(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "no color-shifted complex has this flag vector\n")
 
 
+def test_find_shifted_on_the_matching(capsys, tmp_path):
+    """The 100-vertex matching, flag vector (1, 100, 100, 100), gets a
+    witness within the default node budget."""
+    from flagshift import ColoredComplex, flag_f, is_color_shifted, parse_complex
+
+    vertices = shift_closure(2, [face((1, 100)), face((2, 100))])
+    source = ColoredComplex(2, [*vertices.faces, *(edge2(i, i) for i in range(1, 101))])
+    path = tmp_path / "matching.json"
+    path.write_text(emit_complex(source))
+    code, out, err = run(capsys, "find-shifted", str(path))
+    assert (code, err) == (0, "")
+    witness = parse_complex(out)
+    assert is_color_shifted(witness) and flag_f(witness) == flag_f(source)
+    assert flag_f(source).dense() == (1, 100, 100, 100)
+
+
 def test_find_shifted_budget(capsys):
     code, _, err = run(
         capsys, "find-shifted", data("sample_b.json"), "--max-nodes", "1"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from functools import cache
 from itertools import product
@@ -238,6 +239,60 @@ def test_search_budget_inconclusive():
     fv = FlagVector(2, (1, 3, 3, 6), kind="f")
     out = enumerate_color_shifted_with_flag(fv, SearchBudget(max_nodes=1))
     assert not out.exhausted and not out.truncated
+
+
+def test_budget_limits_are_integers():
+    """A fractional or boolean limit is refused: a settled search would
+    report max_nodes + 1 nodes for a budget of 2.5, and the last layer's
+    kernel takes the witnesses left under the cap as its limit."""
+    for limits in [(2.5, 2), (10, 1.0), (True, 2), (10, False), ("10", 2)]:
+        with pytest.raises(TypeError, match="^budget limits must be integers$"):
+            SearchBudget(*limits)
+    for limits in [(0, 2), (10, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="^budget limits must be >= 1$"):
+            SearchBudget(*limits)
+    assert SearchBudget(2**70, 1).max_nodes == 2**70
+
+
+def test_capped_search_is_a_prefix():
+    """For every two-color target (1, a, b, e) with a, b <= 6, and the flag
+    vector of every color-shifted complex within [2, 2, 2], a search
+    capped at 1 or 2 witnesses lists the first witnesses of the uncapped
+    search, is truncated exactly when more witnesses exist, and spends no
+    more nodes.  The last layer's kernel lists only as many candidates as
+    the cap still admits; an earlier layer's first candidates may complete
+    no witness, as on (1, 2, 2, 2, 2, 1, 2, 2)."""
+    two = [FlagVector(2, (1, a, b, e)) for a, b in product(range(7), repeat=2) for e in range(a * b + 1)]
+    three = {flag_f(c) for c in enumerate_color_shifted_complexes(3, [2, 2, 2])}
+    assert FlagVector(3, (1, 2, 2, 2, 2, 1, 2, 2)) in three
+    for fv in [*two, *sorted(three, key=FlagVector.dense)]:
+        full = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=10**6))
+        assert full.exhausted and full.witnesses, fv
+        for cap in (1, 2):
+            out = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=cap))
+            assert out.witnesses == full.witnesses[:cap], (fv, cap)
+            assert out.truncated == (len(full.witnesses) >= cap) != out.exhausted, (fv, cap)
+            assert out.nodes_visited <= full.nodes_visited, (fv, cap)
+
+
+def test_matching_gets_a_witness_fast():
+    """The 100-vertex matching, flag vector (1, 100, 100, 100), has
+    color-shifted witnesses such as one row of 100 edges.  The search
+    lists the layer's down-sets in ascending order and asks for two, so
+    it answers in 390 nodes, where listing every 100-cell diagram first
+    ran past the 10,000,000-node budget."""
+    matching = ColoredComplex(
+        2, [Face([]), *(face((c, i)) for c in (1, 2) for i in range(1, 101)),
+            *(edge2(i, i) for i in range(1, 101))],
+    )
+    start = time.perf_counter()
+    outcome = find_color_shifted_with_flag(matching)
+    assert time.perf_counter() - start < 1.0
+    assert outcome.truncated and len(outcome.witnesses) == 2
+    assert outcome.nodes_visited == 390 < 1_000
+    for witness in outcome.witnesses:
+        assert is_color_shifted(witness) and flag_f(witness) == flag_f(matching)
+    assert outcome.witnesses[0].faces >= {edge2(1, j) for j in range(1, 101)}
 
 
 @cache
@@ -843,9 +898,10 @@ def test_up_sets_are_the_points_above():
     """A geometry's ups[r] holds exactly the points u >= v of the point v
     of rank r, on GRID_SHAPES, and is read-only.  At the stride s of a
     color with more than one vertex, ups[s] is the points whose index of
-    that color is above 1, which the mask shift test reads.  Up-sets are
-    computed on first read: a search whose every layer is settled reads
-    none, and a search that reaches the kernel again computes none anew."""
+    that color is above 1, which the mask shift test reads.  Up-sets and
+    down-sets are computed on first read: a search whose every layer is
+    settled reads none, a search that reaches the kernel reads down-sets
+    only, and again it computes none anew."""
     for mask, radices in GRID_SHAPES:
         grid = list(product(*(range(1, r + 1) for r in radices)))
         geo = complexes._layer_geometry(mask, radices)
@@ -864,14 +920,31 @@ def test_up_sets_are_the_points_above():
     assert verify_uniqueness(staircase(5)).unique is True
     f = report.predicted_flag.dense()
     layers = oracle._target_layers(f, [f[1 << i] for i in range(extended.num_colors)])
-    assert layers and all(len(geo.ups) == 0 for geo in layers)
+    assert layers and all(len(geo.ups) == len(geo.downs) == 0 for geo in layers)
     target = FlagVector(2, (1, 3, 4, 5))
     assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
-    ups = complexes._layer_geometry(0b11, (3, 4)).ups
-    kept = dict(ups)
-    assert 0 < len(kept) < 12
+    geo = complexes._layer_geometry(0b11, (3, 4))
+    kept = dict(geo.downs)
+    assert 0 < len(kept) < 12 and len(geo.ups) == 0
     assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
-    assert dict(ups) == kept
+    assert dict(geo.downs) == kept
+
+
+def test_down_sets_are_the_points_below():
+    """A geometry's downs[r] holds exactly the points u <= v of the point
+    v of rank r, on GRID_SHAPES, and is read-only.  _within(radices, k)
+    holds exactly the points whose down-set has at most k points."""
+    for mask, radices in GRID_SHAPES:
+        grid = list(product(*(range(1, r + 1) for r in radices)))
+        downs = complexes._layer_geometry(mask, radices).downs
+        below = [[q for q, u in enumerate(grid) if all(map(int.__le__, u, v))] for v in grid]
+        for rank, v in enumerate(grid):
+            assert downs[rank] == sum(1 << q for q in below[rank]), (radices, v)
+        for k in range(len(grid) + 2):
+            fits = sum(1 << q for q, under in enumerate(below) if len(under) <= k)
+            assert complexes._within(radices, k) == fits, (radices, k)
+    with pytest.raises(TypeError):
+        downs[0] = 1
 
 
 def _rainbow_and_eighth_vertices(n: int) -> list[Face]:
@@ -919,9 +992,9 @@ def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nod
 def test_kernel_memory_follows_the_target(t):
     """The target (1, t, t, 3) reaches the kernel on the t x t grid, and
     its 3 witnesses use only the 5 points with i * j <= 3.  With the grid
-    cache cleared, the search answers in 16 nodes under 30 MiB traced,
-    reading 5 up-sets.  A table of every point's up-set takes 206 MiB at
-    t = 200 and over 1 GB at t = 400."""
+    cache cleared, the search answers in 12 nodes under 30 MiB traced,
+    reading 4 down-sets and no up-set.  A table of every point's down-set
+    takes 206 MiB at t = 200 and over 1 GB at t = 400."""
     complexes._layer_geometry.cache_clear()
     tracemalloc.start()
     try:
@@ -931,9 +1004,10 @@ def test_kernel_memory_follows_the_target(t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(outcome.witnesses) == 3 and outcome.exhausted and outcome.nodes_visited == 16
+    assert len(outcome.witnesses) == 3 and outcome.exhausted and outcome.nodes_visited == 12
     assert peak < 30 * 2**20, peak
-    assert len(complexes._layer_geometry(0b11, (t, t)).ups) == 5
+    geo = complexes._layer_geometry(0b11, (t, t))
+    assert (len(geo.downs), len(geo.ups)) == (4, 0)
 
 
 def test_refuted_target_builds_no_later_layer():

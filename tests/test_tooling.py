@@ -144,6 +144,35 @@ def test_traced_pass_reaches_every_kernel():
     assert metrics["kernels.count_nodes"] > 0
 
 
+def test_capped_search_asks_the_kernel_for_the_cap(monkeypatch):
+    """Traced, the census's searches, every two-color target (1, a, b, e)
+    with a, b <= 4, capped at 2 witnesses, get at most 2 masks from each
+    kernels.ideals call: a two-color target has one layer, the last, whose
+    every candidate completes a witness.  Uncapped, some call gets more."""
+    tracing = load_tracing()
+    noted = tracing._NOTES["kernels.ideals"]
+    for cap, most in [(2, 2), (10**6, 8)]:
+        got = []
+
+        def note(counts, args, result):
+            got.append(len(result[0]))
+            noted(counts, args, result)
+
+        monkeypatch.setitem(tracing._NOTES, "kernels.ideals", note)
+        with tracing.Tracer() as tracer:
+            flags = importlib.import_module("flagshift.flags")
+            oracle = importlib.import_module("flagshift.oracle")
+            for a in range(5):
+                for b in range(5):
+                    for e in range(a * b + 1):
+                        outcome = oracle.enumerate_color_shifted_with_flag(
+                            flags.FlagVector(2, (1, a, b, e)), oracle.SearchBudget(max_witnesses=cap)
+                        )
+                        assert outcome.witnesses
+        assert tracer.missing == [] and got and max(got) == most, cap
+        assert tracer.metrics()["kernels.candidates"] == sum(got)
+
+
 def test_every_workload_pass_answers_right():
     """One untraced pass of each benchmark workload judges every answer
     right, stops no search at the node budget, and spends the node count
@@ -156,4 +185,4 @@ def test_every_workload_pass_answers_right():
         assert (res.errors, res.inconclusive) == (0, 0), name
         assert res.items > 0
         nodes[name] = res.search_nodes
-    assert nodes == {"uniqueness-corpus": 31_654, "staircase": 280, "census": 1_615}
+    assert nodes == {"uniqueness-corpus": 31_654, "staircase": 280, "census": 699}
