@@ -5,7 +5,7 @@ canonical serialization; see the README for the exit-code contract:
 0 success, 2 negative verdict (not shifted / not unique / not
 realizable), 3 budget exhausted before a conclusive answer, 64 usage
 errors, 66 unreadable or invalid input files, 73 an output file that
-cannot be written.
+cannot be written, and 1 from count-shifted on a cross-check mismatch.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ i < r and lo < s, to sub-rank hi * s + lo, so the fiber of a sub-point,
 the points projecting onto it, is a column of r bits s apart (_repeat),
 shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
 stride and column, built when the search first reads them; _project and
-the search's fiber unions are computed from them, and no per-point table
+the search's fiber unions are computed from them, both moving the s-bit
+blocks of a mask with the one regroup (_regroup), and no per-point table
 is kept.  A kernel reads the down-set of a point v, the points at or
 below it, from the geometry's `downs`, and the diagram count its up-set
 from `ups`; each is computed on first read as a box like the points a
@@ -441,6 +442,30 @@ def _grid_faces(points: int, geo: _Geometry) -> list[Face]:
     return built
 
 
+def _regroup(mask: int, s: int, src: int, dst: int) -> int:
+    """`mask`'s s-bit blocks at bits k * src, moved to bits k * dst and the
+    bits between them dropped: _project gathers blocks r * s apart to s
+    apart, and oracle._allowed_mask spreads them back.  Shifting `mask` a
+    block at a time when it spans at most 16 blocks, otherwise one slice
+    of its binary text per offset below s, keeps this linear in the width."""
+    if mask.bit_length() <= 16 * src:
+        block = (1 << s) - 1
+        moved = 0
+        shift = 0
+        while mask:
+            moved |= (mask & block) << shift
+            mask >>= src
+            shift += dst
+        return moved
+    bits = format(mask, "b").encode()[::-1]  # bits[i]: bit i, as b"0" or b"1"
+    blocks = -(-len(bits) // src)
+    bits += b"0" * (blocks * src - len(bits))
+    moved = bytearray(b"0" * (blocks * dst))
+    for lo in range(s):
+        moved[lo::dst] = bits[lo::src]
+    return int(moved[::-1], 2)
+
+
 def _project(points: int, r: int, s: int) -> int:
     """The sub-layer points that `points` project onto along the drop of
     a color with radix r and stride s.
@@ -450,10 +475,7 @@ def _project(points: int, r: int, s: int) -> int:
     `points` shifted down by 0, s, ..., (r - 1) * s, doubling the copies
     each step and overlapping the last, so bit hi * r * s + lo of the
     fold is set when some point of that sub-point's fiber is.  The
-    gather then takes the low s bits of each r * s-bit block: by
-    shifting the fold down a block at a time when it spans at most 16
-    blocks, otherwise from its binary text, one slice per offset below
-    s, so the gather stays linear in the width however many blocks."""
+    gather then takes the low s bits of each r * s-bit block (_regroup)."""
     if r == 1:
         return points
     folded = points
@@ -463,23 +485,7 @@ def _project(points: int, r: int, s: int) -> int:
         copies *= 2
     if copies < r:
         folded |= folded >> ((r - copies) * s)
-    width = r * s
-    if folded.bit_length() <= 16 * width:
-        block = (1 << s) - 1
-        sub = 0
-        shift = 0
-        while folded:
-            sub |= (folded & block) << shift
-            folded >>= width
-            shift += s
-        return sub
-    bits = format(folded, "b").encode()[::-1]  # bits[i]: bit i, as b"0" or b"1"
-    blocks = -(-len(bits) // width)
-    bits += b"0" * (blocks * width - len(bits))
-    sub = bytearray(blocks * s)
-    for lo in range(s):
-        sub[lo::s] = bits[lo::width]
-    return int(sub[::-1], 2)
+    return _regroup(folded, s, r * s, s)
 
 
 class ColoredComplex(_Immutable):

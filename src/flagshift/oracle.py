@@ -24,7 +24,8 @@ a record, mask by mask (ColoredComplex.__eq__).
 The allowed set is computed bitwise.  A point is allowed when, for every
 dropped color, its projection was chosen, so the allowed set is the AND
 over dropped colors of the OR of the fibers of the chosen sub-points,
-formed from the drop's stride and column (_allowed_mask).  A fully
+the chosen sub-layer spread by complexes._regroup, the regroup that
+_project gathers with, times the drop's column (_allowed_mask).  A fully
 chosen sub-layer constrains nothing and is skipped; when the dropped
 color has one vertex, projection keeps the rank, so the fiber union is
 the chosen sub-mask itself.
@@ -127,7 +128,9 @@ from math import prod
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .complexes import ColoredComplex, _Geometry, _layer_geometry, _project, _within, colors_of_mask
+from .complexes import (
+    ColoredComplex, _Geometry, _layer_geometry, _project, _regroup, _within, colors_of_mask,
+)
 from .construction import cone_extension
 from .flags import _INT64_MAX, MAX_COLORS, FlagVector, flag_f, mask_sort_key
 
@@ -188,7 +191,8 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     Along the drop of a color with radix r and stride s, the fiber of
     sub-point hi * s + lo is the column shifted to hi * r * s + lo.  So
     the union of the chosen sub-points' fibers is the chosen mask with
-    each s-bit block moved r * s bits apart, times the column: the
+    its s-bit blocks moved r * s bits apart (complexes._regroup, the
+    gather of _project run the other way), times the column: the
     column's copies fall in distinct bits, so the product carries
     nothing and is their OR."""
     allowed = (1 << geo.size) - 1
@@ -196,17 +200,7 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
         sub = chosen[sub_mask]
         if sub == full:
             continue
-        if r == 1:
-            allowed &= sub
-            continue
-        block = (1 << s) - 1
-        spread = 0
-        shift = 0
-        while sub:
-            spread |= (sub & block) << shift
-            sub >>= s
-            shift += r * s
-        allowed &= spread * column
+        allowed &= sub if r == 1 else _regroup(sub, s, s, r * s) * column
     return allowed
 
 

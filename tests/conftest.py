@@ -3,7 +3,10 @@ the enumerated corpus of small color-shifted complexes."""
 
 from __future__ import annotations
 
+import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,21 +26,43 @@ from helpers import edge2, face
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "flagshift"
 
 
+def _code_lines(text: str) -> int:
+    """Lines of a module that hold code: no blank line, no line of only
+    comments, and no line of a module, class or function docstring."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {
+        tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+        tokenize.ENDMARKER,
+    }
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docs)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the acceptance verdict lines collected during the run, and
     the line count of the package source, which the roadmap tracks,
     beside each module's, so a move between modules reads differently
-    from a deletion."""
+    from a deletion, and the count of its code lines, which a docstring
+    edit does not move."""
     module = sys.modules.get("test_acceptance")
     lines = getattr(module, "VERDICTS", None) if module else None
     terminalreporter.section("acceptance criteria")
     for line in lines or ():
         terminalreporter.write_line(line)
-    counts = {
-        path.name: len(path.read_text().splitlines()) for path in sorted(SOURCE.glob("*.py"))
-    }
+    texts = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    counts = {name: len(text.splitlines()) for name, text in texts.items()}
+    code = sum(map(_code_lines, texts.values()))
     modules = ", ".join(f"{name} {count:,}" for name, count in counts.items())
-    terminalreporter.write_line(f"src/flagshift: {sum(counts.values()):,} lines ({modules})")
+    terminalreporter.write_line(
+        f"src/flagshift: {sum(counts.values()):,} lines, {code:,} of code ({modules})"
+    )
 
 
 @pytest.fixture(scope="session")

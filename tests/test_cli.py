@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -297,6 +298,27 @@ def test_find_shifted_on_the_matching(capsys, tmp_path):
     witness = parse_complex(out)
     assert is_color_shifted(witness) and flag_f(witness) == flag_f(source)
     assert flag_f(source).dense() == (1, 100, 100, 100)
+
+
+def test_l_shaped_documents_answer_fast(capsys, tmp_path):
+    """On the L-shaped complex of tests/test_oracle.py at t = 600,
+    `verify-unique` on its document and `find-shifted` on its
+    extension's, which searches the same flag vector, each exit 0 in
+    process within a second; spreading its t * t one-point blocks one at
+    a time took seconds."""
+    t = 600
+    delta = shift_closure(3, [face((1, t), (2, 1), (3, 2)), face((1, 1), (2, t), (3, 2))])
+    extended, _ = cone_extension(delta)
+    (tmp_path / "delta.json").write_text(emit_complex(delta))
+    (tmp_path / "extended.json").write_text(emit_complex(extended))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-unique", str(tmp_path / "delta.json"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "unique: 1 witness, search exhausted, nodes=36\n", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "find-shifted", str(tmp_path / "extended.json"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, emit_complex(extended), "")
 
 
 def test_find_shifted_budget(capsys):

@@ -32,7 +32,7 @@ from flagshift import (
     validate_faces,
     verify_uniqueness,
 )
-from flagshift.complexes import Violation, _boxes, _project
+from flagshift.complexes import Violation, _boxes, _project, _regroup, _repeat
 from flagshift.flags import flag_f
 
 from helpers import (
@@ -463,12 +463,27 @@ def _fiber_projection(points: int, r: int, s: int) -> int:
     return sub
 
 
+def _fiber_union(sub: int, r: int, s: int) -> int:
+    """The preimage of `sub` along that drop, point by point: the points
+    hi * r * s + i * s + lo, i < r, of each chosen sub-point hi * s + lo."""
+    points = 0
+    for rank in range(sub.bit_length()):
+        if sub >> rank & 1:
+            hi, lo = divmod(rank, s)
+            for i in range(r):
+                points |= 1 << (hi * r * s + i * s + lo)
+    return points
+
+
 def test_project_matches_its_fibers_and_stays_linear():
-    """_project equals the point-by-point projection on random layers of
-    up to 4,000 points, over few blocks and many, and projects a layer
-    of 2,000,000 points along a color of stride 1 well within a second,
-    where a gather that shifts the whole layer once per block takes tens
-    of seconds."""
+    """The one block regroup, run both ways, equals the point-by-point
+    drop on random masks of up to 4,000 bits, over few blocks and many:
+    _project gathers a layer to the sub-points it projects onto, and
+    the spread times the column, the fiber union of _allowed_mask, is
+    the preimage of a sub-layer.  Projecting a layer of 2,000,000 points
+    along a color of stride 1, or spreading a sub-layer of 2,000,000
+    points there, takes well within a second, where moving the whole
+    mask once per block takes tens of seconds."""
     rng = random.Random(7)
     for size in (1, 16, 81, 300, 1000, 4000):
         for r in (1, 2, 3, 4, 9, 17):
@@ -476,11 +491,18 @@ def test_project_matches_its_fibers_and_stays_linear():
                 if r * s <= size:
                     points = rng.getrandbits(size) & rng.getrandbits(size)
                     assert _project(points, r, s) == _fiber_projection(points, r, s), (size, r, s)
+                    sub = rng.getrandbits(size // r) & rng.getrandbits(size // r)
+                    union = _regroup(sub, s, s, r * s) * _repeat(r, s)
+                    assert union == _fiber_union(sub, r, s), (size, r, s)
     wide = rng.getrandbits(2_000_000)
     start = time.perf_counter()
     low = _project(wide, 2, 1)
     assert time.perf_counter() - start < 1.0
     assert low == int(format(wide | wide >> 1, "b")[::-1][::2][::-1], 2)  # bit 2i or 2i + 1
+    start = time.perf_counter()
+    spread = _regroup(wide, 1, 1, 2) * _repeat(2, 1)
+    assert time.perf_counter() - start < 1.0
+    assert spread == int(format(wide, "b").replace("1", "11").replace("0", "00"), 2)  # bits 2i, 2i + 1
 
 
 # ===================================================================

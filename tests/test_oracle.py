@@ -295,6 +295,20 @@ def test_matching_gets_a_witness_fast():
     assert outcome.witnesses[0].faces >= {edge2(1, j) for j in range(1, 101)}
 
 
+def test_l_shaped_layer_settles_fast():
+    """Delta's shift-maximal faces (t, 1, 2) and (1, t, 2) give it an
+    L-shaped {1, 2} layer under the {1, 2, 3} grid, whose drop of color
+    3 has radix 2 and stride 1: the search spreads a sub-layer of t * t
+    one-point blocks.  At t = 600 the extension is unique in 36 nodes
+    within a second, where spreading a block at a time took seconds."""
+    t = 600
+    delta = shift_closure(3, [face((1, t), (2, 1), (3, 2)), face((1, 1), (2, t), (3, 2))])
+    start = time.perf_counter()
+    result = verify_uniqueness(delta)
+    assert time.perf_counter() - start < 1.0
+    assert result.unique is True and result.outcome.nodes_visited == 36
+
+
 @cache
 def _brute_by_flag(num_colors: int, bounds: tuple[int, ...]) -> dict[tuple[int, ...], set]:
     """Brute-force color-shifted face sets within bounds, grouped by flag."""
