@@ -4,7 +4,9 @@ Callers look these names up on the module at call time, so a wrapper
 bound here is seen by every caller.  Points are listed in a linear
 extension (every point before the points above it), a down-set holds
 every point below each member, and masks are Python integers of any
-width.  One visited state is one node; a forced exclusion costs none.
+width.  `allowed` is a down-set of the poset: every caller passes one
+(the oracle module docstring argues each), and no kernel checks it.
+One visited state is one node; a forced exclusion costs none.
 When the node budget runs out a kernel stops and reports completed=False
 with whatever it found so far.
 
@@ -20,9 +22,12 @@ exclude, then include, which adds downs[p].
     exclude child goes first, so down-sets come in ascending order, the
     order the search tries them in.  So `limit`, which stops the walk
     at its limit-th down-set, gives the first `limit` of the full list.
-  - Forced exclusion: a p whose downs[p] holds a point outside
-    `allowed`, or takes chosen past `size`, is in no down-set extending
-    the state, as chosen only grows, so it leaves rest with no branch.
+  - Inclusion: downs[p] lies in `allowed`, a down-set, and holds no
+    decided point, as those lie above p, so chosen | downs[p] is a
+    down-set of `allowed` and rest loses only downs[p].
+  - Forced exclusion: a p whose downs[p] takes chosen past `size` is in
+    no down-set extending the state, as chosen only grows, so it leaves
+    rest with no branch.
   - Undershoot: a down-set extending the state lies in chosen | rest, so
     a sized walk prunes a state with |chosen| + |rest| < size, and a
     state of `size` points is a leaf.  The any-size walk prunes nothing,
@@ -32,33 +37,19 @@ exclude, then include, which adds downs[p].
 count_ideals_of_size keeps the up-set walk `_down_sets`, a second route
 to the same sets, reading ups[i], point i and every point above it.  Its
 state carries `avail`, the allowed points undecided and above no
-excluded and no non-allowed point, and every point below one of them is
-chosen: a point p below i not chosen was excluded or not allowed, and
-its up-set, which holds i, was cleared, or it lies above such a point,
-whose up-set holds i too.  So including the lowest point of `avail`
-keeps a down-set, excluding it clears its up-set, and a state with
-count + |avail| < size is pruned.  A down-set D is reached by including
-the lowest point of `avail` exactly when it is in D, as excluding a
-point outside D clears only points above it.  The first `avail`
-(_initial_avail) clears the up-set of each non-allowed point below the
-highest allowed one (a later point is below no allowed point), skipping
-points a cleared up-set already holds.
+excluded point, which starts as `allowed`, and every point below one of
+them is chosen: a point p below i is allowed, as `allowed` is a
+down-set, so p, if not chosen, was excluded and its up-set, which holds
+i, was cleared, or it lies above an excluded point, whose up-set holds i
+too.  So including the lowest point of `avail` keeps a down-set,
+excluding it clears its up-set, and a state with count + |avail| < size
+is pruned.  A down-set D is reached by including the lowest point of
+`avail` exactly when it is in D, as excluding a point outside D clears
+only points above it.  Each state is a leaf (a down-set or a prune) or
+has two children, so a completed walk spends 2L - 1 nodes for L leaves.
 """
 
 from __future__ import annotations
-
-
-def _initial_avail(ups, allowed: int) -> int:
-    """Allowed points above no non-allowed point, reading only the
-    up-sets that clear something (module docstring)."""
-    avail = allowed
-    blocked = ((1 << allowed.bit_length()) - 1) & ~allowed
-    while blocked:
-        low = blocked & -blocked
-        up = ups[low.bit_length() - 1]
-        avail &= ~up
-        blocked &= ~up
-    return avail
 
 
 def _ascending(downs, allowed: int, size: int | None, max_nodes: int, limit: int):
@@ -85,7 +76,7 @@ def _ascending(downs, allowed: int, size: int | None, max_nodes: int, limit: int
             p = rest.bit_length() - 1
             down = downs[p]
             rest ^= 1 << p
-            if down & ~allowed or (chosen | down).bit_count() > cap:
+            if (chosen | down).bit_count() > cap:
                 continue  # a forced exclusion
             stack.append((chosen | down, rest & ~down))
             stack.append((chosen, rest))
@@ -97,7 +88,7 @@ def _down_sets(ups, allowed: int, size: int, max_nodes: int):
     """Yield the down-sets of `allowed` with `size` points; return
     (nodes_visited, completed)."""
     nodes = 0
-    stack = [(_initial_avail(ups, allowed), 0, 0)]  # (avail, chosen, count)
+    stack = [(allowed, 0, 0)]  # (avail, chosen, count)
     while stack:
         avail, chosen, count = stack.pop()
         nodes += 1

@@ -107,7 +107,9 @@ to any settled target.
 One lister and one walk (_walk, depth first) serve the prescribed-flag
 search and both enumerations; only the source of each layer's candidates
 differs.  Each source lists them in ascending order, the walk's order
-(_kernels docstring).  Each candidate of the last layer completes one
+(_kernels docstring).  Every allowed set a kernel receives is a
+down-set, as the kernels require: the search's allowed & U & _within,
+an enumeration's allowed set, and the diagram count's _within.  Each candidate of the last layer completes one
 witness and the search stops at the witness cap, so the last layer's
 kernel lists only the first ones the cap still admits: the same
 witnesses, order and flags as the full list, in no more nodes, so a
@@ -567,11 +569,12 @@ def count_two_color_shifted_by_edges(
     a vertex budget of e per color never constrains a diagram with e
     cells; the count equals partition_number(e), but this function
     enumerates the diagrams.  It reads partition_number(e) only to bound
-    the budget: each diagram is a distinct leaf of the walk, so when
-    there are more diagrams than max_nodes (or too many for 64 bits) the
-    budget stop is certain and BudgetExhausted is raised without
-    walking.  Otherwise BudgetExhausted is raised once the count has
-    spent the node budget.
+    the budget: each state of the up-set walk is a leaf or has two
+    children, so a completed walk spends 2L - 1 nodes for its L leaves,
+    and each diagram is a distinct leaf, so L >= p(e).  When 2p(e) - 1
+    exceeds max_nodes (or p(e) is too large for 64 bits) the budget stop
+    is certain and BudgetExhausted is raised without walking.  Otherwise
+    BudgetExhausted is raised once the count has spent the node budget.
     """
     if budget is None:
         budget = SearchBudget()
@@ -579,7 +582,7 @@ def count_two_color_shifted_by_edges(
     if e < 0:
         raise ValueError("edge count must be >= 0")
     try:
-        certain = partition_number(e) > budget.max_nodes
+        certain = 2 * partition_number(e) - 1 > budget.max_nodes
     except OverflowError:
         certain = True
     if not certain:

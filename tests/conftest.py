@@ -47,21 +47,21 @@ def _code_lines(text: str) -> int:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the acceptance verdict lines collected during the run, and
-    the line count of the package source, which the roadmap tracks,
-    beside each module's, so a move between modules reads differently
-    from a deletion, and the count of its code lines, which a docstring
-    edit does not move."""
+    the line and code-line counts of the package source, which the
+    roadmap tracks, beside each module's, so a move between modules reads
+    differently from a deletion, and a deletion from a docstring edit,
+    which moves no code line."""
     module = sys.modules.get("test_acceptance")
     lines = getattr(module, "VERDICTS", None) if module else None
     terminalreporter.section("acceptance criteria")
     for line in lines or ():
         terminalreporter.write_line(line)
     texts = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
-    counts = {name: len(text.splitlines()) for name, text in texts.items()}
-    code = sum(map(_code_lines, texts.values()))
-    modules = ", ".join(f"{name} {count:,}" for name, count in counts.items())
+    counts = {name: (len(text.splitlines()), _code_lines(text)) for name, text in texts.items()}
+    lines, code = map(sum, zip(*counts.values()))
+    modules = ", ".join(f"{name} {total:,}/{coded:,}" for name, (total, coded) in counts.items())
     terminalreporter.write_line(
-        f"src/flagshift: {sum(counts.values()):,} lines, {code:,} of code ({modules})"
+        f"src/flagshift: {lines:,} lines, {code:,} of code (lines/code by module: {modules})"
     )
 
 

@@ -105,6 +105,28 @@ def brute_shift_maximal(faces: set[Face]) -> set[Face]:
     }
 
 
+def reference_color_shift(faces) -> set[Face]:
+    """Shift a face set by compression inside one color until no
+    compression moves a face.  Compressing color c from index j to i < j
+    replaces each face that holds (c, j), and whose image with (c, i) in
+    its place is absent, by that image, each image tested against the set
+    before the compression.  A compression keeps every face's color set,
+    so the flag f-vector, and keeps a complex a complex; once none moves a
+    face, each face's image is present, so the set is color-shifted."""
+    faces = set(faces)
+    moved = True
+    while moved:
+        moved = False
+        for c, j in sorted({v for f in faces for v in f.vertices}):
+            for i in range(1, j):
+                images = {f: with_index(f, c, i) for f in faces if (c, j) in f.vertices}
+                moves = {f: g for f, g in images.items() if g not in faces}
+                if moves:
+                    faces = (faces - moves.keys()) | set(moves.values())
+                    moved = True
+    return faces
+
+
 def all_candidate_faces(num_colors: int, bounds) -> list[Face]:
     """Every face with indices within the per-color bounds."""
     out = [EMPTY_FACE]

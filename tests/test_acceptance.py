@@ -18,6 +18,7 @@ from flagshift import (
     Face,
     FlagVector,
     InvalidComplexError,
+    SearchBudget,
     coarse_f,
     cone_extension,
     count_two_color_shifted_by_edges,
@@ -38,6 +39,7 @@ from flagshift import (
 
 from helpers import (
     brute_flag_f,
+    reference_color_shift,
     is_colex_initial,
     is_lex_initial,
     is_swap_invariant_shifted,
@@ -188,25 +190,35 @@ def test_criterion_7_partition_count():
 # criterion 8: a color-shifted complex exists for every flag vector
 # ===================================================================
 
-def _assert_witness_found(source: ColoredComplex) -> None:
-    outcome = find_color_shifted_with_flag(source)
-    assert outcome.witnesses, source
-    witness = outcome.witnesses[0]
-    assert is_color_shifted(witness)
-    assert flag_f(witness) == flag_f(source), source
-    assert brute_flag_f(witness) == brute_flag_f(source), source
+def _assert_witnesses_hold_the_shifts(sources: list[ColoredComplex]) -> None:
+    """Search each distinct flag vector of `sources` once, with no cap:
+    for each source the search finds a color-shifted witness with its
+    flag f-vector, and its witness list holds the source's compression
+    (helpers.reference_color_shift)."""
+    by_vector: dict[FlagVector, list[ColoredComplex]] = {}
+    for source in sources:
+        by_vector.setdefault(flag_f(source), []).append(source)
+    for vector, group in by_vector.items():
+        outcome = find_color_shifted_with_flag(group[0], SearchBudget(max_witnesses=len(sources)))
+        assert outcome.exhausted and not outcome.truncated, vector
+        assert outcome.witnesses, group[0]
+        witness = outcome.witnesses[0]
+        assert is_color_shifted(witness)
+        witnesses = {frozenset(w.faces) for w in outcome.witnesses}
+        for source in group:
+            assert flag_f(witness) == flag_f(source), source
+            assert brute_flag_f(witness) == brute_flag_f(source), source
+            assert frozenset(reference_color_shift(source.faces)) in witnesses, source
 
 
 def test_criterion_8_witness_for_every_flag_vector():
     with verdict(8, "shifted witness exists"):
         two_color = list(enumerate_all_colored_complexes(2, [3, 3]))
         assert len(two_color) == 689
-        for source in two_color:
-            _assert_witness_found(source)
+        _assert_witnesses_hold_the_shifts(two_color)
         three_color = list(enumerate_all_colored_complexes(3, [2, 2, 2]))
-        sample = random.Random(2026).sample(three_color, 100)
-        for source in sample:
-            _assert_witness_found(source)
+        assert len(three_color) == 14159
+        _assert_witnesses_hold_the_shifts(three_color)
 
 
 # ===================================================================

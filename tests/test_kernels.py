@@ -3,10 +3,13 @@
 Posets are built as immediate-predecessor masks, which the brute-force
 filter reads, and reach the kernels by transitive closure: the listing
 kernels as their down-sets (helpers.reference_down_sets), the count
-kernel as their up-sets (helpers.reference_up_sets)."""
+kernel as their up-sets (helpers.reference_up_sets).  Allowed sets are
+down-sets, as the kernels require: whole posets, prefixes of the linear
+extension and down-closures of chosen points."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 from hypothesis import given, seed, settings, strategies as st
@@ -60,6 +63,14 @@ def antichain(n):
     return [0] * n
 
 
+def down_closure(downs, points):
+    """The down-set of the given points: every allowed set a kernel takes."""
+    mask = 0
+    for p in points:
+        mask |= downs[p]
+    return mask
+
+
 # ===================================================================
 # pure kernel vs brute force
 # ===================================================================
@@ -110,19 +121,6 @@ def test_allowed_mask_restricts():
     assert got == [0b0000, 0b0001, 0b0100, 0b0101]
 
 
-def test_allowed_mask_blocks_successors():
-    # 0 < 1, but 0 is disallowed: only the empty down-set survives
-    ups = reference_up_sets([0, 0b1])
-    assert ups == [0b11, 0b10]
-    downs = reference_down_sets([0, 0b1])
-    assert downs == [0b01, 0b11]
-    got, _, done = ideals_py.all_ideals(downs, 0b10, HUGE)
-    assert done
-    assert got == [0]
-    assert ideals_py.ideals_of_size(downs, 0b10, 1, HUGE)[0] == []
-    assert ideals_py.count_ideals_of_size(ups, 0b10, 1, HUGE)[0] == 0
-
-
 def test_zero_points():
     assert ideals_py.all_ideals([], 0, HUGE) == ([0], 1, True)
     assert ideals_py.ideals_of_size([], 0, 0, HUGE) == ([0], 1, True)
@@ -159,33 +157,6 @@ def test_kernels_take_more_than_64_points():
     full = (1 << 65) - 1
     count, _, done = _kernels.count_ideals_of_size(ups, full, 1, HUGE)
     assert done and count == 65
-
-
-def test_initial_avail_reads_only_the_up_sets_that_clear_something():
-    """On the e x e grid with the diagram count's allowed cells, i * j <= e,
-    the first avail is the allowed set, the same as clearing the up-set of
-    every blocked cell, and it reads one up-set per row shorter than the
-    row above it, bar the last row, whose blocked cells lie past the
-    highest allowed one: 6 reads of the 266 blocked cells at e = 18."""
-    reads = {}
-    for e in (1, 2, 3, 5, 8, 18, 30):
-        ups = _Geometry(0b11, (e, e)).ups  # uncached: the reference reads every up-set
-        allowed = sum(((1 << e // (i + 1)) - 1) << (i * e) for i in range(e))
-        read = []
-
-        class Counted:
-            def __getitem__(self, i):
-                read.append(i)
-                return ups[i]
-
-        every = allowed
-        for p in range(e * e):
-            if not allowed >> p & 1:
-                every &= ~ups[p]
-        assert _kernels._initial_avail(Counted(), allowed) == every == allowed, e
-        assert len(read) == len({e // (i + 1) for i in range(1, e - 1)}), e
-        reads[e] = (len(read), e * e - allowed.bit_count())
-    assert reads[18] == (6, 266)
 
 
 # ===================================================================
@@ -260,18 +231,20 @@ def test_upset_walk_budget_stop_is_a_prefix():
 # ===================================================================
 
 def test_ascending_walk_lists_in_order_on_grids():
-    """On 2- and 3-color grids, with every point allowed, with a gap (a
-    point left out below allowed ones) and with a down-closed part, the
-    any-size and sized lists equal the brute-force filter's ascending
+    """On 2- and 3-color grids, with every point allowed, with the
+    down-closures of seeded random points and with a prefix, the any-size
+    and sized lists equal the brute-force filter's ascending
     list, in 2L - 1 nodes for L down-sets of any size.  Each limit returns
     a prefix of the sized list, and each budget stop a prefix at
     max_nodes + 1.  The geometry's down-sets are the poset's."""
+    rng = random.Random(2010)
     for radices in [(3, 4), (2, 3, 2), (3, 2, 2)]:
         preds = grid(*radices)
         n = len(preds)
         downs = _Geometry((1 << len(radices)) - 1, radices).downs
         full = (1 << n) - 1
-        for allowed in (full, full & ~(1 << 1), full & ~(1 << (n // 2)), (1 << (n // 2)) - 1):
+        closures = [down_closure(downs, rng.sample(range(n), k)) for k in (1, 2, 3)]
+        for allowed in (full, *closures, (1 << (n // 2)) - 1):
             got, nodes, done = ideals_py.all_ideals(downs, allowed, HUGE)
             assert done and got == brute_ideals(preds, allowed), (radices, allowed)
             assert nodes == 2 * len(got) - 1
@@ -324,8 +297,8 @@ def random_posets(draw):
             if draw(st.booleans()):
                 mask |= 1 << j
         preds.append(mask)
-    allowed = draw(st.integers(0, (1 << n) - 1 if n else 0))
-    return preds, allowed
+    tops = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+    return preds, down_closure(reference_down_sets(preds), tops)
 
 
 @settings(max_examples=60)
@@ -352,21 +325,9 @@ def test_sized_ideals_property(args, size):
         assert ideals_py.ideals_of_size(downs, allowed, size, HUGE, limit)[0] == got[:limit]
 
 
-@st.composite
-def posets_with_gaps(draw):
-    """Allowed sets that leave out a point below an allowed one, so they
-    are not down-closed."""
-    preds, allowed = draw(random_posets().filter(lambda args: len(args[0]) >= 2))
-    n = len(preds)
-    low = draw(st.integers(0, n - 2))
-    high = draw(st.integers(low + 1, n - 1))
-    preds[high] |= 1 << low
-    return preds, (allowed | 1 << high) & ~(1 << low)
-
-
 @seed(20101)
 @settings(max_examples=150, derandomize=True, database=None)
-@given(st.one_of(random_posets(), posets_with_gaps()), st.integers(0, 8))
+@given(random_posets(), st.integers(0, 8))
 def test_upset_walk_matches_brute(args, size):
     """Both routes list the brute-force down-sets, the up-set walk's
     count is the number it lists, and the ascending walk lists them in

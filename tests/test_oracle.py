@@ -1046,6 +1046,54 @@ def test_refuted_target_builds_no_later_layer():
     assert peak < 2 * 2**20, peak
 
 
+def test_every_kernel_call_takes_a_down_set(monkeypatch, enumerated_corpus):
+    """The kernels take `allowed` to be a down-set of the grid and do not
+    check it (_kernels docstring).  Every allowed set the searches, the
+    enumeration and the diagram count hand them holds the grid's down-set
+    of each of its points: over the corpus's uniqueness checks, every
+    (1, a, b, e) search with a, b <= 4, the color-shifted complexes within
+    [2, 2, 2] and the counts for e = 0..18."""
+    ascending, down_sets = oracle._kernels._ascending, oracle._kernels._down_sets
+    downs_of = {}  # id of an up-set table -> its grid's down-sets
+    calls = Counter()
+
+    def assert_down_set(downs, allowed):
+        rest = allowed
+        while rest:
+            p = rest.bit_length() - 1
+            assert downs[p] & ~allowed == 0, (p, allowed)
+            rest ^= 1 << p
+
+    def checked_ascending(downs, allowed, *args):
+        assert_down_set(downs, allowed)
+        calls["ascending"] += 1
+        return ascending(downs, allowed, *args)
+
+    def checked_down_sets(ups, allowed, *args):
+        assert_down_set(downs_of[id(ups)], allowed)
+        calls["down_sets"] += 1
+        return down_sets(ups, allowed, *args)
+
+    monkeypatch.setattr(oracle._kernels, "_ascending", checked_ascending)
+    monkeypatch.setattr(oracle._kernels, "_down_sets", checked_down_sets)
+    try:
+        for delta in enumerated_corpus:
+            verify_uniqueness(delta)
+        for a, b in product(range(5), repeat=2):
+            for e in range(a * b + 1):
+                enumerate_color_shifted_with_flag(
+                    FlagVector(2, (1, a, b, e)), SearchBudget(max_witnesses=10**6)
+                )
+        assert sum(1 for _ in enumerate_color_shifted_complexes(3, [2, 2, 2])) == 979
+        for e in range(19):
+            geo = complexes._layer_geometry(0b11, (e, e))
+            downs_of[id(geo.ups)] = geo.downs
+            assert count_two_color_shifted_by_edges(e) == partition_number(e)
+    finally:
+        complexes._layer_geometry.cache_clear()  # drop the down-sets read here
+    assert calls["ascending"] and calls["down_sets"] == 19, calls
+
+
 def test_find_matches_flag_of_any_source(corpus):
     for c in corpus:
         if len(c) == 0 or c.num_colors > 4:
@@ -1472,24 +1520,43 @@ def test_diagram_count_budget():
         count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3192))
 
 
+def test_diagram_walk_spends_at_least_two_nodes_per_diagram():
+    """The up-set walk's states are leaves or have two children, so a
+    completed count spends an odd number of nodes, at least 2p(e) - 1:
+    the bound behind the diagram count's certain stop."""
+    for e in range(19):
+        grid = complexes._Geometry(0b11, (e, e))
+        count, nodes, done = oracle._kernels.count_ideals_of_size(
+            grid.ups, complexes._within((e, e), e), e, 10**7
+        )
+        assert done and count == partition_number(e), e
+        assert nodes % 2 == 1 and nodes >= 2 * count - 1, (e, nodes)
+
+
 def test_diagram_count_fails_fast_when_the_stop_is_certain(monkeypatch):
-    """Each diagram is a leaf of the walk, so with more diagrams than
-    max_nodes the budget stop is raised without walking."""
+    """Each diagram is a leaf of the walk, whose states are leaves or have
+    two children, so a completed walk spends at least 2p(e) - 1 nodes;
+    with fewer max_nodes the budget stop is raised without walking."""
 
     def walked(*args):
         raise AssertionError("the diagram walk ran")
 
     monkeypatch.setattr(oracle._kernels, "count_ideals_of_size", walked)
-    # p(2000) leaves 64-bit range; p(77) = 10,619,863; p(18) = 385
+    # p(2000) leaves 64-bit range; p(71) = 4,697,205, p(72) = 5,392,783,
+    # p(76) = 9,289,091, p(77) = 10,619,863; p(18) = 385, so 2p - 1 = 769
     for e, budget, nodes in [
         (2000, None, 10_000_000),
         (77, None, 10_000_000),
+        (76, None, 10_000_000),
+        (72, None, 10_000_000),
         (18, SearchBudget(max_nodes=384), 384),
+        (18, SearchBudget(max_nodes=385), 385),
+        (18, SearchBudget(max_nodes=768), 768),
     ]:
         with pytest.raises(BudgetExhausted, match=f"exceeded {nodes} nodes"):
             count_two_color_shifted_by_edges(e, budget)
     # a stop that is not certain still walks
-    for e, budget in [(76, None), (18, SearchBudget(max_nodes=385)), (18, SearchBudget(max_nodes=3192))]:
+    for e, budget in [(71, None), (18, SearchBudget(max_nodes=769)), (18, SearchBudget(max_nodes=3192))]:
         with pytest.raises(AssertionError, match="walk ran"):
             count_two_color_shifted_by_edges(e, budget)
 
