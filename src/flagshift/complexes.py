@@ -10,21 +10,22 @@ complexes describe the same object exactly when they compare equal.
 The faces with exactly the colors S lie in the index grid of S, the
 product over c in S of {1..t_c}, whose radices are the vertex counts.
 A grid point has one rank, row-major with the last color fastest: the
-index v_c of color c adds (v_c - 1) times the product of the later
-colors' radices.  Every grid helper of the package reads that ranking.
-_grid_face decodes a rank by mixed radix, and _boxes writes the points a
-face dominates in closed form.  Dropping a color of radix r and stride s
-(the product of the later radices) sends rank hi * r * s + i * s + lo,
-i < r and lo < s, to sub-rank hi * s + lo, so the fiber of a sub-point,
-the points projecting onto it, is a column of r bits s apart (_repeat),
-shifted.  A layer's geometry (_layer_geometry) holds each drop's radix,
-stride and column, built when the search first reads them; _project and
-the search's fiber unions are computed from them, both moving the s-bit
-blocks of a mask with the one regroup (_regroup), and no per-point table
-is kept.  A kernel reads the down-set of a point v, the points at or
-below it, from the geometry's `downs`, and the diagram count its up-set
-from `ups`; each is computed on first read as a box like the points a
-face dominates, the up-set written at v's rank.
+index v_c of color c adds (v_c - 1) times c's stride, the product of
+the later colors' radices.  Every grid helper of the package reads that
+ranking.  A layer's geometry (_layer_geometry) holds its strides with
+its shape, _grid_face decodes a rank by them, and _boxes writes the
+points a face dominates in closed form.  Dropping a color of radix r
+and stride s sends rank hi * r * s + i * s + lo, i < r and lo < s, to
+sub-rank hi * s + lo, so the fiber of a sub-point, the points
+projecting onto it, is a column of r bits s apart (_repeat), shifted.
+The geometry also holds each drop's radix, stride and column, built
+when the search first reads them; _project and the search's fiber
+unions are computed from them, both moving the s-bit blocks of a mask
+with the one regroup (_regroup), and no per-point table is kept.  A
+kernel reads the down-set of a point v, the points at or below it, from
+the geometry's `downs`, and the diagram count its up-set from `ups`;
+each is computed on first read as a box like the points a face
+dominates, the up-set written at v's rank.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
@@ -339,27 +340,40 @@ def _within(radices: tuple[int, ...], size: int) -> int:
 
 class _Geometry:
     """One layer grid, shared through the _layer_geometry cache.  Its
-    shape is set once.  Its drops, up-sets and down-sets, which only the
-    search and the mask tests read, are built on first read, as they are
-    as wide as the grid, and so are its strides, read from its drops; its
-    face and face-text memos fill as records over it are read.  So reading
-    a record costs the faces it holds, never the whole grid.  For a color
-    of radix above 1, ups[stride] is its points above its bottom row."""
+    shape, the radices with the size, strides and chain flag they give,
+    is set once, in one pass over the colors from the last.  Its drops,
+    up-sets and down-sets, which only the search and the mask tests
+    read, are built on first read, as their masks are as wide as the
+    grid; its face and face-text memos fill as records over it are read.
+    So reading a record costs the faces it holds, never the whole grid.
+    For a color of radix above 1, ups[stride] is its points above its
+    bottom row."""
 
     __slots__ = (
-        "mask", "colors", "radices", "size", "chain", "faces", "texts",
-        "_ups", "_downs", "_drops", "_strides",
+        "mask", "colors", "radices", "size", "strides", "chain", "faces", "texts",
+        "_ups", "_downs", "_drops",
     )
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
         self.mask = mask  # color-set bitmask
-        self.colors = colors_of_mask(mask)
+        self.colors = colors = colors_of_mask(mask)
         self.radices = radices
-        self.size = prod(radices)  # number of points
-        self.chain = sum(r > 1 for r in radices) <= 1  # at most one color has more than one vertex
+        strides = [0] * (mask.bit_length() + 1)  # by color, 0 outside the set
+        size = 1
+        wide = 0  # colors with more than one vertex
+        j = len(radices)
+        while j:  # from the last color: a stride is the product of the later radices
+            j -= 1
+            r = radices[j]
+            strides[colors[j]] = size
+            size *= r
+            wide += r > 1
+        self.size = size  # number of points
+        self.strides = tuple(strides)
+        self.chain = wide <= 1
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
-        self._ups = self._downs = self._drops = self._strides = None
+        self._ups = self._downs = self._drops = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -368,25 +382,12 @@ class _Geometry:
         _repeat(r, s))."""
         if self._drops is None:
             drops = []
-            s = self.size
             for color, r in zip(self.colors, self.radices):
-                s //= r
+                s = self.strides[color]
                 full = (1 << self.size // r) - 1
                 drops.append((self.mask ^ 1 << (color - 1), full, r, s, _repeat(r, s)))
             self._drops = tuple(drops)
         return self._drops
-
-    @property
-    def strides(self) -> list[int]:
-        """By color, the stride of its drop, for the parser's reads per
-        vertex: kept on the grid, as a list built per parse shows in
-        the corpus benchmark's wall time."""
-        if self._strides is None:
-            strides = [0] * (self.mask.bit_length() + 1)
-            for color, (*_, s, _) in zip(self.colors, self.drops):
-                strides[color] = s
-            self._strides = strides
-        return self._strides
 
     @property
     def ups(self) -> MappingProxyType:  # read-only, made on the first count or mask-test read
@@ -416,14 +417,13 @@ def _dense_enough(points: int, faces: int) -> bool:
 
 
 def _grid_face(geo: _Geometry, rank: int) -> Face:
-    """The face of row-major rank `rank` in the grid `geo`, decoded by
-    mixed radix from the last color."""
-    indices = []
-    for radix in reversed(geo.radices):
-        rank, index = divmod(rank, radix)
-        indices.append(index + 1)
+    """The face of row-major rank `rank` in the grid `geo`: the index
+    of color c is rank // strides[c] % r_c + 1."""
+    strides = geo.strides
     # colors ascend and indices start at 1: the tuple is a Face's own
-    return Face._raw(tuple(map(Vertex, geo.colors, reversed(indices))))
+    return Face._raw(tuple([
+        Vertex(c, rank // strides[c] % r + 1) for c, r in zip(geo.colors, geo.radices)
+    ]))
 
 
 def _grid_faces(points: int, geo: _Geometry) -> list[Face]:

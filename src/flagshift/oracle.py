@@ -17,7 +17,7 @@ and radices; a layer that reaches a kernel reads its grid's order from
 the geometry's `downs`, which computes each down-set on its first read.
 Only the color sets the target gives faces are visited (_target_layers;
 an enumeration's target holds every face within its bounds).  No search
-builds a face: a witness is the record of its chosen masks (_assemble),
+builds a face: a witness is a copy of its chosen masks, a record (_start),
 and verify_uniqueness compares it with the cone extension, itself only
 a record, mask by mask (ColoredComplex.__eq__).
 
@@ -206,24 +206,18 @@ def _allowed_mask(geo: _Geometry, chosen: dict[int, int]) -> int:
     return allowed
 
 
-def _assemble(num_colors: int, chosen: dict[int, int]) -> ColoredComplex:
-    """The complex of the chosen points, kept as its record
-    (ColoredComplex._raw), which builds the faces on first use and holds
-    the flag counts.
-
-    Every chosen point of a layer is the face of that rank in the grid
-    of the layer's mask, and _start records the empty face as chosen[0]
-    = 1 and the t[i] vertices of color i + 1 as (1 << t[i]) - 1, so the
-    bit lengths of those entries are the grid's radices.  The entries
-    are in canonical order: _start's come first, and the walk and the
-    fixpoint add the layers' in canonical order.
-    """
-    return ColoredComplex._raw(num_colors, None, dict(chosen))
-
-
 def _start(t) -> dict[int, int]:
     """Chosen masks of the empty layer and the vertex layers with
-    vertices."""
+    vertices.
+
+    The walk and the fixpoint add the other layers' masks, and the
+    result is the record of a complex (ColoredComplex._raw) as it
+    stands: every chosen point of a layer is the face of that rank in
+    the grid of the layer's mask, chosen[0] = 1 is the empty face, and
+    the t[i] vertices of color i + 1 are (1 << t[i]) - 1, so the bit
+    lengths of those entries are the grid's radices.  The entries are in
+    canonical order: these come first, and the walk and the fixpoint
+    add the layers' in canonical order."""
     chosen = {0: 1}
     for c, count in enumerate(t):
         if count:
@@ -385,7 +379,7 @@ def enumerate_color_shifted_with_flag(
         if nodes > budget.max_nodes:
             return SearchOutcome([], False, budget.max_nodes + 1)
         truncated = budget.max_witnesses == 1
-        witness = _assemble(n, upper)
+        witness = ColoredComplex._raw(n, None, dict(upper))
         return SearchOutcome([witness], not truncated, nodes, truncated)
 
     def candidates(geo: _Geometry, allowed: int, remaining: int):
@@ -405,7 +399,7 @@ def enumerate_color_shifted_with_flag(
     try:
         while True:
             nodes = next(walk)
-            witnesses.append(_assemble(n, chosen))
+            witnesses.append(ColoredComplex._raw(n, None, dict(chosen)))
             if len(witnesses) >= budget.max_witnesses:
                 return SearchOutcome(witnesses, False, nodes, truncated=True)
     except StopIteration as stop:
@@ -475,7 +469,7 @@ def _enumerate(
         try:
             while True:
                 next(walk)
-                yield _assemble(num_colors, chosen)
+                yield ColoredComplex._raw(num_colors, None, dict(chosen))
         except StopIteration as stop:
             nodes += stop.value
         if nodes > budget.max_nodes:

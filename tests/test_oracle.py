@@ -261,18 +261,26 @@ def test_capped_search_is_a_prefix():
     search, is truncated exactly when more witnesses exist, and spends no
     more nodes.  The last layer's kernel lists only as many candidates as
     the cap still admits; an earlier layer's first candidates may complete
-    no witness, as on (1, 2, 2, 2, 2, 1, 2, 2)."""
+    no witness, as on (1, 2, 2, 2, 2, 1, 2, 2).
+
+    The 3,405 searches spend 41,296 nodes in all, so a change that moves
+    any node count of the set shows here."""
     two = [FlagVector(2, (1, a, b, e)) for a, b in product(range(7), repeat=2) for e in range(a * b + 1)]
     three = {flag_f(c) for c in enumerate_color_shifted_complexes(3, [2, 2, 2])}
     assert FlagVector(3, (1, 2, 2, 2, 2, 1, 2, 2)) in three
+    assert (len(two), len(three)) == (490, 645)
+    nodes = 0
     for fv in [*two, *sorted(three, key=FlagVector.dense)]:
         full = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=10**6))
         assert full.exhausted and full.witnesses, fv
+        nodes += full.nodes_visited
         for cap in (1, 2):
             out = enumerate_color_shifted_with_flag(fv, SearchBudget(max_witnesses=cap))
             assert out.witnesses == full.witnesses[:cap], (fv, cap)
             assert out.truncated == (len(full.witnesses) >= cap) != out.exhausted, (fv, cap)
             assert out.nodes_visited <= full.nodes_visited, (fv, cap)
+            nodes += out.nodes_visited
+    assert nodes == 41_296
 
 
 def test_matching_gets_a_witness_fast():
@@ -802,7 +810,8 @@ def test_geometry_matches_its_faces():
     sub-point's rank q plus (q // s) * (r - 1) * s; a drop of radix 1
     keeps every rank.  The size, drops but their masks, and chain flag
     depend only on the radices, so a color set with the same radices
-    shares them."""
+    shares them.  Each color's stride is the product of the later
+    colors' radices, and every other index of the stride table holds 0."""
     for mask, radices in GRID_SHAPES:
         geo = complexes._layer_geometry(mask, radices)
         colors = colors_of_mask(mask)
@@ -810,6 +819,10 @@ def test_geometry_matches_its_faces():
         faces = reference_grid_faces(mask, radices)
         assert [f.vertices for f in faces] == [tuple(zip(colors, v)) for v in grid]
         assert (geo.mask, geo.radices, geo.size) == (mask, radices, len(grid))
+        strides = [0] * (max(colors) + 1)
+        for j, c in enumerate(colors):
+            strides[c] = prod(radices[j + 1:])
+        assert geo.strides == tuple(strides), (mask, radices)
         shifted = complexes._layer_geometry(mask << 1, radices)
         assert geo.size == shifted.size and geo.chain == shifted.chain
         assert [drop[1:] for drop in geo.drops] == [drop[1:] for drop in shifted.drops]
@@ -887,7 +900,7 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     assert again.faces is geo.faces and again.texts is geo.texts
     maxsize = complexes._layer_geometry.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 256
-    for field in (geo.colors, geo.radices, geo.drops, *geo.drops):
+    for field in (geo.colors, geo.radices, geo.strides, geo.drops, *geo.drops):
         assert isinstance(field, tuple)
     assert all(type(x) is int for drop in geo.drops for x in drop)
     with pytest.raises(AttributeError):

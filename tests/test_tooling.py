@@ -87,7 +87,8 @@ def test_no_dead_definitions():
     through an import, a member as an attribute, so that a local
     variable of the same name does not count.  A member a base class in
     the MRO already has is exempt, as its base calls it (argparse calls
-    _Parser.error)."""
+    _Parser.error).  Every __slots__ entry of a package class is read as
+    an attribute too: a slot that is only ever stored holds nothing."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     names, attrs = set(), set()
     for tree in trees.values():
@@ -105,7 +106,15 @@ def test_no_dead_definitions():
             for name in filter(_private, _defined(node)):
                 if name not in names | attrs:
                     dead.append(f"{module}.{name}")
-            if not (isinstance(node, ast.ClassDef) and _private(node.name)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if "__slots__" in _defined(member):
+                    slots = ast.literal_eval(member.value)
+                    for name in [slots] if isinstance(slots, str) else slots:
+                        if name not in attrs:
+                            dead.append(f"{module}.{node.name}.__slots__: {name}")
+            if not _private(node.name):
                 continue
             # importing only modules with a private class: running __main__ runs the CLI
             bases = getattr(importlib.import_module(module), node.name).__mro__[1:]
