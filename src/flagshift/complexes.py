@@ -31,16 +31,20 @@ A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
 built by the layered walk, a cone extension and a parsed "faces"
 document (formats.parse_complex) hold only that.
-_record_grids walks its color sets with their grids' geometries, the one
-cache keyed by color set and radices; each also holds its colors and two
-memos by rank, the faces decoded so far and the face texts
-formats.emit_complex wrote.  A record's faces are decoded into that memo
-on first use and the emitter builds a face only on a text miss; no drops
-are built, so no mask as wide as a grid.  The parser and shifting test a
-record in masks, with its grids' drops and up-sets (a color's points
-above its bottom row are the up-set of the point at its stride), only
-where each layer's grid holds at most _GRID_BITS_PER_FACE points per
-face of the layer (_dense_enough).
+_record_grids walks its color sets with their grids' geometries, read
+from one table per vertex-count vector (_grids), which takes each from
+the cache keyed by color set and radices (_layer_geometry) on its first
+read.  A geometry also holds its colors, a memo by rank of the faces
+decoded so far, and two memos by a layer's points, bounded in bytes
+(_Memo): the layer texts formats.emit_complex wrote and the mask shift
+test's verdicts.  A record's faces are decoded into the face memo on
+first use, and the emitter formats a layer from it only on a text miss;
+no drops are built, so no mask as wide as a grid.  A geometry, with its
+memos, is freed once neither the cache nor a table holds it.  The
+parser and shifting test a record in masks, with its grids' drops and
+up-sets (a color's points above its bottom row are the up-set of the
+point at its stride), only where each layer's grid holds at most
+_GRID_BITS_PER_FACE points per face of the layer (_dense_enough).
 
 Faces and complexes are immutable; operations return new objects.
 """
@@ -51,6 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from sys import getsizeof
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -338,19 +343,65 @@ def _within(radices: tuple[int, ...], size: int) -> int:
     return sum(_within(rest, size // i) << (i - 1) * stride for i in range(1, min(first, size) + 1))
 
 
+# What a layer memo (_Memo) may hold per grid, by its own count: each
+# entry costs the sys.getsizeof of its key and result (a tuple's items
+# counted in) plus _ENTRY_BYTES for its slot in the dict's table.  16 KiB
+# holds the distinct layer texts of all but 3 of the 189 grids that the
+# benchmark corpus's extensions are emitted over, and keeps a few hundred
+# cached grids' memos within a few MiB.
+_MEMO_BYTES = 1 << 14
+_ENTRY_BYTES = 64
+
+
+def _size(obj) -> int:
+    """sys.getsizeof of obj, counting in the items of a tuple."""
+    if type(obj) is tuple:
+        return getsizeof(obj) + sum(map(_size, obj))
+    return getsizeof(obj)
+
+
+class _Memo(dict):
+    """A layer's points -> what a reader computed from them on its grid,
+    holding at most _MEMO_BYTES: a result that would pass the bound
+    empties the memo first, and one that alone passes it is not kept.
+    So it holds at most _MEMO_BYTES // _ENTRY_BYTES layers."""
+
+    __slots__ = ("used",)
+
+    def __init__(self):
+        self.used = 0  # bytes held, by the count above
+
+    def keep(self, points: int, result):
+        """Store result under points, bound permitting, and return it."""
+        size = _size(points) + _size(result) + _ENTRY_BYTES
+        if size <= _MEMO_BYTES:
+            if self.used + size > _MEMO_BYTES:
+                self.clear()
+                self.used = 0
+            self[points] = result
+            self.used += size
+        return result
+
+
 class _Geometry:
-    """One layer grid, shared through the _layer_geometry cache.  Its
-    shape, the radices with the size, strides and chain flag they give,
-    is set once, in one pass over the colors from the last.  Its drops,
-    up-sets and down-sets, which only the search and the mask tests
-    read, are built on first read, as their masks are as wide as the
-    grid; its face and face-text memos fill as records over it are read.
-    So reading a record costs the faces it holds, never the whole grid.
+    """One layer grid, shared through the _layer_geometry cache and the
+    record tables (_grids).  Its shape, the radices with the size,
+    strides and chain flag they give, is set once, in one pass over the
+    colors from the last.  Its drops, up-sets and down-sets, which only
+    the search and the mask tests read, are built on first read, as
+    their masks are as wide as the grid.  Its memos fill as records
+    over it are read: `faces`, rank -> the face decoded there, holds at
+    most one face per point, and two _Memo tables keyed by a layer's
+    points, `texts` (the layer's text, by formats.emit_complex) and
+    `shifts` (the mask shift test's verdict, free points and drop
+    projections, by shifting._maximal_in_masks), each hold at most
+    _MEMO_BYTES = 16 KiB by their own count, so at most 256 layers.  So
+    reading a record costs the faces it holds, never the whole grid.
     For a color of radix above 1, ups[stride] is its points above its
     bottom row."""
 
     __slots__ = (
-        "mask", "colors", "radices", "size", "strides", "chain", "faces", "texts",
+        "mask", "colors", "radices", "size", "strides", "chain", "faces", "texts", "shifts",
         "_ups", "_downs", "_drops",
     )
 
@@ -372,7 +423,8 @@ class _Geometry:
         self.strides = tuple(strides)
         self.chain = wide <= 1
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
-        self.texts: dict[int, str] = {}  # rank -> face text, by formats.emit_complex
+        self.texts = _Memo()  # points -> the layer's text
+        self.shifts = _Memo()  # points -> the layer's shift-test verdict
         self._ups = self._downs = self._drops = None
 
     @property
@@ -403,6 +455,27 @@ class _Geometry:
 
 
 _layer_geometry = lru_cache(maxsize=256)(_Geometry)  # searches and records reopen a few grids
+
+
+class _Grids(dict):
+    """Color-set mask -> the _layer_geometry of its grid for the vertex
+    counts `counts` (color c has counts[c - 1]), looked up on first read."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]):
+        self.counts = counts
+
+    def __missing__(self, mask: int) -> _Geometry:
+        counts = self.counts
+        radices = tuple([counts[c - 1] for c in colors_of_mask(mask)])
+        self[mask] = geo = _layer_geometry(mask, radices)
+        return geo
+
+
+# One table per vertex-count vector; a pass over a corpus revisits a few
+# hundred of them
+_grids = lru_cache(maxsize=256)(_Grids)
 
 # Points per face a layer's grid may hold for a mask as wide as the grid to
 # stand in for the layer's faces: a Face holds about 258 bytes, so the mask
@@ -621,20 +694,14 @@ _set_faces = ColoredComplex._faces.__set__
 _set_record = ColoredComplex._record.__set__
 
 
-def _record_grids(record: dict[int, int]) -> Iterator[tuple[int, _Geometry]]:
+def _record_grids(record: dict[int, int]) -> list[tuple[int, _Geometry]]:
     """(points, grid) per color set of a record that holds a face, in the
-    record's order, the grid's radices read off the record's vertex
-    entries (ColoredComplex._raw)."""
-    for mask, points in record.items():
-        if not points:
-            continue
-        radices = []
-        m = mask
-        while m:
-            low = m & -m
-            radices.append(record[low].bit_length())
-            m ^= low
-        yield points, _layer_geometry(mask, tuple(radices))
+    record's order, from the table (_grids) of its vertex counts up to
+    its highest color, the bit lengths of its vertex entries
+    (ColoredComplex._raw)."""
+    top = max(record, default=0).bit_length()
+    grids = _grids(tuple([record.get(1 << c, 0).bit_length() for c in range(top)]))
+    return [(points, grids[mask]) for mask, points in record.items() if points]
 
 
 def _nonzero(record: dict[int, int]) -> dict[int, int]:

@@ -26,10 +26,11 @@ from functools import lru_cache
 from itertools import chain
 from typing import Any
 
-from .complexes import ColoredComplex, Face, _vertex_tuple, colors_of_mask, from_generators
-from .complexes import _dense_enough, _grid_face, _layer_geometry, _project, _record_grids
+from .complexes import ColoredComplex, Face, _vertex_tuple, from_generators
+from .complexes import _dense_enough, _grid_faces, _grids, _record_grids
 from .construction import ConstructionReport
 from .flags import MAX_COLORS, CoarseFVector, FlagVector, mask_sort_key
+from .shifting import _projections
 
 
 class DocumentError(ValueError):
@@ -97,7 +98,8 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
     (1 << t_c) - 1 (a color's singletons run from 1 to its largest
     index: saturation), and each layer's projection along each drop
     lies inside the sub-layer (every one-vertex drop of a face is
-    present: closure).
+    present: closure); a layer the shift test has seen on its grid
+    reads its projections from that test's memo (shifting._projections).
     """
     if num_colors > MAX_COLORS:
         return None
@@ -122,10 +124,9 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
             masks.append(mask)
     except (TypeError, ValueError):  # a pair that does not unpack into two
         return None
-    grids = {
-        mask: _layer_geometry(mask, tuple([top[c] for c in colors_of_mask(mask)]))
-        for mask in sorted(set(masks), key=mask_sort_key)
-    }
+    # the vertex counts up to the highest color, the table _record_grids reads
+    table = _grids(tuple(top[1:max(masks, default=0).bit_length() + 1]))
+    grids = {mask: table[mask] for mask in sorted(set(masks), key=mask_sort_key)}
     # the rule on every layer implies it on their sum, as the entries bound
     # the faces: this changes no route, and refuses before masks are built
     if not _dense_enough(sum(geo.size for geo in grids.values()), len(entries)):
@@ -144,11 +145,12 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
         if top[color] and record.get(1 << (color - 1)) != (1 << top[color]) - 1:
             return None
     for mask, geo in grids.items():
-        if not _dense_enough(geo.size, record[mask].bit_count()):
+        points = record[mask]
+        if not _dense_enough(geo.size, points.bit_count()):
             return None
-        for sub, _, r, s, _ in geo.drops:
+        for sub, projected in _projections(points, geo):
             # a vertex's drop is the empty face, checked above
-            if sub and _project(record[mask], r, s) & ~record.get(sub, 0):
+            if sub and projected & ~record.get(sub, 0):
                 return None
     return record
 
@@ -196,6 +198,12 @@ def _face_text(vertices: tuple) -> str:
     return _face_template(len(vertices)) % tuple(chain.from_iterable(vertices))
 
 
+def _layer_text(points: int, geo) -> str:
+    """The entries of a layer's faces in a complex document, in rank
+    order, each face read from its grid's face memo."""
+    return ",\n".join([_face_text(face._vertices) for face in _grid_faces(points, geo)])
+
+
 def emit_complex(c: ColoredComplex) -> str:
     """Canonical document for a complex: faces in canonical order.
 
@@ -203,25 +211,21 @@ def emit_complex(c: ColoredComplex) -> str:
     json's indented encoder runs in pure Python, and a complex's
     document is only nested lists of integers.  A complex with a record
     (complexes.ColoredComplex._raw) is written from it in its
-    canonical order, each face's text taken from the text memo of its
-    grid's geometry (complexes._record_grids): a face is formatted once
-    per grid, not once per document, and a memo hit builds no Face.
+    canonical order, each layer's text taken from the text memo of its
+    grid's geometry (complexes._record_grids), keyed by the layer's
+    points: a layer is formatted once per grid, not once per document,
+    and a memo hit is one dict read and builds no Face.
     """
     record = c._record
     if record is None:
         faces = [_face_text(face._vertices) for face in c.sorted_faces()]
     else:
-        faces = []
+        faces = []  # the text of each layer
         for points, geo in _record_grids(record):
-            texts = geo.texts
-            while points:
-                low = points & -points
-                rank = low.bit_length() - 1
-                text = texts.get(rank)
-                if text is None:
-                    text = texts[rank] = _face_text(_grid_face(geo, rank)._vertices)
-                faces.append(text)
-                points ^= low
+            text = geo.texts.get(points)
+            if text is None:
+                text = geo.texts.keep(points, _layer_text(points, geo))
+            faces.append(text)
     body = "[\n" + ",\n".join(faces) + "\n  ]" if faces else "[]"
     return f'{{\n  "faces": {body},\n  "num_colors": {c.num_colors}\n}}\n'
 

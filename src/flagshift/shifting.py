@@ -142,20 +142,19 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
 def _maximal_in_masks(record: dict[int, int]) -> list[Face] | None:
     """The maximal faces of a record as shift_maximal_faces states, or
     None when it is not color-shifted or a layer's grid is too sparse
-    for masks (complexes._dense_enough)."""
+    for masks (complexes._dense_enough).  Each layer's part depends only
+    on its grid and points, so it is kept in the grid's `shifts` memo."""
     covered: dict[int, int] = {}  # layer mask -> its points a drop covers
     layers = []
     for points, geo in _record_grids(record):
-        if not _dense_enough(geo.size, points.bit_count()):
+        layer = geo.shifts.get(points)
+        if layer is None:
+            layer = geo.shifts.keep(points, _layer_shift(points, geo))
+        if not layer:
             return None
-        free = points
-        for sub, _, r, s, _ in geo.drops:
-            covered[sub] = covered.get(sub, 0) | _project(points, r, s)
-            if r > 1:
-                lower = (points & geo.ups[s]) >> s  # one index lower than a point
-                if lower & ~points:
-                    return None
-                free &= ~lower
+        free, projections = layer
+        for sub, projected in projections:
+            covered[sub] = covered.get(sub, 0) | projected
         if free:
             layers.append((geo.colors, free, geo))
     maximal = []
@@ -164,6 +163,32 @@ def _maximal_in_masks(record: dict[int, int]) -> list[Face] | None:
         if free:
             maximal += _grid_faces(free, geo)
     return maximal
+
+
+def _layer_shift(points: int, geo) -> tuple | bool:
+    """(the points no index-lowering of the layer reaches, its drop
+    projections), or False when the layer is too sparse for masks or
+    lowering an index leaves it."""
+    if not _dense_enough(geo.size, points.bit_count()):
+        return False
+    free = points
+    for _, _, r, s, _ in geo.drops:
+        if r > 1:
+            lower = (points & geo.ups[s]) >> s  # one index lower than a point
+            if lower & ~points:
+                return False
+            free &= ~lower
+    return free, _projections(points, geo)
+
+
+def _projections(points: int, geo) -> tuple[tuple[int, int], ...]:
+    """(sub-layer mask, the points a layer projects onto there) per drop,
+    read from the layer's entry in its grid's `shifts` memo when it has
+    one (formats._parse_record checks closure with them)."""
+    layer = geo.shifts.get(points)
+    if layer:
+        return layer[1]
+    return tuple([(sub, _project(points, r, s)) for sub, _, r, s, _ in geo.drops])
 
 
 def principal_downset(c: ColoredComplex, face: Face) -> ColoredComplex:

@@ -25,9 +25,18 @@ from flagshift import (
     principal_downset,
     shift_closure,
 )
+from flagshift import complexes
 from flagshift.complexes import _project
 from flagshift.formats import face_to_obj
 from flagshift.oracle import _allowed_mask
+
+
+def cold_grids() -> None:
+    """Empty both caches that hold layer geometries, _layer_geometry and
+    the record tables (_grids), so that every grid read next is built
+    afresh, with empty memos."""
+    complexes._layer_geometry.cache_clear()
+    complexes._grids.cache_clear()
 
 
 def face(*pairs: tuple[int, int]) -> Face:

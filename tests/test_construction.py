@@ -34,11 +34,12 @@ from flagshift import (
 )
 from flagshift import emit_complex, oracle
 from flagshift.construction import ConstructionReport, VerificationResult
-from flagshift.complexes import _layer_geometry, _record_grids
+from flagshift.complexes import _record_grids
 from flagshift.flags import colors_of_mask, subset_masks
 
 from helpers import (
     brute_record,
+    cold_grids,
     edge2,
     face,
     reference_cone_extension,
@@ -255,7 +256,7 @@ def test_internal_paths_call_no_validating_constructor(monkeypatch, enumerated_c
     def no_init(*_args, **_kwargs):
         raise AssertionError("an internal path called a validating constructor")
 
-    _layer_geometry.cache_clear()
+    cold_grids()
     monkeypatch.setattr(Face, "__init__", no_init)
     monkeypatch.setattr(FlagVector, "__init__", no_init)
     built = sum(1 for faces in _built_internally(enumerated_corpus) for _ in faces)
@@ -300,7 +301,7 @@ def test_extension_builds_no_face(monkeypatch):
 
 def test_second_emission_builds_no_face(monkeypatch, enumerated_corpus):
     """Emitting an extension reads its record: once the text memos hold
-    its grids' faces, emitting it again builds no Face, even with the
+    its grids' layers, emitting it again builds no Face, even with the
     face memos cleared, and leaves its face set unbuilt."""
     import flagshift.complexes as complexes
 
@@ -312,7 +313,7 @@ def test_second_emission_builds_no_face(monkeypatch, enumerated_corpus):
         return raw(vertices)
 
     extensions = [cone_extension(c)[0] for c in [*enumerated_corpus, *STAIRCASES]]
-    _layer_geometry.cache_clear()
+    cold_grids()
     monkeypatch.setattr(complexes.Face, "_raw", classmethod(counted_raw))
     for e in extensions:
         first = emit_complex(e)
@@ -342,7 +343,7 @@ def test_wide_extension_memory_is_its_faces():
         want, _ = reference_cone_extension(delta)
         want_doc = reference_emit_complex(want)
         want_order = sorted(want.faces, key=lambda f: f.sort_key)
-        _layer_geometry.cache_clear()
+        cold_grids()
         tracemalloc.start()
         try:
             extended, report = cone_extension(delta)

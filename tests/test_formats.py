@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -26,17 +28,21 @@ from flagshift import (
     enumerate_color_shifted_with_flag,
     flag_f,
     h_from_f,
+    is_color_shifted,
     parse_complex,
     parse_flag_vector,
     shift_closure,
+    shift_maximal_faces,
     verify_uniqueness,
 )
 from flagshift import complexes
+from flagshift.complexes import _ENTRY_BYTES, _MEMO_BYTES
 from flagshift.complexes import EMPTY_FACE, Face, Vertex, empty_complex, trivial_complex
 
 from flagshift.formats import report_to_obj
+from flagshift.shifting import _maximal_in_masks
 
-from helpers import reference_emit_complex, reference_flag_vector_obj, staircase
+from helpers import cold_grids, reference_emit_complex, reference_flag_vector_obj, staircase
 
 
 # ===================================================================
@@ -113,7 +119,7 @@ def test_emit_complex_matches_the_json_encoder(enumerated_corpus):
     assert all(c._record is None for c in face_sets)
     want = [reference_emit_complex(c) for c in [*recorded, *face_sets]]
     assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     assert [emit_complex(c) for c in [*recorded, *face_sets]] == want
     assert all(c._faces is None for c in recorded[len(enumerated_corpus):])
 
@@ -290,6 +296,89 @@ def test_parsed_records_match_the_face_route(enumerated_corpus):
         parsed = parse_complex(doc)
         assert parsed._record is not None
         assert parsed == _face_route(doc) and emit_complex(parsed) == emit_complex(_face_route(doc))
+
+
+def _read_back(c: ColoredComplex) -> tuple:
+    """c's document, the record it parses into, and the parsed complex's
+    shift-maximal faces."""
+    doc = emit_complex(c)
+    parsed = parse_complex(doc)
+    return doc, parsed._record, shift_maximal_faces(parsed)
+
+
+def _shift_error(c: ColoredComplex) -> str:
+    with pytest.raises(ValueError) as info:
+        shift_maximal_faces(c)
+    return str(info.value)
+
+
+def test_layer_memos_change_no_answer(enumerated_corpus):
+    """Documents, parsed records and shift-maximal faces are the same with
+    the grids' layer memos cold, with them warm (the complexes read back
+    in reverse), and through the face-set route, on the corpus, the
+    [3, 2, 2] box and the L-shaped complex at t = 600, whose {1, 2} layer
+    holds 1,199 of its grid's 360,000 points.  A record that is not
+    color-shifted raises the face route's error after a color-shifted
+    record over the same grid has filled its memos."""
+    t = 600
+    l_shaped = shift_closure(3, [Face([(1, t), (2, 1), (3, 2)]), Face([(1, 1), (2, t), (3, 2)])])
+    given = [*enumerated_corpus, *enumerate_color_shifted_complexes(3, [3, 2, 2]), l_shaped]
+    cold_grids()
+    cold = [_read_back(c) for c in given]
+    assert [_read_back(c) for c in reversed(given)] == cold[::-1]
+    face_sets = [ColoredComplex(c.num_colors, c.faces) for c in given]
+    assert [
+        (emit_complex(f), parse_complex(emit_complex(f))._record, shift_maximal_faces(f))
+        for f in face_sets
+    ] == cold
+    assert cold[-1][1] is not None and cold[-1][1][0b11].bit_count() == 2 * t - 1
+    shifted = '{"num_colors": 2, "faces": [[], [[1, 1]], [[1, 2]], [[2, 1]], [[2, 2]], [[1, 1], [2, 1]]]}'
+    unshifted = shifted.replace("[[1, 1], [2, 1]]", "[[1, 2], [2, 2]]")
+    cold_grids()
+    assert shift_maximal_faces(parse_complex(shifted)) == [
+        Face([(1, 2)]), Face([(1, 1), (2, 1)]), Face([(2, 2)])
+    ]
+    record = parse_complex(unshifted)
+    assert record._record is not None
+    assert _shift_error(record) == _shift_error(_face_route(unshifted))
+    assert "present but" in _shift_error(record) and not is_color_shifted(record)
+
+
+def test_layer_memos_are_bounded():
+    """Emitting and mask-testing 5,050 two-color complexes over the
+    10 x 10 grid, whose {1, 2} layers are every set of one or two of its
+    points, keeps each of that grid's layer memos within _MEMO_BYTES by
+    its own count, so at most _MEMO_BYTES // _ENTRY_BYTES layers, and
+    together they retain, traced, at most twice that.  Unbounded, the
+    texts alone would hold about 1 MiB."""
+    vertices = (1 << 10) - 1
+
+    def over_the_grid(points: int) -> ColoredComplex:
+        return ColoredComplex._raw(2, None, {0: 1, 1: vertices, 2: vertices, 3: points})
+
+    layers = [1 << p | 1 << q for p, q in combinations_with_replacement(range(100), 2)]
+    assert len(set(layers)) == 5050
+    cold_grids()
+    whole = over_the_grid((1 << 100) - 1)
+    assert len(parse_complex(emit_complex(whole))) == 121  # fills the grid's face memo
+    assert shift_maximal_faces(whole) == [Face([(1, 10), (2, 10)])]
+    geo = complexes._grids((10, 10))[0b11]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for points in layers:
+            c = over_the_grid(points)
+            emit_complex(c)
+            _maximal_in_masks(c._record)
+        gc.collect()  # a full collection empties the interpreter's free lists too
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    for memo in (geo.texts, geo.shifts):
+        assert 0 < len(memo) <= _MEMO_BYTES // _ENTRY_BYTES and memo.used <= _MEMO_BYTES
+    assert retained <= 2 * _MEMO_BYTES, retained
 
 
 def test_sparse_and_wide_documents_parse_into_faces():

@@ -45,6 +45,7 @@ from helpers import (
     brute_flag_f,
     brute_partitions,
     brute_record,
+    cold_grids,
     edge2,
     face,
     reference_cone_extension,
@@ -884,9 +885,9 @@ def test_projection_matches_faces():
 
 def test_layer_geometry_cache_is_bounded_and_immutable():
     """One bounded cache holds a grid's geometry, whose shape fields are
-    tuples that cannot change and whose face and face-text memos are
+    tuples that cannot change and whose face and layer-text memos are
     the ones a record over that grid decodes into and is emitted from."""
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     geo = complexes._layer_geometry(0b111, (2, 3, 1))
     assert complexes._layer_geometry(0b111, (2, 3, 1)) is geo
     assert geo.colors == (1, 2, 3) and geo.faces == {} and geo.texts == {}
@@ -895,7 +896,7 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     top = ColoredComplex._raw(3, None, record).sorted_faces()[-1]
     assert top == Face([(1, 2), (2, 3), (3, 1)]) and geo.faces == {5: top}
     doc = emit_complex(ColoredComplex._raw(3, None, record))
-    assert list(geo.texts) == [5] and geo.texts[5] in doc
+    assert list(geo.texts) == [1 << 5] and geo.texts[1 << 5] in doc
     again = complexes._layer_geometry(0b111, (2, 3, 1))
     assert again.faces is geo.faces and again.texts is geo.texts
     maxsize = complexes._layer_geometry.cache_info().maxsize
@@ -942,7 +943,7 @@ def test_up_sets_are_the_points_above():
                 assert ups[s] == sum(1 << q for q in raised), (radices, j)
     with pytest.raises(TypeError):
         ups[0] = 1
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     extended, report = cone_extension(staircase(5))
     assert verify_uniqueness(staircase(5)).unique is True
     f = report.predicted_flag.dense()
@@ -1004,7 +1005,7 @@ def test_uniqueness_memory_follows_the_target(num_colors, generators, faces, nod
     takes over 50 MiB on each of the others."""
     delta = shift_closure(num_colors, generators)
     assert len(delta) == faces
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     tracemalloc.start()
     try:
         result = verify_uniqueness(delta)
@@ -1022,7 +1023,7 @@ def test_kernel_memory_follows_the_target(t):
     cache cleared, the search answers in 12 nodes under 30 MiB traced,
     reading 4 down-sets and no up-set.  A table of every point's down-set
     takes 206 MiB at t = 200 and over 1 GB at t = 400."""
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     tracemalloc.start()
     try:
         outcome = enumerate_color_shifted_with_flag(
@@ -1048,7 +1049,7 @@ def test_refuted_target_builds_no_later_layer():
     counts.update({pair: 1 for pair in product(range(1, 5), repeat=2) if pair[0] < pair[1]})
     counts.update({(1, 2, 3): 2, (1, 2, 4): 1, (1, 3, 4): 1, (2, 3, 4): 1})
     target = FlagVector(4, counts, kind="f")
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     tracemalloc.start()
     try:
         outcome = enumerate_color_shifted_with_flag(target)
@@ -1103,7 +1104,7 @@ def test_every_kernel_call_takes_a_down_set(monkeypatch, enumerated_corpus):
             downs_of[id(geo.ups)] = geo.downs
             assert count_two_color_shifted_by_edges(e) == partition_number(e)
     finally:
-        complexes._layer_geometry.cache_clear()  # drop the down-sets read here
+        cold_grids()  # drop the down-sets read here
     assert calls["ascending"] and calls["down_sets"] == 19, calls
 
 
@@ -1229,11 +1230,11 @@ def test_walk_built_complexes_equal_validated_ones(enumerated_corpus):
 
 def test_walk_records_survive_cache_clears():
     """A walk record holds only the chosen masks, so clearing the grid
-    cache, with its face and face-text memos, before the faces are built
+    caches, with their face and layer-text memos, before the faces are built
     changes nothing, and complexes built by separate walks compare
     equal."""
     walked = _corpus_and_witnesses()
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     for i, c in enumerate(walked):
         _assert_same_as_validated(c, i)
     assert _corpus_and_witnesses() == walked
@@ -1526,7 +1527,7 @@ def test_diagram_count_at_thirty_edges():
 
 def test_diagram_count_budget():
     # e = 18 walks 3,193 nodes, and reads fewer up-sets than the grid has points
-    complexes._layer_geometry.cache_clear()
+    cold_grids()
     assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3193)) == 385
     assert len(complexes._layer_geometry(0b11, (18, 18)).ups) < 18 * 18
     with pytest.raises(BudgetExhausted, match="3192 nodes"):

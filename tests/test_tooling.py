@@ -126,6 +126,27 @@ def test_no_dead_definitions():
     assert dead == []
 
 
+def test_every_lru_cache_is_bounded():
+    """Every functools cache of the package has a finite maxsize, so none
+    grows for the life of the process; a bare @lru_cache holds 128.  The
+    one exception is flags.subset_masks, whose key, a number of colors,
+    is at most MAX_COLORS."""
+    unbounded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id == "cache":  # functools.cache never evicts
+                    maxsize = None
+                elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "lru_cache":
+                    sizes = [*sub.args[:1], *(k.value for k in sub.keywords if k.arg == "maxsize")]
+                    maxsize = ast.literal_eval(sizes[0]) if sizes else 128
+                else:
+                    continue
+                if maxsize is None:
+                    unbounded.append(f"flagshift.{path.stem}.{_defined(node)[0]}")
+    assert unbounded == ["flagshift.flags.subset_masks"]
+
+
 def test_traced_pass_reaches_every_kernel():
     """One traced pass through the search, the shifted enumeration and the
     diagram count reads the kernels' results; a kernel whose return
