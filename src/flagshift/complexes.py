@@ -600,7 +600,7 @@ class ColoredComplex(_Immutable):
         record[{c}].  Record[0] is 1 for the empty face, record[{c}] is
         (1 << t_c) - 1 for the t_c vertices of color c, and a color set
         without an entry has no face.  Its entries are in canonical order
-        (flags.mask_sort_key), as the walk, cone_extension and the parser
+        (flags.canonical_key), as the walk, cone_extension and the parser
         write them, and those callers pass faces=None: `faces` builds
         them on first use, and `sorted_faces` and formats.emit_complex
         read them off in that order.  flag_f and len read the counts from the record.

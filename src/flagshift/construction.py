@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ColoredComplex, Face, Vertex, _boxes, select_colors
-from .flags import MAX_COLORS, FlagVector, colors_of_mask, flag_f, mask_sort_key, subset_masks
+from .flags import MAX_COLORS, FlagVector, canonical_key, colors_of_mask, flag_f, subset_masks
 from .shifting import find_shift_violation, shift_maximal_faces
 # unused here, but perfbench's tracer and its tests look the bindings up
 from .complexes import cone, union  # noqa: F401
@@ -113,7 +113,7 @@ def cone_extension(delta: ColoredComplex) -> tuple[ColoredComplex, ConstructionR
             counts[mask | apex_bit] = size
             chosen[mask | apex_bit] = points
             chosen[mask] = chosen.get(mask, 0) | points
-    record = {mask: chosen[mask] for mask in sorted(chosen, key=mask_sort_key)}
+    record = {mask: chosen[mask] for mask in sorted(chosen, key=canonical_key)}
     extended = ColoredComplex._raw(n + k, None, record)
     report = ConstructionReport(
         base_colors=n,

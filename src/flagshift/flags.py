@@ -11,7 +11,9 @@ aggregates by cardinality: f_{i-1} = sum over |S| = i of f_S.
 
 Vectors are stored densely over all 2^n color sets, encoded as bitmasks
 (bit i-1 stands for color i), with n capped so the tables stay at desk
-scale.  Counts stay within signed 64-bit range, which
+scale.  Color sets are put in canonical order (size, then
+lexicographic) by canonical_key, a memo of mask_sort_key over at most
+MAX_COLORS colors.  Counts stay within signed 64-bit range, which
 FlagVector.__init__ and the two transforms check.
 """
 
@@ -51,6 +53,24 @@ def mask_sort_key(mask: int) -> int:
     lexicographically."""
     reversal = _REVERSED_BYTES[mask & 255] << 8 | _REVERSED_BYTES[mask >> 8]
     return mask.bit_count() << 16 | reversal ^ 0xFFFF
+
+
+class _CanonicalKey(dict):
+    """mask -> mask_sort_key(mask), computed on its first read and kept;
+    a dict, so that sorting by its bound __getitem__ (canonical_key) reads
+    each key at C speed.  It holds at most 2^16 keys: every sort that
+    reads it orders masks of at most MAX_COLORS colors (the parser, the
+    cone extension and the search's layers; a wider enumeration orders
+    its own)."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> int:
+        self[mask] = key = mask_sort_key(mask)
+        return key
+
+
+canonical_key = _CanonicalKey().__getitem__
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from typing import Any
 from .complexes import ColoredComplex, Face, _vertex_tuple, from_generators
 from .complexes import _dense_enough, _grid_faces, _grids, _record_grids
 from .construction import ConstructionReport
-from .flags import MAX_COLORS, CoarseFVector, FlagVector, mask_sort_key
+from .flags import MAX_COLORS, CoarseFVector, FlagVector, canonical_key
 from .shifting import _projections
 
 
@@ -86,7 +86,7 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
     """The record (ColoredComplex._raw) of a "faces" list of JSON
     values, or None when the face-set route must run: the list breaks a
     check of _parse_face or validate_faces, has more than MAX_COLORS
-    colors (mask_sort_key's reach), or a layer too sparse for masks
+    colors (the reach of flags.canonical_key), or a layer too sparse for masks
     (complexes._dense_enough).
 
     The first pass checks each pair and takes each color's largest
@@ -126,7 +126,7 @@ def _parse_record(num_colors: int, entries: list) -> dict[int, int] | None:
         return None
     # the vertex counts up to the highest color, the table _record_grids reads
     table = _grids(tuple(top[1:max(masks, default=0).bit_length() + 1]))
-    grids = {mask: table[mask] for mask in sorted(set(masks), key=mask_sort_key)}
+    grids = {mask: table[mask] for mask in sorted(set(masks), key=canonical_key)}
     # the rule on every layer implies it on their sum, as the entries bound
     # the faces: this changes no route, and refuses before masks are built
     if not _dense_enough(sum(geo.size for geo in grids.values()), len(entries)):

@@ -12,9 +12,11 @@ ideals of a bitmask poset with a prescribed size; the _kernels module
 enumerates those.
 
 Each layer's grid, with each one-color drop's radix, stride and column,
-comes from complexes._layer_geometry, cached by its color-set bitmask
-and radices; a layer that reaches a kernel reads its grid's order from
-the geometry's `downs`, which computes each down-set on its first read.
+is read from the table of the target's vertex counts (complexes._grids),
+which a witness's record is read through too; the table takes each grid
+from complexes._layer_geometry, cached by its color-set bitmask and
+radices.  A layer that reaches a kernel reads its grid's order from the
+geometry's `downs`, which computes each down-set on its first read.
 Only the color sets the target gives faces are visited (_target_layers;
 an enumeration's target holds every face within its bounds).  No search
 builds a face: a witness is a copy of its chosen masks, a record (_start),
@@ -131,10 +133,11 @@ from typing import Iterable, Iterator
 
 from . import _kernels
 from .complexes import (
-    ColoredComplex, _Geometry, _layer_geometry, _project, _regroup, _within, colors_of_mask,
+    ColoredComplex, _Geometry, _grids, _layer_geometry, _project, _regroup, _within,
+    colors_of_mask,
 )
 from .construction import cone_extension
-from .flags import _INT64_MAX, MAX_COLORS, FlagVector, flag_f, mask_sort_key
+from .flags import _INT64_MAX, MAX_COLORS, FlagVector, canonical_key, flag_f
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -148,6 +151,9 @@ class SearchBudget:
             raise TypeError("budget limits must be integers")
         if self.max_nodes < 1 or self.max_witnesses < 1:
             raise ValueError("budget limits must be >= 1")
+
+
+_DEFAULT_BUDGET = SearchBudget()  # frozen, so every search without a budget shares it
 
 
 @dataclass
@@ -273,16 +279,19 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     target f, in canonical order, or None when a color set with faces has
     a one-color drop without or more faces than its grid; both are
     checked before the grid is built.  Only non-zero entries are visited.
+    Each geometry is read from the table of t (complexes._grids); a
+    first read there builds it from the radices the checks collected.
 
     An enumeration passes the complex of every face within its vertex
     counts t, full[S] = prod(t[c] for c in S).  full[S] is non-zero exactly
     when every color of S has vertices; then every drop of S has faces
     and full[S] is S's grid size, so full is never refused.  Only such a
     target has more than MAX_COLORS colors, ordered by color tuple."""
+    grids = _grids(tuple(t))
     layers = []
     masks = [m for m in compress(range(len(f)), f) if m & (m - 1)]
     wide = len(f) > 1 << MAX_COLORS
-    key = (lambda m: (m.bit_count(), colors_of_mask(m))) if wide else mask_sort_key
+    key = (lambda m: (m.bit_count(), colors_of_mask(m))) if wide else canonical_key
     for mask in sorted(masks, key=key):
         radices = []
         m = mask
@@ -294,7 +303,10 @@ def _target_layers(f, t) -> list[_Geometry] | None:
             m ^= low
         if f[mask] > prod(radices):
             return None
-        layers.append(_layer_geometry(mask, tuple(radices)))
+        geo = grids.get(mask)
+        if geo is None:  # fill the table as its own miss would, from the radices at hand
+            grids[mask] = geo = _layer_geometry(mask, tuple(radices))
+        layers.append(geo)
     return layers
 
 
@@ -357,7 +369,7 @@ def enumerate_color_shifted_with_flag(
     exhausted, with no witness and no node.
     """
     if budget is None:
-        budget = SearchBudget()
+        budget = _DEFAULT_BUDGET
     if target.kind != "f":
         raise ValueError("search target must be an f-vector")
     f = target.dense()
@@ -431,10 +443,11 @@ def verify_uniqueness(
     witness; otherwise unique is None (budget ran out first).
     """
     if budget is None:
-        budget = SearchBudget()
-    effective = SearchBudget(budget.max_nodes, max(2, budget.max_witnesses))
+        budget = _DEFAULT_BUDGET
+    elif budget.max_witnesses < 2:  # a second witness is what refutes uniqueness
+        budget = SearchBudget(budget.max_nodes, 2)
     extended, report = cone_extension(delta)
-    outcome = enumerate_color_shifted_with_flag(report.predicted_flag, effective)
+    outcome = enumerate_color_shifted_with_flag(report.predicted_flag, budget)
     if outcome.exhausted:
         unique: bool | None = outcome.witnesses == [extended]
     else:
@@ -454,7 +467,7 @@ def _enumerate(
     candidates of `source` (see _walk), vertex counts in lexicographic
     order, under one node budget."""
     if budget is None:
-        budget = SearchBudget()
+        budget = _DEFAULT_BUDGET
     bounds = [int(b) for b in vertex_bounds]
     if len(bounds) != num_colors or any(b < 0 for b in bounds):
         raise ValueError("vertex_bounds must list one bound >= 0 per color")
@@ -571,7 +584,7 @@ def count_two_color_shifted_by_edges(
     BudgetExhausted is raised once the count has spent the node budget.
     """
     if budget is None:
-        budget = SearchBudget()
+        budget = _DEFAULT_BUDGET
     e = int(e)
     if e < 0:
         raise ValueError("edge count must be >= 0")

@@ -17,6 +17,7 @@ from flagshift import (
 from flagshift.formats import DocumentError, parse_flag_vector
 from flagshift.flags import (
     MAX_COLORS,
+    canonical_key,
     colors_of_mask,
     mask_of_colors,
     mask_sort_key,
@@ -55,11 +56,16 @@ def test_subset_masks_canonical_order():
 
 def test_subset_masks_equal_the_sorted_order():
     """The masks by size, each size lexicographic in its colors, are all
-    2^n masks sorted by (popcount, colors), and by mask_sort_key."""
+    2^n masks sorted by (popcount, colors), by mask_sort_key and by its
+    memo canonical_key, whose every key is mask_sort_key's."""
     for n in range(17):
         want = sorted(range(1 << n), key=lambda m: (m.bit_count(), colors_of_mask(m)))
         assert subset_masks(n) == tuple(want), n
         assert sorted(range(1 << n), key=mask_sort_key) == want, n
+        assert sorted(range(1 << n), key=canonical_key) == want, n
+    memo = canonical_key.__self__
+    assert len(memo) == 1 << MAX_COLORS
+    assert all(key == mask_sort_key(mask) for mask, key in memo.items())
 
 
 # ===================================================================

@@ -37,7 +37,7 @@ from flagshift import (
 )
 
 from flagshift import complexes, oracle
-from flagshift.flags import colors_of_mask
+from flagshift.flags import MAX_COLORS, canonical_key, colors_of_mask, subset_masks
 
 from helpers import (
     brute_all_color_shifted,
@@ -104,7 +104,8 @@ def test_enumerations_reject_bad_vertex_bounds():
 def test_enumerations_above_sixteen_colors():
     """More than 16 colors, the last three with one vertex each: the same
     complexes as on 3 colors, colors renumbered by 14, in the same order
-    (_target_layers sorts such a table's masks by their color tuples)."""
+    (_target_layers sorts such a table's masks by their color tuples),
+    and no key of 2^16 or more lands in the canonical-key memo."""
     for enumerate_ in (enumerate_color_shifted_complexes, enumerate_all_colored_complexes):
         narrow = [
             {tuple((color + 14, index) for color, index in f.vertices) for f in c.faces}
@@ -115,6 +116,7 @@ def test_enumerations_above_sixteen_colors():
             for c in enumerate_(17, [0] * 14 + [1, 1, 1])
         ]
         assert wide == narrow and len(wide) > 5
+    assert not [mask for mask in canonical_key.__self__ if mask >= 1 << MAX_COLORS]
 
 
 # ===================================================================
@@ -158,23 +160,79 @@ def test_search_short_circuits_oversized_layers():
 
 
 def test_rejected_targets_build_no_layer(monkeypatch):
-    """The one-color drops and the grid size are checked before a layer's
-    grid is built, so a rejected target costs no geometry, however large
-    its grid would be."""
-
-    def built(*args):
-        raise AssertionError("a layer grid was built")
-
-    monkeypatch.setattr(oracle, "_layer_geometry", built)
-    for n, dense in [
-        (2, (1, 0, 0, 3)),
-        (2, (1, 0, 2, 1)),
-        (2, (1, 2, 0, 1)),
-        (2, (1, 10**6, 10**6, 10**12 + 1)),
-        (3, (1, 1, 1, 0, 1, 0, 0, 1)),
+    """The one-color drops and the grid size of a layer S are checked
+    before S's grid is built or read from the table of t, so a rejected
+    target costs no geometry for S, however large its grid would be, and
+    none at all when S is its first layer with faces.  From cold caches,
+    building S's geometry through either route raises; the layers before
+    S are built, and the search, which reads them there, is exhausted
+    with no node."""
+    for n, dense, refused in [
+        (2, (1, 0, 0, 3), 0b11),
+        (2, (1, 0, 2, 1), 0b11),
+        (2, (1, 2, 0, 1), 0b11),  # the drop {2} of {1,2} is empty
+        (2, (1, 2, 2, 5), 0b11),  # 5 faces on a 2 x 2 grid
+        (2, (1, 10**6, 10**6, 10**12 + 1), 0b11),
+        (3, (1, 1, 1, 0, 1, 0, 0, 1), 0b111),
+        (3, (1, 2, 2, 4, 0, 1, 0, 0), 0b101),  # after {1,2}: the drop {3} is empty
+        (3, (1, 2, 2, 4, 1, 2, 2, 5), 0b111),  # after three edge layers: 5 on a 2 x 2 x 1 grid
     ]:
+        order = subset_masks(n)
+        before = [m for m in order[:order.index(refused)] if dense[m] and m & (m - 1)]
+        built = []
+
+        def geometry(mask, radices, make=complexes._Geometry):
+            assert mask != refused, "the refused layer's grid was built"
+            built.append(mask)
+            return make(mask, radices)
+
+        cold_grids()
+        monkeypatch.setattr(oracle, "_layer_geometry", geometry)
+        monkeypatch.setattr(complexes, "_layer_geometry", geometry)
+        t = [dense[1 << i] for i in range(n)]
+        assert oracle._target_layers(dense, t) is None, dense
+        assert (built, refused in complexes._grids(tuple(t))) == (before, False), dense
         outcome = enumerate_color_shifted_with_flag(FlagVector(n, dense))
         assert (outcome.witnesses, outcome.exhausted, outcome.nodes_visited) == ([], True, 0)
+        monkeypatch.undo()
+
+
+def test_target_layers_read_the_grid_table(enumerated_corpus):
+    """_target_layers refuses exactly the targets with a color set whose
+    drop is empty or whose count passes its grid, and otherwise returns,
+    in canonical order, the geometries of the color sets of size >= 2
+    with faces: the very objects _layer_geometry and the table of t
+    (complexes._grids) hold for them, over every target within [3, 3, 2]
+    and every corpus extension vector.  Each target starts from cold
+    caches: a table may keep a geometry _layer_geometry has evicted, and
+    a second call reads it there after _layer_geometry is emptied."""
+    vectors = [*_grid_targets(3, (3, 3, 2)), *_extension_vectors(enumerated_corpus)]
+    refused = 0
+    for dense in vectors:
+        n = len(dense).bit_length() - 1
+        t = [dense[1 << i] for i in range(n)]
+        multi = [m for m in subset_masks(n) if dense[m] and m & (m - 1)]
+        radices = {m: tuple(t[c - 1] for c in colors_of_mask(m)) for m in multi}
+        refuse = any(
+            dense[m] > prod(radices[m])
+            or any(dense[m & ~(1 << (c - 1))] == 0 for c in colors_of_mask(m))
+            for m in multi
+        )
+        cold_grids()
+        layers = oracle._target_layers(dense, t)
+        if refuse:
+            assert layers is None, dense
+            refused += 1
+            continue
+        assert [geo.mask for geo in layers] == multi, dense
+        table = complexes._grids(tuple(t))
+        for geo in layers:
+            assert geo is table.get(geo.mask), dense  # filled, not only readable
+            assert geo is complexes._layer_geometry(geo.mask, radices[geo.mask]), dense
+        complexes._layer_geometry.cache_clear()
+        again = oracle._target_layers(dense, t)
+        assert all(a is b for a, b in zip(again, layers, strict=True)), dense
+    assert 0 < refused < len(vectors)
 
 
 def test_search_rejects_bad_targets():
@@ -1385,6 +1443,38 @@ def test_uniqueness_budget_runs_out(sample_b):
     result = verify_uniqueness(sample_b, SearchBudget(max_nodes=2))
     assert result.unique is None
     assert not result.outcome.exhausted
+
+
+def test_default_budget_is_shared(monkeypatch, sample_a, sample_b):
+    """A search or a uniqueness check without a budget builds none, and a
+    check builds one only to raise a cap of 1 witness to the 2 that can
+    refute uniqueness; the answers, flags and node counts are those of
+    the budgets spelled out."""
+    def outcome(result):
+        unique, out = (None, result) if isinstance(result, oracle.SearchOutcome) else (
+            result.unique, result.outcome
+        )
+        return unique, out.witnesses, out.exhausted, out.truncated, out.nodes_visited
+
+    calls = [
+        (verify_uniqueness, sample_a), (verify_uniqueness, sample_b),
+        (enumerate_color_shifted_with_flag, FlagVector(2, (1, 3, 4, 5))),
+    ]
+    spelled = [outcome(call(arg, SearchBudget(10_000_000, 2))) for call, arg in calls]
+    assert [unique for unique, *_ in spelled] == [True, True, None]
+    built = []
+
+    class Counted(SearchBudget):
+        def __post_init__(self):
+            built.append((self.max_nodes, self.max_witnesses))
+            super().__post_init__()
+
+    monkeypatch.setattr(oracle, "SearchBudget", Counted)
+    assert [outcome(call(arg)) for call, arg in calls] == spelled
+    for cap, made in [(3, []), (1, [(10_000_000, 2)] * 2)]:
+        budget = SearchBudget(10_000_000, cap)
+        assert [outcome(verify_uniqueness(d, budget)) for d in (sample_a, sample_b)] == spelled[:2]
+        assert built == made, cap
 
 
 # ===================================================================

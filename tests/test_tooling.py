@@ -147,6 +147,74 @@ def test_every_lru_cache_is_bounded():
     assert unbounded == ["flagshift.flags.subset_masks"]
 
 
+def _sort_keys(tree):
+    """(the call, the expressions its key= may be) for every sorted, min,
+    max or .sort call with a key: the key itself, or, for a local name,
+    every value assigned to it in the module, each branch of a
+    conditional expression apart."""
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(node.value)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("sorted", "min", "max", "sort"):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg != "key":
+                continue
+            todo, found = [keyword.value], []
+            while todo:
+                expr = todo.pop()
+                if isinstance(expr, ast.IfExp):
+                    todo += [expr.body, expr.orelse]
+                elif isinstance(expr, ast.Name) and expr.id in assigned:
+                    todo += assigned.pop(expr.id)
+                else:
+                    found.append(expr)
+            yield node, found
+
+
+def test_color_sets_sort_by_the_key_memo():
+    """No package code orders color sets by a Python-level key function:
+    no sort passes a module-level function of a mask (its first
+    parameter named `mask`) as its key, directly or through a local
+    name, and mask_sort_key is read only by the memo that computes each
+    mask's key once (flags._CanonicalKey), whose bound __getitem__,
+    canonical_key, is what color sets sort by.  A lambda stays allowed:
+    the order of more than MAX_COLORS colors is one."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    functions = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and [a.arg for a in node.args.args[:1]] == ["mask"]
+    }
+    assert {"mask_sort_key", "colors_of_mask"} <= functions
+    memo = next(
+        node for node in trees["flags"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_CanonicalKey"
+    )
+    inside = {id(node) for node in ast.walk(memo)}
+    bad = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "mask_sort_key" and id(node) not in inside:
+                bad.append(f"flagshift.{stem}:{node.lineno} reads mask_sort_key")
+        for call, keys in _sort_keys(tree):
+            for key in keys:
+                name = key.id if isinstance(key, ast.Name) else getattr(key, "attr", None)
+                if name in functions:
+                    bad.append(f"flagshift.{stem}:{call.lineno} sorts by {name}")
+    assert bad == []
+
+
 def test_traced_pass_reaches_every_kernel():
     """One traced pass through the search, the shifted enumeration and the
     diagram count reads the kernels' results; a kernel whose return
