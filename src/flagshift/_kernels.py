@@ -10,7 +10,7 @@ One visited state is one node; a forced exclusion costs none.
 When the node budget runs out a kernel stops and reports completed=False
 with whatever it found so far.
 
-ideals_of_size and all_ideals drain `_ascending`, which reads downs[i],
+Every kernel drains the one walk, `_ascending`, which reads downs[i],
 point i and every point below it (no bit above i).  A state (chosen,
 rest) holds a down-set and the allowed points not chosen below the
 points decided so far.  It branches on the highest point p of rest:
@@ -30,23 +30,13 @@ exclude, then include, which adds downs[p].
     rest with no branch.
   - Undershoot: a down-set extending the state lies in chosen | rest, so
     a sized walk prunes a state with |chosen| + |rest| < size, and a
-    state of `size` points is a leaf.  The any-size walk prunes nothing,
-    so every state that is no leaf has two children: 2L - 1 nodes for L
-    down-sets.
-
-count_ideals_of_size keeps the up-set walk `_down_sets`, a second route
-to the same sets, reading ups[i], point i and every point above it.  Its
-state carries `avail`, the allowed points undecided and above no
-excluded point, which starts as `allowed`, and every point below one of
-them is chosen: a point p below i is allowed, as `allowed` is a
-down-set, so p, if not chosen, was excluded and its up-set, which holds
-i, was cleared, or it lies above an excluded point, whose up-set holds i
-too.  So including the lowest point of `avail` keeps a down-set,
-excluding it clears its up-set, and a state with count + |avail| < size
-is pruned.  A down-set D is reached by including the lowest point of
-`avail` exactly when it is in D, as excluding a point outside D clears
-only points above it.  Each state is a leaf (a down-set or a prune) or
-has two children, so a completed walk spends 2L - 1 nodes for L leaves.
+    state of `size` points is a leaf.
+  - Nodes: a state is a leaf (a down-set or an undershoot prune) or has
+    two children, as a forced exclusion is no state.  So a walk run to
+    its end spends 2L - 1 nodes for its L leaves.  The any-size walk
+    prunes nothing, so its leaves are its down-sets; a sized walk's are
+    its down-sets and its prunes, so it spends at least 2D - 1 nodes
+    for D down-sets.
 """
 
 from __future__ import annotations
@@ -84,27 +74,6 @@ def _ascending(downs, allowed: int, size: int | None, max_nodes: int, limit: int
     return nodes, True
 
 
-def _down_sets(ups, allowed: int, size: int, max_nodes: int):
-    """Yield the down-sets of `allowed` with `size` points; return
-    (nodes_visited, completed)."""
-    nodes = 0
-    stack = [(allowed, 0, 0)]  # (avail, chosen, count)
-    while stack:
-        avail, chosen, count = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            return nodes, False
-        if count == size:
-            yield chosen
-            continue
-        if count + avail.bit_count() < size:
-            continue
-        low = avail & -avail
-        stack.append((avail & ~ups[low.bit_length() - 1], chosen, count))
-        stack.append((avail ^ low, chosen | low, count + 1))
-    return nodes, True
-
-
 def _drain(walk, keep: bool):
     """Run a walk to its end: (its down-sets as a list when `keep`, else
     their number, nodes_visited, completed)."""
@@ -128,10 +97,11 @@ def ideals_of_size(
     return _drain(_ascending(downs, allowed, size, max_nodes, -1 if limit is None else limit), True)
 
 
-def count_ideals_of_size(ups, allowed: int, size: int, max_nodes: int) -> tuple[int, int, bool]:
-    """The number of down-sets of `allowed` with exactly `size` points,
-    by the up-set walk."""
-    return _drain(_down_sets(ups, allowed, size, max_nodes), False)
+def count_ideals_of_size(downs, allowed: int, size: int, max_nodes: int) -> tuple[int, int, bool]:
+    """(The number of down-sets of `allowed` with exactly `size` points;
+    nodes_visited; completed): the walk of ideals_of_size, drained
+    without keeping its down-sets."""
+    return _drain(_ascending(downs, allowed, size, max_nodes, -1), False)
 
 
 def all_ideals(downs, allowed: int, max_nodes: int) -> tuple[list[int], int, bool]:

@@ -23,28 +23,29 @@ when the search first reads them; _project and the search's fiber
 unions are computed from them, both moving the s-bit blocks of a mask
 with the one regroup (_regroup), and no per-point table is kept.  A
 kernel reads the down-set of a point v, the points at or below it, from
-the geometry's `downs`, and the diagram count its up-set from `ups`;
-each is computed on first read as a box like the points a face
-dominates, the up-set written at v's rank.
+the geometry's `downs`, computed on first read as a box like the points
+a face dominates.
 
 A complex may also carry a record of its faces as one bitmask per color
 set over that color set's index grid (ColoredComplex._raw).  A complex
 built by the layered walk, a cone extension and a parsed "faces"
 document (formats.parse_complex) hold only that.
 _record_grids walks its color sets with their grids' geometries, read
-from one table per vertex-count vector (_grids), which takes each from
-the cache keyed by color set and radices (_layer_geometry) on its first
-read.  A geometry also holds its colors, a memo by rank of the faces
-decoded so far, and two memos by a layer's points, bounded in bytes
-(_Memo): the layer texts formats.emit_complex wrote and the mask shift
-test's verdicts.  A record's faces are decoded into the face memo on
-first use, and the emitter formats a layer from it only on a text miss;
-no drops are built, so no mask as wide as a grid.  A geometry, with its
+from one table per vertex-count vector (_grids), keyed by the counts up
+to the last color with vertices, as the parser and the search key it
+too; a table takes each geometry from the cache keyed by color set and
+radices (_layer_geometry) on its first read.  A geometry also holds its
+colors, a memo by rank of the faces decoded so far, and two memos by a
+layer's points, bounded in bytes (_Memo): the layer texts
+formats.emit_complex wrote and the mask shift test's verdicts.  A
+record's faces are decoded into the face memo on first use, and the
+emitter formats a layer from it only on a text miss; no drops are
+built, so no mask as wide as a grid.  A geometry, with its
 memos, is freed once neither the cache nor a table holds it.  The
-parser and shifting test a record in masks, with its grids' drops and
-up-sets (a color's points above its bottom row are the up-set of the
-point at its stride), only where each layer's grid holds at most
-_GRID_BITS_PER_FACE points per face of the layer (_dense_enough).
+parser and shifting test a record in masks, with its grids' drops (a
+color's points above its bottom row, _above_bottom_row), only where
+each layer's grid holds at most _GRID_BITS_PER_FACE points per face of
+the layer (_dense_enough).
 
 Faces and complexes are immutable; operations return new objects.
 """
@@ -291,6 +292,13 @@ def _repeat(copies: int, stride: int) -> int:
     return mask
 
 
+def _above_bottom_row(size: int, r: int, s: int) -> int:
+    """The points of a grid of `size` points whose index of the color of
+    radix r and stride s is above 1: the top (r - 1) * s ranks of each
+    block of r * s ranks."""
+    return _repeat(size // (r * s), r * s) * (((1 << (r - 1) * s) - 1) << s)
+
+
 def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int]]:
     """Per subset T of a face's colors, T = {} first: (T's bitmask, the
     size of the box of points the face dominates in the grid of T, the
@@ -310,24 +318,21 @@ def _boxes(vertices: tuple[Vertex, ...], radix) -> list[tuple[int, int, int, int
 
 
 class _Principal(dict):
-    """rank -> the up-set (`up`) or down-set of the point of that rank,
-    computed on its first read and kept; a dict, for C-speed reads."""
+    """rank -> the down-set of the point of that rank, computed on its
+    first read and kept; a dict, for C-speed reads."""
 
-    __slots__ = ("radices", "up")
+    __slots__ = ("radices",)
 
-    def __init__(self, radices: tuple[int, ...], up: bool):
+    def __init__(self, radices: tuple[int, ...]):
         self.radices = radices
-        self.up = up
 
     def __missing__(self, rank: int) -> int:
         box = stride = 1
         for r in reversed(self.radices):
-            # r_c - v_c + 1 copies (up) or v_c copies (down) of the later
-            # colors' box at c's stride, as in _boxes
-            i = rank // stride % r
-            box *= _repeat(r - i if self.up else i + 1, stride)
+            # v_c copies of the later colors' box at c's stride, as in _boxes
+            box *= _repeat(rank // stride % r + 1, stride)
             stride *= r
-        self[rank] = box = box << rank if self.up else box
+        self[rank] = box
         return box
 
 
@@ -387,22 +392,20 @@ class _Geometry:
     """One layer grid, shared through the _layer_geometry cache and the
     record tables (_grids).  Its shape, the radices with the size,
     strides and chain flag they give, is set once, in one pass over the
-    colors from the last.  Its drops, up-sets and down-sets, which only
-    the search and the mask tests read, are built on first read, as
-    their masks are as wide as the grid.  Its memos fill as records
-    over it are read: `faces`, rank -> the face decoded there, holds at
-    most one face per point, and two _Memo tables keyed by a layer's
-    points, `texts` (the layer's text, by formats.emit_complex) and
-    `shifts` (the mask shift test's verdict, free points and drop
+    colors from the last.  Its drops and down-sets, which only the
+    search, the diagram count and the mask tests read, are built on
+    first read, as their masks are as wide as the grid.  Its memos fill
+    as records over it are read: `faces`, rank -> the face decoded there,
+    holds at most one face per point, and two _Memo tables keyed by a
+    layer's points, `texts` (the layer's text, by formats.emit_complex)
+    and `shifts` (the mask shift test's verdict, free points and drop
     projections, by shifting._maximal_in_masks), each hold at most
     _MEMO_BYTES = 16 KiB by their own count, so at most 256 layers.  So
-    reading a record costs the faces it holds, never the whole grid.
-    For a color of radix above 1, ups[stride] is its points above its
-    bottom row."""
+    reading a record costs the faces it holds, never the whole grid."""
 
     __slots__ = (
         "mask", "colors", "radices", "size", "strides", "chain", "faces", "texts", "shifts",
-        "_ups", "_downs", "_drops",
+        "_downs", "_drops",
     )
 
     def __init__(self, mask: int, radices: tuple[int, ...]):
@@ -425,7 +428,7 @@ class _Geometry:
         self.faces: dict[int, Face] = {}  # rank -> face, decoded by _grid_face
         self.texts = _Memo()  # points -> the layer's text
         self.shifts = _Memo()  # points -> the layer's shift-test verdict
-        self._ups = self._downs = self._drops = None
+        self._downs = self._drops = None
 
     @property
     def drops(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -442,15 +445,9 @@ class _Geometry:
         return self._drops
 
     @property
-    def ups(self) -> MappingProxyType:  # read-only, made on the first count or mask-test read
-        if self._ups is None:
-            self._ups = MappingProxyType(_Principal(self.radices, True))
-        return self._ups
-
-    @property
     def downs(self) -> MappingProxyType:  # read-only, made on the first kernel read
         if self._downs is None:
-            self._downs = MappingProxyType(_Principal(self.radices, False))
+            self._downs = MappingProxyType(_Principal(self.radices))
         return self._downs
 
 

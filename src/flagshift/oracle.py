@@ -286,8 +286,11 @@ def _target_layers(f, t) -> list[_Geometry] | None:
     counts t, full[S] = prod(t[c] for c in S).  full[S] is non-zero exactly
     when every color of S has vertices; then every drop of S has faces
     and full[S] is S's grid size, so full is never refused.  Only such a
-    target has more than MAX_COLORS colors, ordered by color tuple."""
-    grids = _grids(tuple(t))
+    target has more than MAX_COLORS colors, ordered by color tuple.
+    The table is keyed by t up to its last color with vertices, as a
+    record's is (complexes._record_grids), so a witness is read through
+    the table its search filled."""
+    grids = _grids(tuple(t[:max(compress(range(1, len(t) + 1), t), default=0)]))
     layers = []
     masks = [m for m in compress(range(len(f)), f) if m & (m - 1)]
     wide = len(f) > 1 << MAX_COLORS
@@ -575,13 +578,14 @@ def count_two_color_shifted_by_edges(
     Edge families are down-sets of the index grid (Young diagrams), and
     a vertex budget of e per color never constrains a diagram with e
     cells; the count equals partition_number(e), but this function
-    enumerates the diagrams.  It reads partition_number(e) only to bound
-    the budget: each state of the up-set walk is a leaf or has two
-    children, so a completed walk spends 2L - 1 nodes for its L leaves,
-    and each diagram is a distinct leaf, so L >= p(e).  When 2p(e) - 1
-    exceeds max_nodes (or p(e) is too large for 64 bits) the budget stop
-    is certain and BudgetExhausted is raised without walking.  Otherwise
-    BudgetExhausted is raised once the count has spent the node budget.
+    enumerates the diagrams, by the search's kernel walk on the e x e
+    grid.  It reads partition_number(e) only to bound the budget: each
+    state of the walk is a leaf or has two children, so a completed walk
+    spends 2L - 1 nodes for its L leaves, and each diagram is a distinct
+    leaf, so L >= p(e).  When 2p(e) - 1 exceeds max_nodes (or p(e) is
+    too large for 64 bits) the budget stop is certain and BudgetExhausted
+    is raised without walking.  Otherwise BudgetExhausted is raised once
+    the count has spent the node budget.
     """
     if budget is None:
         budget = _DEFAULT_BUDGET
@@ -596,7 +600,7 @@ def count_two_color_shifted_by_edges(
         # a Young diagram with e cells holds the i x j rectangle under
         # each of its cells, so it lies within the cells with i * j <= e
         count, _used, completed = _kernels.count_ideals_of_size(
-            _layer_geometry(0b11, (e, e)).ups, _within((e, e), e), e, budget.max_nodes
+            _layer_geometry(0b11, (e, e)).downs, _within((e, e), e), e, budget.max_nodes
         )
         if completed:
             return count

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .complexes import ColoredComplex, Face, Vertex
-from .complexes import _dense_enough, _grid_faces, _project, _record_grids
+from .complexes import _above_bottom_row, _dense_enough, _grid_faces, _project, _record_grids
 
 
 def dominance_le(lower: Face, upper: Face) -> bool:
@@ -111,16 +111,16 @@ def shift_maximal_faces(c: ColoredComplex) -> list[Face]:
     A record (ColoredComplex._raw) is a complex, so it holds every
     drop, and the rest of the argument runs in masks.  In the grid of a
     layer, the point one index lower than p in a color of stride s is
-    p - s, for p above that color's bottom row: the up-set of the point
-    of rank s (_Geometry.ups).  So c is color-shifted exactly when, for
-    every layer and color, those points shifted down by s stay inside
-    the layer.  The points so reached are the index predecessors, and
-    the projections of each layer S + {c} onto S (_project) are the drop
-    predecessors; the points of S left are its maximal faces.  Rank
-    order is row-major, lexicographic in the indices, so the layers in
-    order of their colors, each in rank order, give shift_max_key's
-    order.  A record that fails the test, or has a layer too sparse for
-    masks, takes the tuple route.
+    p - s, for p above that color's bottom row, the top (r - 1) * s of
+    each r * s ranks for its radix r (_above_bottom_row).  So c is
+    color-shifted exactly when, for every layer and color, those points
+    shifted down by s stay inside the layer.  The points so reached are
+    the index predecessors, and the projections of each layer S + {c}
+    onto S (_project) are the drop predecessors; the points of S left
+    are its maximal faces.  Rank order is row-major, lexicographic in
+    the indices, so the layers in order of their colors, each in rank
+    order, give shift_max_key's order.  A record that fails the test, or
+    has a layer too sparse for masks, takes the tuple route.
     """
     if c._record is not None:
         maximal = _maximal_in_masks(c._record)
@@ -174,7 +174,7 @@ def _layer_shift(points: int, geo) -> tuple | bool:
     free = points
     for _, _, r, s, _ in geo.drops:
         if r > 1:
-            lower = (points & geo.ups[s]) >> s  # one index lower than a point
+            lower = (points & _above_bottom_row(geo.size, r, s)) >> s  # one index lower
             if lower & ~points:
                 return False
             free &= ~lower

@@ -39,6 +39,14 @@ def cold_grids() -> None:
     complexes._grids.cache_clear()
 
 
+def grid_table(t):
+    """The table of vertex counts t (complexes._grids) as every reader
+    keys it: by the counts up to the last color with vertices."""
+    while t and not t[-1]:
+        t = t[:-1]
+    return complexes._grids(tuple(t))
+
+
 def face(*pairs: tuple[int, int]) -> Face:
     return Face(pairs)
 
@@ -249,14 +257,6 @@ def reference_down_sets(preds) -> list[int]:
             if below[i] >> k & 1:
                 below[i] |= below[k]
     return below
-
-
-def reference_up_sets(preds) -> list[int]:
-    """ups[i]: point i and every point above it, the down-sets of
-    reference_down_sets read column by column."""
-    below = reference_down_sets(preds)
-    n = len(preds)
-    return [sum(1 << i for i in range(n) if below[i] >> j & 1) for j in range(n)]
 
 
 def brute_allowed_mask(colors, radices, chosen: dict[int, int]) -> int:

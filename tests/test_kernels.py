@@ -1,11 +1,12 @@
 """Bitmask down-set kernels: brute-force parity and node accounting.
 
 Posets are built as immediate-predecessor masks, which the brute-force
-filter reads, and reach the kernels by transitive closure: the listing
-kernels as their down-sets (helpers.reference_down_sets), the count
-kernel as their up-sets (helpers.reference_up_sets).  Allowed sets are
-down-sets, as the kernels require: whole posets, prefixes of the linear
-extension and down-closures of chosen points."""
+filter reads, and reach the kernels by transitive closure, as their
+down-sets (helpers.reference_down_sets).  Allowed sets are down-sets, as
+the kernels require: whole posets, prefixes of the linear extension and
+down-closures of chosen points.  The count kernel drains the listing
+kernels' walk, so it counts what ideals_of_size lists, in the same
+nodes."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from flagshift import _kernels
 from flagshift import _kernels as ideals_py
 from flagshift.complexes import _Geometry
 
-from helpers import reference_down_sets, reference_up_sets
+from helpers import reference_down_sets
 
 HUGE = 1 << 40
 
@@ -86,14 +87,16 @@ def test_ideals_of_chain():
 
 
 def test_ideals_of_antichain_count():
-    ups = reference_up_sets(antichain(5))
+    downs = reference_down_sets(antichain(5))
     full = (1 << 5) - 1
     for size in range(6):
-        count, _, done = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
+        count, nodes, done = ideals_py.count_ideals_of_size(downs, full, size, HUGE)
         assert done
         from math import comb
 
         assert count == comb(5, size)
+        got, listed_nodes, _ = ideals_py.ideals_of_size(downs, full, size, HUGE)
+        assert (count, nodes) == (len(got), listed_nodes)
 
 
 def test_ideals_of_grid_match_brute():
@@ -141,50 +144,45 @@ def test_budget_stops_early():
 
 
 def test_counts_are_size_partitioned():
-    ups = reference_up_sets(grid(2, 4))
+    downs = reference_down_sets(grid(2, 4))
     full = (1 << 8) - 1
-    total, _, _ = ideals_py.all_ideals(reference_down_sets(grid(2, 4)), full, HUGE)
+    total, _, _ = ideals_py.all_ideals(downs, full, HUGE)
     by_size = 0
     for size in range(9):
-        n, _, done = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
+        n, nodes, done = ideals_py.count_ideals_of_size(downs, full, size, HUGE)
         assert done
+        got, listed_nodes, _ = ideals_py.ideals_of_size(downs, full, size, HUGE)
+        assert (n, nodes) == (len(got), listed_nodes)
         by_size += n
     assert by_size == len(total)
 
 
 def test_kernels_take_more_than_64_points():
-    ups = reference_up_sets(antichain(65))
+    downs = reference_down_sets(antichain(65))
     full = (1 << 65) - 1
-    count, _, done = _kernels.count_ideals_of_size(ups, full, 1, HUGE)
+    count, nodes, done = _kernels.count_ideals_of_size(downs, full, 1, HUGE)
     assert done and count == 65
+    got, listed_nodes, _ = _kernels.ideals_of_size(downs, full, 1, HUGE)
+    assert got == [1 << p for p in range(65)] and nodes == listed_nodes
 
 
 # ===================================================================
-# up-set walk node accounting (the count route)
+# sized walk node accounting (the listing and the count)
 # ===================================================================
 
-def test_upset_walk_nodes_on_chains():
-    # per included point one node, plus one pruned exclude sibling; the
-    # ascending walk skips the points above the target as forced
-    # exclusions, includes the highest point that fits, and prunes the
-    # exclude sibling: 3 nodes for any size but 0
+def test_count_nodes_on_chains():
+    # the walk skips the points above the target as forced exclusions,
+    # includes the highest point that fits, and prunes the exclude
+    # sibling: 3 nodes for any size but 0, listed or counted
     for n in range(9):
-        ups = reference_up_sets(chain(n))
         downs = reference_down_sets(chain(n))
         full = (1 << n) - 1
         for size in range(n + 1):
             got, nodes, done = ideals_py.ideals_of_size(downs, full, size, HUGE)
             assert done and got == [(1 << size) - 1]
             assert nodes == (3 if size else 1)
-            assert ideals_py.count_ideals_of_size(ups, full, size, HUGE) == (
-                1, 2 * size + 1, True,
-            )
+            assert ideals_py.count_ideals_of_size(downs, full, size, HUGE) == (1, nodes, True)
 
-
-GRID_NODES = {
-    (3, 3): [1, 3, 7, 13, 15, 19, 23, 19, 17, 19],
-    (4, 4): [1, 3, 7, 13, 23, 27, 37, 45, 55, 53, 57, 53, 59, 43, 35, 31, 33],
-}
 
 ASCENDING_GRID_NODES = {
     (3, 3): [1, 3, 5, 9, 11, 11, 11, 9, 5, 3],
@@ -192,38 +190,32 @@ ASCENDING_GRID_NODES = {
 }
 
 
-def test_upset_walk_nodes_on_grids():
-    for (rows, cols), by_size in GRID_NODES.items():
-        ups = reference_up_sets(grid(rows, cols))
+def test_count_nodes_on_grids():
+    for (rows, cols), by_size in ASCENDING_GRID_NODES.items():
         downs = reference_down_sets(grid(rows, cols))
         full = (1 << (rows * cols)) - 1
         for size, want in enumerate(by_size):
             got, nodes, done = ideals_py.ideals_of_size(downs, full, size, HUGE)
-            assert done and nodes == ASCENDING_GRID_NODES[rows, cols][size], (rows, cols, size)
-            count = ideals_py.count_ideals_of_size(ups, full, size, HUGE)
+            assert done and nodes == want, (rows, cols, size)
+            count = ideals_py.count_ideals_of_size(downs, full, size, HUGE)
             assert count == (len(got), want, True)
 
 
-def test_upset_walk_budget_stop_is_a_prefix():
-    """A budget stop spends max_nodes + 1 nodes: the ascending walk
-    returns a prefix of its full list, and the up-set walk counts the
-    down-sets it listed by then."""
-    ups = reference_up_sets(grid(3, 4))
+def test_count_budget_stop_is_a_prefix():
+    """A budget stop spends max_nodes + 1 nodes: the listing returns a
+    prefix of its full list, and the count the number of down-sets
+    listed by then."""
     downs = reference_down_sets(grid(3, 4))
     full = (1 << 12) - 1
     every, total, done = ideals_py.ideals_of_size(downs, full, 5, HUGE)
     assert done and total == 15
+    assert ideals_py.count_ideals_of_size(downs, full, 5, HUGE) == (len(every), total, True)
     for budget in [1, 7, 12, total - 1]:
         partial, nodes, done = ideals_py.ideals_of_size(downs, full, 5, budget)
         assert not done and nodes == budget + 1
         assert partial == every[: len(partial)]
-    walked, count_total, done = ideals_py._drain(ideals_py._down_sets(ups, full, 5, HUGE), True)
-    assert done and count_total == 23 and sorted(walked) == every
-    for budget in [1, 7, 20, count_total - 1]:
-        listed, nodes, done = ideals_py._drain(ideals_py._down_sets(ups, full, 5, budget), True)
-        assert not done and nodes == budget + 1 and listed == walked[: len(listed)]
-        count, nodes, done = ideals_py.count_ideals_of_size(ups, full, 5, budget)
-        assert not done and nodes == budget + 1 and count == len(listed)
+        count, nodes, done = ideals_py.count_ideals_of_size(downs, full, 5, budget)
+        assert not done and nodes == budget + 1 and count == len(partial)
 
 
 # ===================================================================
@@ -319,7 +311,7 @@ def test_sized_ideals_property(args, size):
     got, _, done = ideals_py.ideals_of_size(downs, allowed, size, HUGE)
     assert done
     assert got == brute_ideals(preds, allowed, size)
-    count, _, done = ideals_py.count_ideals_of_size(reference_up_sets(preds), allowed, size, HUGE)
+    count, _, done = ideals_py.count_ideals_of_size(downs, allowed, size, HUGE)
     assert done and count == len(got)
     for limit in range(len(got) + 2):
         assert ideals_py.ideals_of_size(downs, allowed, size, HUGE, limit)[0] == got[:limit]
@@ -328,18 +320,15 @@ def test_sized_ideals_property(args, size):
 @seed(20101)
 @settings(max_examples=150, derandomize=True, database=None)
 @given(random_posets(), st.integers(0, 8))
-def test_upset_walk_matches_brute(args, size):
-    """Both routes list the brute-force down-sets, the up-set walk's
-    count is the number it lists, and the ascending walk lists them in
-    order."""
+def test_count_matches_brute(args, size):
+    """The walk lists the brute-force down-sets in order, the count is
+    the number it lists in the listing's nodes, and that number of
+    nodes is odd and at least 2L - 1 for L down-sets: each state is a
+    leaf or has two children."""
     preds, allowed = args
-    ups = reference_up_sets(preds)
-    got, nodes, done = ideals_py.ideals_of_size(reference_down_sets(preds), allowed, size, HUGE)
+    downs = reference_down_sets(preds)
+    got, nodes, done = ideals_py.ideals_of_size(downs, allowed, size, HUGE)
     assert done
     assert got == brute_ideals(preds, allowed, size)
-    listed, listed_nodes, done = ideals_py._drain(
-        ideals_py._down_sets(ups, allowed, size, HUGE), True
-    )
-    assert done and sorted(listed) == got
-    count, count_nodes, done = ideals_py.count_ideals_of_size(ups, allowed, size, HUGE)
-    assert done and count == len(got) and count_nodes == listed_nodes
+    assert ideals_py.count_ideals_of_size(downs, allowed, size, HUGE) == (len(got), nodes, True)
+    assert nodes % 2 == 1 and nodes >= 2 * len(got) - 1

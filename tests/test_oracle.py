@@ -48,6 +48,7 @@ from helpers import (
     cold_grids,
     edge2,
     face,
+    grid_table,
     reference_cone_extension,
     reference_grid_faces,
     reference_propagate,
@@ -191,7 +192,7 @@ def test_rejected_targets_build_no_layer(monkeypatch):
         monkeypatch.setattr(complexes, "_layer_geometry", geometry)
         t = [dense[1 << i] for i in range(n)]
         assert oracle._target_layers(dense, t) is None, dense
-        assert (built, refused in complexes._grids(tuple(t))) == (before, False), dense
+        assert (built, refused in grid_table(t)) == (before, False), dense
         outcome = enumerate_color_shifted_with_flag(FlagVector(n, dense))
         assert (outcome.witnesses, outcome.exhausted, outcome.nodes_visited) == ([], True, 0)
         monkeypatch.undo()
@@ -202,7 +203,8 @@ def test_target_layers_read_the_grid_table(enumerated_corpus):
     drop is empty or whose count passes its grid, and otherwise returns,
     in canonical order, the geometries of the color sets of size >= 2
     with faces: the very objects _layer_geometry and the table of t
-    (complexes._grids) hold for them, over every target within [3, 3, 2]
+    (complexes._grids, keyed by t up to its last color with vertices,
+    helpers.grid_table) hold for them, over every target within [3, 3, 2]
     and every corpus extension vector.  Each target starts from cold
     caches: a table may keep a geometry _layer_geometry has evicted, and
     a second call reads it there after _layer_geometry is emptied."""
@@ -225,7 +227,7 @@ def test_target_layers_read_the_grid_table(enumerated_corpus):
             refused += 1
             continue
         assert [geo.mask for geo in layers] == multi, dense
-        table = complexes._grids(tuple(t))
+        table = grid_table(t)
         for geo in layers:
             assert geo is table.get(geo.mask), dense  # filled, not only readable
             assert geo is complexes._layer_geometry(geo.mask, radices[geo.mask]), dense
@@ -233,6 +235,27 @@ def test_target_layers_read_the_grid_table(enumerated_corpus):
         again = oracle._target_layers(dense, t)
         assert all(a is b for a, b in zip(again, layers, strict=True)), dense
     assert 0 < refused < len(vectors)
+
+
+def test_search_and_emission_share_one_grid_table():
+    """A search or an enumeration keys the table of its vertex counts
+    (complexes._grids) as a record is keyed, by the counts up to the
+    last color with vertices, so emitting what it found reads the table
+    it filled: a three-color target with no vertex of color 3 fills one
+    table, and the four vertex-count vectors within [1, 1, 0] fill
+    four, before and after their complexes are emitted."""
+    delta = shift_closure(3, [face((1, 2), (2, 2))])
+    cold_grids()
+    outcome = find_color_shifted_with_flag(delta)
+    assert complexes._grids.cache_info().currsize == 1
+    emit_complex(outcome.witnesses[0])
+    assert complexes._grids.cache_info().currsize == 1
+    cold_grids()
+    found = list(enumerate_color_shifted_complexes(3, [1, 1, 0]))
+    assert len(found) == 5 and complexes._grids.cache_info().currsize == 4
+    for c in found:
+        emit_complex(c)
+    assert complexes._grids.cache_info().currsize == 4
 
 
 def test_search_rejects_bad_targets():
@@ -965,7 +988,7 @@ def test_layer_geometry_cache_is_bounded_and_immutable():
     with pytest.raises(AttributeError):
         geo.drops = ()
     with pytest.raises(AttributeError):
-        geo.ups = {}
+        geo.downs = {}
     with pytest.raises(TypeError):
         geo.drops[0] = 1
 
@@ -981,37 +1004,34 @@ def test_repeat_is_the_division_formula():
 
 
 def test_up_sets_are_the_points_above():
-    """A geometry's ups[r] holds exactly the points u >= v of the point v
-    of rank r, on GRID_SHAPES, and is read-only.  At the stride s of a
-    color with more than one vertex, ups[s] is the points whose index of
-    that color is above 1, which the mask shift test reads.  Up-sets and
-    down-sets are computed on first read: a search whose every layer is
-    settled reads none, a search that reaches the kernel reads down-sets
-    only, and again it computes none anew."""
+    """The mask shift test's row mask of a color with more than one
+    vertex, _above_bottom_row at its radix r and stride s, holds exactly
+    the points whose index of that color is above 1: the up-set, the
+    points u >= v, of the point v of rank s, on GRID_SHAPES.  Down-sets
+    are computed on first read: a search whose every layer is settled
+    reads none, and a search that reaches the kernel computes none anew
+    when it runs again."""
     for mask, radices in GRID_SHAPES:
         grid = list(product(*(range(1, r + 1) for r in radices)))
         geo = complexes._layer_geometry(mask, radices)
-        ups = geo.ups
-        for rank, v in enumerate(grid):
-            above = [q for q, u in enumerate(grid) if all(map(int.__ge__, u, v))]
-            assert ups[rank] == sum(1 << q for q in above), (radices, v)
         for j, (*_, r, s, _) in enumerate(geo.drops):
             if r > 1:
                 raised = [q for q, u in enumerate(grid) if u[j] > 1]
-                assert ups[s] == sum(1 << q for q in raised), (radices, j)
-    with pytest.raises(TypeError):
-        ups[0] = 1
+                above = [q for q, u in enumerate(grid) if all(map(int.__ge__, u, grid[s]))]
+                assert raised == above, (radices, j)
+                row = complexes._above_bottom_row(geo.size, r, s)
+                assert row == sum(1 << q for q in raised), (radices, j)
     cold_grids()
     extended, report = cone_extension(staircase(5))
     assert verify_uniqueness(staircase(5)).unique is True
     f = report.predicted_flag.dense()
     layers = oracle._target_layers(f, [f[1 << i] for i in range(extended.num_colors)])
-    assert layers and all(len(geo.ups) == len(geo.downs) == 0 for geo in layers)
+    assert layers and all(len(geo.downs) == 0 for geo in layers)
     target = FlagVector(2, (1, 3, 4, 5))
     assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
     geo = complexes._layer_geometry(0b11, (3, 4))
     kept = dict(geo.downs)
-    assert 0 < len(kept) < 12 and len(geo.ups) == 0
+    assert 0 < len(kept) < 12
     assert len(enumerate_color_shifted_with_flag(target).witnesses) == 2
     assert dict(geo.downs) == kept
 
@@ -1079,7 +1099,7 @@ def test_kernel_memory_follows_the_target(t):
     """The target (1, t, t, 3) reaches the kernel on the t x t grid, and
     its 3 witnesses use only the 5 points with i * j <= 3.  With the grid
     cache cleared, the search answers in 12 nodes under 30 MiB traced,
-    reading 4 down-sets and no up-set.  A table of every point's down-set
+    reading 4 down-sets.  A table of every point's down-set
     takes 206 MiB at t = 200 and over 1 GB at t = 400."""
     cold_grids()
     tracemalloc.start()
@@ -1093,7 +1113,7 @@ def test_kernel_memory_follows_the_target(t):
     assert len(outcome.witnesses) == 3 and outcome.exhausted and outcome.nodes_visited == 12
     assert peak < 30 * 2**20, peak
     geo = complexes._layer_geometry(0b11, (t, t))
-    assert (len(geo.downs), len(geo.ups)) == (4, 0)
+    assert len(geo.downs) == 4
 
 
 def test_refuted_target_builds_no_later_layer():
@@ -1124,9 +1144,9 @@ def test_every_kernel_call_takes_a_down_set(monkeypatch, enumerated_corpus):
     enumeration and the diagram count hand them holds the grid's down-set
     of each of its points: over the corpus's uniqueness checks, every
     (1, a, b, e) search with a, b <= 4, the color-shifted complexes within
-    [2, 2, 2] and the counts for e = 0..18."""
-    ascending, down_sets = oracle._kernels._ascending, oracle._kernels._down_sets
-    downs_of = {}  # id of an up-set table -> its grid's down-sets
+    [2, 2, 2] and the counts for e = 0..18, each of which reaches the
+    kernel once."""
+    ascending = oracle._kernels._ascending
     calls = Counter()
 
     def assert_down_set(downs, allowed):
@@ -1141,13 +1161,7 @@ def test_every_kernel_call_takes_a_down_set(monkeypatch, enumerated_corpus):
         calls["ascending"] += 1
         return ascending(downs, allowed, *args)
 
-    def checked_down_sets(ups, allowed, *args):
-        assert_down_set(downs_of[id(ups)], allowed)
-        calls["down_sets"] += 1
-        return down_sets(ups, allowed, *args)
-
     monkeypatch.setattr(oracle._kernels, "_ascending", checked_ascending)
-    monkeypatch.setattr(oracle._kernels, "_down_sets", checked_down_sets)
     try:
         for delta in enumerated_corpus:
             verify_uniqueness(delta)
@@ -1157,13 +1171,12 @@ def test_every_kernel_call_takes_a_down_set(monkeypatch, enumerated_corpus):
                     FlagVector(2, (1, a, b, e)), SearchBudget(max_witnesses=10**6)
                 )
         assert sum(1 for _ in enumerate_color_shifted_complexes(3, [2, 2, 2])) == 979
+        searched = calls["ascending"]
         for e in range(19):
-            geo = complexes._layer_geometry(0b11, (e, e))
-            downs_of[id(geo.ups)] = geo.downs
             assert count_two_color_shifted_by_edges(e) == partition_number(e)
     finally:
         cold_grids()  # drop the down-sets read here
-    assert calls["ascending"] and calls["down_sets"] == 19, calls
+    assert searched and calls["ascending"] - searched == 19, calls
 
 
 def test_find_matches_flag_of_any_source(corpus):
@@ -1616,22 +1629,31 @@ def test_diagram_count_at_thirty_edges():
 
 
 def test_diagram_count_budget():
-    # e = 18 walks 3,193 nodes, and reads fewer up-sets than the grid has points
+    # e = 18 walks 1,363 nodes, and reads fewer down-sets than the grid
+    # has points (57 of 324)
     cold_grids()
-    assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3193)) == 385
-    assert len(complexes._layer_geometry(0b11, (18, 18)).ups) < 18 * 18
-    with pytest.raises(BudgetExhausted, match="3192 nodes"):
-        count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=3192))
+    assert count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=1363)) == 385
+    assert len(complexes._layer_geometry(0b11, (18, 18)).downs) < 18 * 18
+    with pytest.raises(BudgetExhausted, match="1362 nodes"):
+        count_two_color_shifted_by_edges(18, SearchBudget(max_nodes=1362))
+
+
+def test_diagram_count_at_forty_edges_budget():
+    """e = 40 counts its p(40) = 37,338 diagrams in 137,045 nodes, within
+    the default budget, and stops one node short of that."""
+    assert count_two_color_shifted_by_edges(40, SearchBudget(max_nodes=137_045)) == 37_338
+    with pytest.raises(BudgetExhausted, match="137044 nodes"):
+        count_two_color_shifted_by_edges(40, SearchBudget(max_nodes=137_044))
 
 
 def test_diagram_walk_spends_at_least_two_nodes_per_diagram():
-    """The up-set walk's states are leaves or have two children, so a
+    """The sized walk's states are leaves or have two children, so a
     completed count spends an odd number of nodes, at least 2p(e) - 1:
     the bound behind the diagram count's certain stop."""
     for e in range(19):
         grid = complexes._Geometry(0b11, (e, e))
         count, nodes, done = oracle._kernels.count_ideals_of_size(
-            grid.ups, complexes._within((e, e), e), e, 10**7
+            grid.downs, complexes._within((e, e), e), e, 10**7
         )
         assert done and count == partition_number(e), e
         assert nodes % 2 == 1 and nodes >= 2 * count - 1, (e, nodes)

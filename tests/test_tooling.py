@@ -126,6 +126,20 @@ def test_no_dead_definitions():
     assert dead == []
 
 
+def test_kernels_have_one_walk():
+    """_kernels defines exactly one generator function, the walk every
+    kernel drains, so a second enumeration route, with its own order,
+    node count and soundness argument, cannot come back unnoticed."""
+    tree = ast.parse((PACKAGE / "_kernels.py").read_text())
+    walks = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in ast.walk(node))
+    ]
+    assert walks == ["_ascending"]
+
+
 def test_every_lru_cache_is_bounded():
     """Every functools cache of the package has a finite maxsize, so none
     grows for the life of the process; a bare @lru_cache holds 128.  The
